@@ -126,7 +126,8 @@ def adaptive_pgd_eot(detector: DetectorModel, denoiser: DenoiserParams,
     Per PGD iteration the detection statistic against the reference (the
     clean originals by default) is computed once; depending on the branch,
     EOT gradients of [statistic + alpha * CE] are averaged over `cfg.eot`
-    replicas, each replica resampling the defense's Gaussian noise.
+    replicas.  On the denoiser branch each replica resamples the defense's
+    Gaussian noise; the clean branch draws none.
     """
     if detector is None or denoiser is None or classifier is None:
         raise ValueError("adaptive attack needs detector, denoiser and classifier")
@@ -143,10 +144,14 @@ def adaptive_pgd_eot(detector: DetectorModel, denoiser: DenoiserParams,
         stat_value = stat.item()
         g_stat = T.grad_of(tape, stat, [xt])[0]
         g_eot = np.zeros_like(x)
-        for _k in range(cfg.eot):
-            if stat_value < t:
-                g_ce = _ce_input_grad(classifier, x, labels)
-            else:
+        if stat_value < t:
+            # the clean branch draws no noise, so every replica has the same
+            # gradient; adding it `eot` times keeps the average bitwise equal
+            g_clean = g_stat + alpha * _ce_input_grad(classifier, x, labels)
+            for _k in range(cfg.eot):
+                g_eot += g_clean
+        else:
+            for _k in range(cfg.eot):
                 n = rng.normal(x.shape, noise.mu, noise.sigma)
                 xt = Tensor(x, requires_grad=True)
                 with GradTape() as tape:
@@ -154,7 +159,7 @@ def adaptive_pgd_eot(detector: DetectorModel, denoiser: DenoiserParams,
                     loss = cross_entropy(
                         classifier_forward(classifier, denoised), labels)
                 g_ce = T.grad_of(tape, loss, [xt])[0]
-            g_eot += g_stat + alpha * g_ce
+                g_eot += g_stat + alpha * g_ce
         g_eot /= cfg.eot
         x = x + cfg.step * _step_direction(g_eot, cfg)
         x = x0 + _project(x - x0, cfg)

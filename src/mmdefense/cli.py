@@ -22,11 +22,12 @@ from .defense import (DefensePipeline, MixedBatchSpec, ablate, defend_batch,
                       eval_batch_size, eval_mixed, train_denoiser)
 from .discrepancy import (DeepKernelParams, DetectorModel, FeaturizerView,
                           calibrate_threshold, detector_from_state,
-                          detector_state, optimize_kernel)
+                          detector_state, kernel_from_state, kernel_state,
+                          optimize_kernel)
 from .models import (ClassifierParams, DenoiserParams, accuracy, classify,
                      train_classifier)
 from .rng import Rng
-from .tensor import NonFiniteError, Tensor
+from .tensor import NonFiniteError
 from .theory import DiscreteDomain, tightness_probe, verify_theorem
 
 
@@ -165,10 +166,7 @@ def cmd_train_kernel(cfg: RunConfig, out: str):
         clean, adv, featurizer, epochs=cfg.kernel_epochs, lr=cfg.kernel_lr,
         batch_size=min(cfg.batch_size, len(clean) // 2),
         lam=cfg.kernel_lambda, rng=rng.fork())
-    save_model(os.path.join(out, "kernel.model"),
-               {"kernel.raw_beta0": kernel.raw_beta0.data,
-                "kernel.raw_sigma_q": kernel.raw_sigma_q.data,
-                "kernel.raw_sigma_phi": kernel.raw_sigma_phi.data},
+    save_model(os.path.join(out, "kernel.model"), kernel_state(kernel),
                {"lambda": repr(cfg.kernel_lambda), "seed": str(cfg.seed),
                 "uses_featurizer": str(featurizer is not None)})
     _write_csv(os.path.join(out, "kernel_trajectory.csv"), "epoch,j_hat",
@@ -182,10 +180,7 @@ def _load_kernel(cfg: RunConfig, out: str) -> DeepKernelParams:
     featurizer = None
     if meta.get("uses_featurizer") == "True":
         featurizer = FeaturizerView(_load_classifier(out))
-    return DeepKernelParams(Tensor(tensors["kernel.raw_beta0"], requires_grad=True),
-                            Tensor(tensors["kernel.raw_sigma_q"], requires_grad=True),
-                            Tensor(tensors["kernel.raw_sigma_phi"], requires_grad=True),
-                            featurizer)
+    return kernel_from_state(tensors, featurizer)
 
 
 def _clean_calibration_pool(cfg: RunConfig, rng: Rng):

@@ -134,7 +134,7 @@ def train_denoiser(clean: np.ndarray, labels: np.ndarray,
     Gaussian noise, and descend
     MMD(S_clean, g(S_noise)) + alpha * CE(classifier(g(S_noise)), Y)
     with Adam; lr is divided by 10 at each decay epoch.
-    Returns (DenoiserParams, per-epoch mean loss trajectory).
+    Returns (frozen DenoiserParams, per-epoch mean loss trajectory).
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
@@ -172,6 +172,7 @@ def train_denoiser(clean: np.ndarray, labels: np.ndarray,
     for p, orig in zip(classifier.params, frozen):
         if not np.array_equal(p.data, orig):
             raise RuntimeError("classifier parameters mutated during denoiser training")
+    theta.freeze()
     return theta, trajectory
 
 

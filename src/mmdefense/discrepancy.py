@@ -34,10 +34,14 @@ class FeaturizerView:
         return features_forward(self.classifier, x)
 
 
+_RAW_NAMES = ("raw_beta0", "raw_sigma_q", "raw_sigma_phi")
+
+
 @dataclass
 class DeepKernelParams:
-    """Trainable kernel state; featurizer=None means identity features
-    (point-cloud experiments with no pretrained classifier)."""
+    """Kernel state; featurizer=None means identity features (point-cloud
+    experiments with no pretrained classifier).  Trained kernels are frozen;
+    clone() gives a trainable copy."""
 
     raw_beta0: Tensor
     raw_sigma_q: Tensor
@@ -56,6 +60,10 @@ class DeepKernelParams:
 
     def sigma_phi(self) -> Tensor:
         return T.exp(self.raw_sigma_phi)
+
+    def freeze(self):
+        for p in self.raws:
+            p.requires_grad = False
 
     def clone(self) -> "DeepKernelParams":
         return DeepKernelParams(
@@ -171,7 +179,7 @@ def optimize_kernel(clean_pool: np.ndarray, adv_pool: np.ndarray,
     """Ascend the test-power proxy over raw kernel scalars with Adam.
 
     One minibatch step per epoch; a held-out monitoring split selects the
-    returned parameters.  Returns (params, monitor trajectory).
+    returned parameters.  Returns (frozen params, monitor trajectory).
     """
     if rng is None:
         rng = Rng(0)
@@ -211,6 +219,7 @@ def optimize_kernel(clean_pool: np.ndarray, adv_pool: np.ndarray,
         if j_mon > best_j:
             best_j = j_mon
             best = params.clone()
+    best.freeze()
     return best, trajectory
 
 
@@ -289,10 +298,19 @@ def calibrate_threshold(kernel: DeepKernelParams, clean_pool: np.ndarray,
 # persistence
 # ---------------------------------------------------------------------------
 
+def kernel_state(kernel: DeepKernelParams) -> dict[str, np.ndarray]:
+    return {f"kernel.{n}": getattr(kernel, n).data for n in _RAW_NAMES}
+
+
+def kernel_from_state(tensors: dict,
+                      featurizer: Optional[FeaturizerView]) -> DeepKernelParams:
+    """Frozen kernel from `kernel_state` tensors; clone() it to train."""
+    return DeepKernelParams(*(Tensor(tensors[f"kernel.{n}"]) for n in _RAW_NAMES),
+                            featurizer)
+
+
 def detector_state(model: DetectorModel) -> tuple[dict, dict]:
-    tensors = {"kernel.raw_beta0": model.kernel.raw_beta0.data,
-               "kernel.raw_sigma_q": model.kernel.raw_sigma_q.data,
-               "kernel.raw_sigma_phi": model.kernel.raw_sigma_phi.data}
+    tensors = kernel_state(model.kernel)
     meta = {"threshold": repr(model.threshold),
             "batch_size": str(model.batch_size),
             "lambda": repr(model.lam),
@@ -303,12 +321,7 @@ def detector_state(model: DetectorModel) -> tuple[dict, dict]:
 
 def detector_from_state(tensors: dict, meta: dict,
                         featurizer: Optional[FeaturizerView]) -> DetectorModel:
-    kernel = DeepKernelParams(
-        Tensor(tensors["kernel.raw_beta0"], requires_grad=True),
-        Tensor(tensors["kernel.raw_sigma_q"], requires_grad=True),
-        Tensor(tensors["kernel.raw_sigma_phi"], requires_grad=True),
-        featurizer)
-    return DetectorModel(kernel=kernel,
+    return DetectorModel(kernel=kernel_from_state(tensors, featurizer),
                          threshold=float(meta["threshold"]),
                          lam=float(meta["lambda"]),
                          batch_size=int(meta["batch_size"]),

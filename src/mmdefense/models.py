@@ -151,6 +151,10 @@ class DenoiserParams:
     def params(self) -> list[Tensor]:
         return [self.w1, self.b1, self.w2, self.b2]
 
+    def freeze(self):
+        for p in self.params:
+            p.requires_grad = False
+
     def state_dict(self) -> dict[str, np.ndarray]:
         return {f"denoiser.{n}": getattr(self, n).data
                 for n in ["w1", "b1", "w2", "b2"]}

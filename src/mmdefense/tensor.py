@@ -5,6 +5,13 @@ already topological); :func:`backward` replays the record once in reverse to
 accumulate adjoints.  Forward values are identical with or without an active
 tape -- taping only appends bookkeeping nodes.
 
+Only operations that need a gradient are taped.  A leaf is trainable when it
+was built with ``requires_grad=True``; on an interior tensor made under a
+tape, ``requires_grad`` means "depends on a trainable leaf", and only such
+operations append a node.  Everything else -- frozen weights, inputs, and
+whole blocks computed from them -- is a constant to the tape.  Outputs made
+with no active tape are always constants.
+
 Conventions fixed here for reproducibility of gradient checks:
   * ReLU subgradient at exactly 0 is 0.
   * clip passes gradient only where the input lies strictly inside [lo, hi].
@@ -26,12 +33,15 @@ class NonFiniteError(ArithmeticError):
 
 
 class _Node:
-    __slots__ = ("out", "parents", "backward_fn")
+    """One taped operation; grad_fns[i] maps the output's adjoint to the
+    adjoint contribution for parents[i]."""
 
-    def __init__(self, out, parents, backward_fn):
+    __slots__ = ("out", "parents", "grad_fns")
+
+    def __init__(self, out, parents, grad_fns):
         self.out = out
         self.parents = parents
-        self.backward_fn = backward_fn
+        self.grad_fns = grad_fns
 
 
 class GradTape:
@@ -73,7 +83,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteError("tensor constructed from non-finite data")
         self.data = arr
         self.requires_grad = requires_grad
@@ -133,20 +143,25 @@ def _lift(x) -> Tensor:
 
 
 def _check_finite(arr: np.ndarray, op: str):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"{op} produced non-finite values")
 
 
-def _make(op: str, data: np.ndarray, parents: Sequence[Tensor],
-          backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]) -> Tensor:
+def _make(op: str, data: np.ndarray, parents: tuple[Tensor, ...],
+          grad_fns: tuple[Callable[[np.ndarray], np.ndarray], ...]) -> Tensor:
+    """Wrap `data` as the output of `op`; tape it when a parent needs a grad.
+
+    `grad_fns` holds one closure per parent, mapping the output's adjoint to
+    that parent's adjoint contribution.
+    """
     _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.requires_grad = False
     out.grad = None
     tape = active_tape()
-    if tape is not None:
-        tape.nodes.append(_Node(out, tuple(parents), backward_fn))
+    out.requires_grad = tape is not None and any(p.requires_grad for p in parents)
+    if out.requires_grad:
+        tape.nodes.append(_Node(out, parents, grad_fns))
     return out
 
 
@@ -177,20 +192,22 @@ def _binary_shapes(a: Tensor, b: Tensor, op: str):
 def add(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes(a, b, "add")
     return _make("add", a.data + b.data, (a, b),
-                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+                 (lambda g: _unbroadcast(g, a.shape),
+                  lambda g: _unbroadcast(g, b.shape)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes(a, b, "sub")
     return _make("sub", a.data - b.data, (a, b),
-                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+                 (lambda g: _unbroadcast(g, a.shape),
+                  lambda g: _unbroadcast(-g, b.shape)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes(a, b, "mul")
     return _make("mul", a.data * b.data, (a, b),
-                 lambda g: (_unbroadcast(g * b.data, a.shape),
-                            _unbroadcast(g * a.data, b.shape)))
+                 (lambda g: _unbroadcast(g * b.data, a.shape),
+                  lambda g: _unbroadcast(g * a.data, b.shape)))
 
 
 def _guarded(op: str, fn) -> np.ndarray:
@@ -205,25 +222,25 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     _binary_shapes(a, b, "div")
     data = _guarded("div", lambda: a.data / b.data)
     return _make("div", data, (a, b),
-                 lambda g: (_unbroadcast(g / b.data, a.shape),
-                            _unbroadcast(-g * a.data / (b.data * b.data), b.shape)))
+                 (lambda g: _unbroadcast(g / b.data, a.shape),
+                  lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.shape)))
 
 
 def neg(a: Tensor) -> Tensor:
-    return _make("neg", -a.data, (a,), lambda g: (-g,))
+    return _make("neg", -a.data, (a,), (lambda g: -g,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     return _make("matmul", a.data @ b.data, (a, b),
-                 lambda g: (g @ b.data.T, a.data.T @ g))
+                 (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
 
 
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError(f"transpose expects a matrix, got shape {a.shape}")
-    return _make("transpose", a.data.T.copy(), (a,), lambda g: (g.T,))
+    return _make("transpose", a.data.T.copy(), (a,), (lambda g: g.T,))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -232,19 +249,18 @@ def reshape(a: Tensor, shape) -> Tensor:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
     old = a.shape
     return _make("reshape", a.data.reshape(shape), (a,),
-                 lambda g: (g.reshape(old),))
+                 (lambda g: g.reshape(old),))
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def bw(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.shape).copy(),)
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return np.broadcast_to(g, a.shape).copy()
 
-    return _make("sum", np.asarray(data, dtype=np.float64), (a,), bw)
+    return _make("sum", np.asarray(data, dtype=np.float64), (a,), (bw,))
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -254,32 +270,32 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def exp(a: Tensor) -> Tensor:
     data = np.exp(a.data)
-    return _make("exp", data, (a,), lambda g: (g * data,))
+    return _make("exp", data, (a,), (lambda g: g * data,))
 
 
 def log(a: Tensor) -> Tensor:
     data = _guarded("log", lambda: np.log(a.data))
-    return _make("log", data, (a,), lambda g: (g / a.data,))
+    return _make("log", data, (a,), (lambda g: g / a.data,))
 
 
 def square(a: Tensor) -> Tensor:
-    return _make("square", a.data * a.data, (a,), lambda g: (g * 2.0 * a.data,))
+    return _make("square", a.data * a.data, (a,), (lambda g: g * 2.0 * a.data,))
 
 
 def sqrt(a: Tensor) -> Tensor:
     data = _guarded("sqrt", lambda: np.sqrt(a.data))
-    return _make("sqrt", data, (a,), lambda g: (g * 0.5 / data,))
+    return _make("sqrt", data, (a,), (lambda g: g * 0.5 / data,))
 
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0  # subgradient 0 at exactly 0
-    return _make("relu", a.data * mask, (a,), lambda g: (g * mask,))
+    return _make("relu", a.data * mask, (a,), (lambda g: g * mask,))
 
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     data = np.clip(a.data, lo, hi)
     mask = (a.data > lo) & (a.data < hi)
-    return _make("clip", data, (a,), lambda g: (g * mask,))
+    return _make("clip", data, (a,), (lambda g: g * mask,))
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -291,9 +307,9 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     sm = np.exp(data)
 
     def bw(g):
-        return (g - sm * g.sum(axis=axis, keepdims=True),)
+        return g - sm * g.sum(axis=axis, keepdims=True)
 
-    return _make("log_softmax", data, (a,), bw)
+    return _make("log_softmax", data, (a,), (bw,))
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -310,13 +326,15 @@ def pairwise_sqdist(x: Tensor, z: Tensor) -> Tensor:
     mask = raw > 0  # tiny negatives from cancellation clamp to 0 with zero grad
     data = raw * mask
 
-    def bw(g):
+    def bw_x(g):
         gm = g * mask
-        gx = 2.0 * (gm.sum(axis=1)[:, None] * x.data - gm @ z.data)
-        gz = 2.0 * (gm.sum(axis=0)[:, None] * z.data - gm.T @ x.data)
-        return (gx, gz)
+        return 2.0 * (gm.sum(axis=1)[:, None] * x.data - gm @ z.data)
 
-    return _make("pairwise_sqdist", data, (x, z), bw)
+    def bw_z(g):
+        gm = g * mask
+        return 2.0 * (gm.sum(axis=0)[:, None] * z.data - gm.T @ x.data)
+
+    return _make("pairwise_sqdist", data, (x, z), (bw_x, bw_z))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -331,7 +349,11 @@ def sigmoid(a: Tensor) -> Tensor:
 def backward(tape: GradTape, output: Tensor) -> None:
     """Accumulate d(output)/d(leaf) into .grad of every requires_grad leaf.
 
-    Touches each taped node exactly once, in reverse creation order.
+    Touches each taped node exactly once, in reverse creation order, and
+    computes a parent's adjoint only when that parent requires grad: a
+    frozen weight or a constant input costs no adjoint.  Every live adjoint
+    receives the same contributions in the same order as a walk over all
+    parents would give it, so leaf gradients are bitwise the same.
     """
     if not tape.nodes:
         raise ValueError("backward on empty tape")
@@ -340,14 +362,16 @@ def backward(tape: GradTape, output: Tensor) -> None:
     adjoint: dict[int, np.ndarray] = {id(output): np.ones_like(output.data)}
     on_tape = {id(n.out) for n in tape.nodes}
     if id(output) not in on_tape:
-        raise ValueError("output was not produced on this tape")
+        raise ValueError("output was not produced on this tape "
+                         "(or depends on no tensor that requires grad)")
     for node in reversed(tape.nodes):
         g = adjoint.pop(id(node.out), None)
         if g is None:
             continue
-        for parent, pg in zip(node.parents, node.backward_fn(g)):
-            if pg is None:
+        for parent, grad_fn in zip(node.parents, node.grad_fns):
+            if not parent.requires_grad:
                 continue
+            pg = grad_fn(g)
             key = id(parent)
             if key in adjoint:
                 adjoint[key] = adjoint[key] + pg

@@ -166,6 +166,19 @@ class TestAdaptive:
                                 self.cfg(eot=7), quiet, Rng(5))
         assert np.abs(one - many).max() < 1e-12
 
+    def test_clean_branch_draws_no_noise_and_ignores_eot(self, setup):
+        # with the gate threshold at +inf every iteration takes the clean
+        # branch, whose replicas are identical: no draws, same sign steps
+        images, classifier, detector, denoiser = setup
+        x, y = images.flat[:50], images.labels[:50]
+        rng = Rng(8)
+        runs = [adaptive_pgd_eot(detector, denoiser, classifier, x, y,
+                                 self.cfg(eot=eot), NoiseConfig(0.0, 0.25),
+                                 rng, gate_threshold=np.inf)
+                for eot in (1, 10)]
+        assert np.array_equal(runs[0], runs[1])
+        assert np.array_equal(rng.uniform((8,)), Rng(8).uniform((8,)))
+
     def test_huge_alpha_open_gate_recovers_plain_pgd(self, setup):
         # with the gate threshold at +inf the clean branch always runs, and
         # alpha >> 1 drowns the statistic term: the attack must track plain

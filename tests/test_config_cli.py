@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from mmdefense import cli
 from mmdefense.cli import main
 from mmdefense.config import ConfigError, config_echo, parse_config
 
@@ -159,6 +160,15 @@ class TestCliChain:
         cfg = parse_config(os.path.join(out, "config_echo.txt"))
         assert cfg.dataset == "synth_digits"
         assert cfg.batch_size == 50
+
+    def test_loaders_return_frozen_components(self, full_run):
+        _, cfgpath, out, _ = full_run
+        cfg = parse_config(cfgpath)
+        kernel = cli._load_kernel(cfg, out)
+        pipe = cli._build_pipeline(cfg, out)
+        loaded = (kernel.raws + pipe.detector.kernel.raws
+                  + pipe.denoiser.params + pipe.classifier.params)
+        assert not any(t.requires_grad for t in loaded)
 
     def test_mixed_curve_has_requested_proportions(self, full_run):
         _, _, out, _ = full_run

@@ -145,6 +145,12 @@ class TestDenoiserTraining:
             s.train_attack, s.noise, Rng(8), epochs=2, batch_size=100)
         assert len(traj) == 2
 
+    def test_returns_frozen_denoiser_and_leaves_kernel_grads_unset(self, digit_setup):
+        s = digit_setup
+        assert not any(p.requires_grad for p in s.denoiser.params)
+        assert not any(p.requires_grad for p in s.kernel.raws)
+        assert all(p.grad is None for p in s.kernel.raws)
+
     def test_denoiser_recovers_noised_adversarial_accuracy(self, digit_setup):
         s = digit_setup
         rng = Rng(9)

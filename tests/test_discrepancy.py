@@ -346,6 +346,7 @@ class TestDetector:
         a, b = pool[:25], pool[25:50]
         assert mmd_opt(restored, a, b) == mmd_opt(model, a, b)
         assert restored.threshold == model.threshold
+        assert not any(p.requires_grad for p in restored.kernel.raws)
 
 
 class TestOptimization:
@@ -384,3 +385,14 @@ class TestOptimization:
         assert t1 == t2
         for a, b in zip(p1.raws, p2.raws):
             assert np.array_equal(a.data, b.data)
+
+    def test_returns_frozen_raws_and_clone_trains(self):
+        rng = Rng(20)
+        clean = rng.normal((200, 3), 0, 1)
+        params, _ = optimize_kernel(clean, clean + 0.5, None, epochs=3,
+                                    lr=1e-2, batch_size=40, lam=1e-8,
+                                    rng=rng.fork())
+        assert not any(p.requires_grad for p in params.raws)
+        trainable = params.clone()
+        assert all(p.requires_grad for p in trainable.raws)
+        assert not any(p.requires_grad for p in params.raws)

@@ -1,7 +1,14 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from mmdefense import tensor as T
+from mmdefense.discrepancy import (DeepKernelParams, FeaturizerView, j_hat,
+                                   mmd_u_squared)
+from mmdefense.models import (ClassifierParams, DenoiserParams,
+                              classifier_forward, cross_entropy,
+                              denoiser_forward)
 from mmdefense.optim import AdamState, adam_step, finite_diff_grad
 from mmdefense.rng import Rng
 from mmdefense.tensor import (GradTape, NonFiniteError, ShapeError, Tensor,
@@ -145,6 +152,153 @@ def test_backward_matches_finite_differences(name, build, shape):
         fd = numeric_grad(build, x0)
         scale = max(np.abs(fd).max(), 1e-8)
         assert np.abs(g - fd).max() / scale < 1e-5, name
+
+
+# ---------------------------------------------------------------------------
+# activity analysis: the pruned tape against the full reverse walk
+# ---------------------------------------------------------------------------
+
+def _tape_everything(op, data, parents, grad_fns):
+    """Reference taping: every op under a tape is recorded, and interior
+    tensors are plain constants."""
+    T._check_finite(data, op)
+    out = Tensor.__new__(Tensor)
+    out.data, out.requires_grad, out.grad = data, False, None
+    tape = T.active_tape()
+    if tape is not None:
+        tape.nodes.append(T._Node(out, parents, grad_fns))
+    return out
+
+
+def full_reverse_walk(tape, output, leaves):
+    """Reference backward: the adjoint of every parent of every taped node."""
+    adjoint = {id(output): np.ones_like(output.data)}
+    for node in reversed(tape.nodes):
+        g = adjoint.pop(id(node.out), None)
+        if g is None:
+            continue
+        for parent, grad_fn in zip(node.parents, node.grad_fns):
+            pg = grad_fn(g)
+            key = id(parent)
+            adjoint[key] = adjoint[key] + pg if key in adjoint else pg
+    return [adjoint.get(id(leaf), np.zeros_like(leaf.data)) for leaf in leaves]
+
+
+D, N = 16, 10
+
+
+def _frozen_world():
+    rng = Rng(31)
+    clf = ClassifierParams.init(D, 3, rng.fork())
+    clf.freeze()
+    xc = rng.uniform((N, D))
+    xa = np.clip(xc + rng.normal((N, D), 0.0, 0.2), 0.0, 1.0)
+    kernel = DeepKernelParams.init_median(xc, FeaturizerView(clf))
+    return rng, clf, xc, xa, rng.integers(0, 3, N), kernel
+
+
+def _ce_input_case():
+    _, clf, _, xa, y, _ = _frozen_world()
+    x = Tensor(xa, requires_grad=True)
+    return lambda: cross_entropy(classifier_forward(clf, x), y), [x]
+
+
+def _j_hat_raws_case():
+    _, _, xc, xa, _, kernel = _frozen_world()
+    return lambda: j_hat(Tensor(xc), Tensor(xa), kernel, 1e-8), kernel.raws
+
+
+def _denoiser_theta_case():
+    rng, clf, xc, xa, y, kernel = _frozen_world()
+    kernel.freeze()
+    theta = DenoiserParams.init(D, rng.fork(), scale=0.05)
+
+    def build():
+        denoised = denoiser_forward(theta, Tensor(xa))
+        return (mmd_u_squared(Tensor(xc), denoised, kernel)
+                + 1e-2 * cross_entropy(classifier_forward(clf, denoised), y))
+
+    return build, theta.params
+
+
+def _statistic_input_case():
+    _, _, xc, xa, _, kernel = _frozen_world()
+    kernel.freeze()
+    x = Tensor(xa, requires_grad=True)
+    return lambda: mmd_u_squared(Tensor(xc), x, kernel), [x]
+
+
+ACTIVITY_CASES = [_ce_input_case, _j_hat_raws_case, _denoiser_theta_case,
+                  _statistic_input_case]
+
+
+@pytest.mark.parametrize("case", ACTIVITY_CASES,
+                         ids=[c.__name__.strip("_") for c in ACTIVITY_CASES])
+def test_pruned_backward_equals_full_walk_bitwise(case, monkeypatch):
+    build, leaves = case()
+    with GradTape() as tape:
+        out = build()
+    got = T.grad_of(tape, out, leaves)
+    monkeypatch.setattr(T, "_make", _tape_everything)
+    with GradTape() as full:
+        ref_out = build()
+    want = full_reverse_walk(full, ref_out, leaves)
+    assert len(tape.nodes) <= len(full.nodes)
+    assert any(np.any(g != 0) for g in got)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_statistic_tapes_no_all_constant_node():
+    _, _, xc, xa, _, kernel = _frozen_world()
+    kernel.freeze()
+    x = Tensor(xa, requires_grad=True)
+    with GradTape() as tape:
+        mmd_u_squared(Tensor(xc), x, kernel)
+    assert tape.nodes
+    assert all(any(p.requires_grad for p in node.parents) for node in tape.nodes)
+    assert all(node.out.requires_grad for node in tape.nodes)
+
+
+def test_untaped_outputs_stay_constant():
+    x = Tensor(np.ones(3), requires_grad=True)
+    assert not (x * x).requires_grad
+
+
+class TestTracerContract:
+    """perfbench/spans.py wraps T.backward at its module binding, passes
+    (tape, output) to its tape counter, and walks node.out / node.parents."""
+
+    def test_backward_signature(self):
+        params = inspect.signature(T.backward).parameters
+        assert list(params) == ["tape", "output"]
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty
+                   for p in params.values())
+
+    def test_grad_of_calls_the_module_binding(self, monkeypatch):
+        seen = []
+        real = T.backward
+
+        def spy(tape, output):
+            seen.append((tape, output))
+            real(tape, output)
+
+        monkeypatch.setattr(T, "backward", spy)
+        x = Tensor(3.0, requires_grad=True)
+        with GradTape() as tape:
+            y = x * x
+        assert T.grad_of(tape, y, [x])[0] == pytest.approx(6.0)
+        assert len(seen) == 1 and seen[0][0] is tape and seen[0][1] is y
+
+    def test_node_exposes_out_and_parents(self):
+        x = Tensor(2.0, requires_grad=True)
+        c = Tensor(5.0)
+        with GradTape() as tape:
+            y = x * c
+        (node,) = tape.nodes
+        assert node.out is y
+        assert len(node.parents) == 2
+        assert node.parents[0] is x and node.parents[1] is c
 
 
 class TestAdam:
