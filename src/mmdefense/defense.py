@@ -172,7 +172,7 @@ def train_denoiser(clean: np.ndarray, labels: np.ndarray,
     for p, orig in zip(classifier.params, frozen):
         if not np.array_equal(p.data, orig):
             raise RuntimeError("classifier parameters mutated during denoiser training")
-    theta.freeze()
+    T.freeze(theta.params)
     return theta, trajectory
 
 

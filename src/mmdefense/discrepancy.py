@@ -50,7 +50,7 @@ class DeepKernelParams:
 
     @property
     def raws(self) -> list[Tensor]:
-        return [self.raw_beta0, self.raw_sigma_q, self.raw_sigma_phi]
+        return [getattr(self, n) for n in _RAW_NAMES]
 
     def beta0(self) -> Tensor:
         return T.sigmoid(self.raw_beta0)
@@ -61,15 +61,9 @@ class DeepKernelParams:
     def sigma_phi(self) -> Tensor:
         return T.exp(self.raw_sigma_phi)
 
-    def freeze(self):
-        for p in self.raws:
-            p.requires_grad = False
-
     def clone(self) -> "DeepKernelParams":
         return DeepKernelParams(
-            Tensor(self.raw_beta0.data.copy(), requires_grad=True),
-            Tensor(self.raw_sigma_q.data.copy(), requires_grad=True),
-            Tensor(self.raw_sigma_phi.data.copy(), requires_grad=True),
+            *(Tensor(p.data.copy(), requires_grad=True) for p in self.raws),
             self.featurizer)
 
     @classmethod
@@ -219,7 +213,7 @@ def optimize_kernel(clean_pool: np.ndarray, adv_pool: np.ndarray,
         if j_mon > best_j:
             best_j = j_mon
             best = params.clone()
-    best.freeze()
+    T.freeze(best.raws)
     return best, trajectory
 
 
@@ -299,7 +293,7 @@ def calibrate_threshold(kernel: DeepKernelParams, clean_pool: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def kernel_state(kernel: DeepKernelParams) -> dict[str, np.ndarray]:
-    return {f"kernel.{n}": getattr(kernel, n).data for n in _RAW_NAMES}
+    return {f"kernel.{n}": p.data for n, p in zip(_RAW_NAMES, kernel.raws)}
 
 
 def kernel_from_state(tensors: dict,

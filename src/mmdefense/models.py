@@ -51,8 +51,7 @@ class ClassifierParams:
         return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]
 
     def freeze(self):
-        for p in self.params:
-            p.requires_grad = False
+        T.freeze(self.params)
 
     def state_dict(self) -> dict[str, np.ndarray]:
         names = ["w1", "b1", "w2", "b2", "w3", "b3"]
@@ -150,10 +149,6 @@ class DenoiserParams:
     @property
     def params(self) -> list[Tensor]:
         return [self.w1, self.b1, self.w2, self.b2]
-
-    def freeze(self):
-        for p in self.params:
-            p.requires_grad = False
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {f"denoiser.{n}": getattr(self, n).data

@@ -5,12 +5,12 @@ already topological); :func:`backward` replays the record once in reverse to
 accumulate adjoints.  Forward values are identical with or without an active
 tape -- taping only appends bookkeeping nodes.
 
-Only operations that need a gradient are taped.  A leaf is trainable when it
-was built with ``requires_grad=True``; on an interior tensor made under a
-tape, ``requires_grad`` means "depends on a trainable leaf", and only such
-operations append a node.  Everything else -- frozen weights, inputs, and
-whole blocks computed from them -- is a constant to the tape.  Outputs made
-with no active tape are always constants.
+A leaf is trainable when it was built with ``requires_grad=True``; on an
+interior tensor made under a tape, ``requires_grad`` means "depends on a
+trainable leaf".  Every operation under a tape is recorded, but
+:func:`backward` computes adjoints only along such dependencies, so frozen
+weights, inputs, and whole blocks computed from them cost no reverse work.
+Outputs made with no active tape are always constants.
 
 Conventions fixed here for reproducibility of gradient checks:
   * ReLU subgradient at exactly 0 is 0.
@@ -149,20 +149,29 @@ def _check_finite(arr: np.ndarray, op: str):
 
 def _make(op: str, data: np.ndarray, parents: tuple[Tensor, ...],
           grad_fns: tuple[Callable[[np.ndarray], np.ndarray], ...]) -> Tensor:
-    """Wrap `data` as the output of `op`; tape it when a parent needs a grad.
+    """Wrap `data` as the output of `op` and tape it under an active tape.
 
     `grad_fns` holds one closure per parent, mapping the output's adjoint to
-    that parent's adjoint contribution.
+    that parent's adjoint contribution.  The output requires grad when a
+    parent does.
     """
     _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
     tape = active_tape()
-    out.requires_grad = tape is not None and any(p.requires_grad for p in parents)
-    if out.requires_grad:
+    if tape is None:
+        out.requires_grad = False
+    else:
+        out.requires_grad = any(p.requires_grad for p in parents)
         tape.nodes.append(_Node(out, parents, grad_fns))
     return out
+
+
+def freeze(params: Sequence[Tensor]):
+    """Make trained parameters constants to every later tape."""
+    for p in params:
+        p.requires_grad = False
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -326,12 +335,19 @@ def pairwise_sqdist(x: Tensor, z: Tensor) -> Tensor:
     mask = raw > 0  # tiny negatives from cancellation clamp to 0 with zero grad
     data = raw * mask
 
+    last = [None, None]  # (g, g * mask): both closures see the same g
+
+    def masked(g):
+        if last[0] is not g:
+            last[:] = g, g * mask
+        return last[1]
+
     def bw_x(g):
-        gm = g * mask
+        gm = masked(g)
         return 2.0 * (gm.sum(axis=1)[:, None] * x.data - gm @ z.data)
 
     def bw_z(g):
-        gm = g * mask
+        gm = masked(g)
         return 2.0 * (gm.sum(axis=0)[:, None] * z.data - gm.T @ x.data)
 
     return _make("pairwise_sqdist", data, (x, z), (bw_x, bw_z))
@@ -351,9 +367,10 @@ def backward(tape: GradTape, output: Tensor) -> None:
 
     Touches each taped node exactly once, in reverse creation order, and
     computes a parent's adjoint only when that parent requires grad: a
-    frozen weight or a constant input costs no adjoint.  Every live adjoint
-    receives the same contributions in the same order as a walk over all
-    parents would give it, so leaf gradients are bitwise the same.
+    frozen weight, a constant input or a block computed from constants
+    costs no adjoint.  Every live adjoint receives the same contributions in
+    the same order as a walk over all parents would give it, so leaf
+    gradients are bitwise the same.
     """
     if not tape.nodes:
         raise ValueError("backward on empty tape")
@@ -362,8 +379,7 @@ def backward(tape: GradTape, output: Tensor) -> None:
     adjoint: dict[int, np.ndarray] = {id(output): np.ones_like(output.data)}
     on_tape = {id(n.out) for n in tape.nodes}
     if id(output) not in on_tape:
-        raise ValueError("output was not produced on this tape "
-                         "(or depends on no tensor that requires grad)")
+        raise ValueError("output was not produced on this tape")
     for node in reversed(tape.nodes):
         g = adjoint.pop(id(node.out), None)
         if g is None:

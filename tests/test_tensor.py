@@ -160,7 +160,7 @@ def test_backward_matches_finite_differences(name, build, shape):
 
 def _tape_everything(op, data, parents, grad_fns):
     """Reference taping: every op under a tape is recorded, and interior
-    tensors are plain constants."""
+    tensors are plain constants (no activity flag)."""
     T._check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data, out.requires_grad, out.grad = data, False, None
@@ -210,7 +210,7 @@ def _j_hat_raws_case():
 
 def _denoiser_theta_case():
     rng, clf, xc, xa, y, kernel = _frozen_world()
-    kernel.freeze()
+    T.freeze(kernel.raws)
     theta = DenoiserParams.init(D, rng.fork(), scale=0.05)
 
     def build():
@@ -223,7 +223,7 @@ def _denoiser_theta_case():
 
 def _statistic_input_case():
     _, _, xc, xa, _, kernel = _frozen_world()
-    kernel.freeze()
+    T.freeze(kernel.raws)
     x = Tensor(xa, requires_grad=True)
     return lambda: mmd_u_squared(Tensor(xc), x, kernel), [x]
 
@@ -243,21 +243,28 @@ def test_pruned_backward_equals_full_walk_bitwise(case, monkeypatch):
     with GradTape() as full:
         ref_out = build()
     want = full_reverse_walk(full, ref_out, leaves)
-    assert len(tape.nodes) <= len(full.nodes)
+    assert len(tape.nodes) == len(full.nodes)
     assert any(np.any(g != 0) for g in got)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
 
 
-def test_statistic_tapes_no_all_constant_node():
+def test_statistic_computes_no_adjoint_for_a_constant():
     _, _, xc, xa, _, kernel = _frozen_world()
-    kernel.freeze()
+    T.freeze(kernel.raws)
     x = Tensor(xa, requires_grad=True)
     with GradTape() as tape:
-        mmd_u_squared(Tensor(xc), x, kernel)
-    assert tape.nodes
-    assert all(any(p.requires_grad for p in node.parents) for node in tape.nodes)
-    assert all(node.out.requires_grad for node in tape.nodes)
+        stat = mmd_u_squared(Tensor(xc), x, kernel)
+    called = []
+    for node in tape.nodes:
+        assert node.out.requires_grad == any(p.requires_grad for p in node.parents)
+        node.grad_fns = tuple(
+            (lambda g, f=f, p=p: called.append(p) or f(g))
+            for f, p in zip(node.grad_fns, node.parents))
+    T.grad_of(tape, stat, [x])
+    constant = [n for n in tape.nodes if not n.out.requires_grad]
+    assert constant, "K(S_V, S_V) and the frozen kernel scalars are constants"
+    assert called and all(p.requires_grad for p in called)
 
 
 def test_untaped_outputs_stay_constant():
@@ -289,6 +296,15 @@ class TestTracerContract:
             y = x * x
         assert T.grad_of(tape, y, [x])[0] == pytest.approx(6.0)
         assert len(seen) == 1 and seen[0][0] is tape and seen[0][1] is y
+
+    def test_ops_on_constants_are_still_taped(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        c = Tensor(np.full(3, 2.0))
+        with GradTape() as tape:
+            cc = c * c
+            y = x * cc
+        assert [n.out for n in tape.nodes] == [cc, y]
+        assert not cc.requires_grad and y.requires_grad
 
     def test_node_exposes_out_and_parents(self):
         x = Tensor(2.0, requires_grad=True)
