@@ -16,16 +16,15 @@ import numpy as np
 from . import __version__
 from .attacks import AttackConfig, NoiseConfig, adaptive_pgd_eot, pgd
 from .config import ConfigError, RunConfig, config_echo, parse_config
-from .dataio import (ImageBatch, load_idx, load_model, make_split, save_model,
-                     synth_blobs, synth_digits)
-from .defense import (DefensePipeline, MixedBatchSpec, ablate, defend_batch,
-                      eval_batch_size, eval_mixed, train_denoiser)
+from .dataio import (ImageBatch, component_from_state, component_state,
+                     load_idx, load_model, make_split, save_model, synth_blobs,
+                     synth_digits)
+from .defense import (DefensePipeline, ablate, defend_batch, eval_batch_size,
+                      eval_mixed, train_denoiser)
 from .discrepancy import (DeepKernelParams, DetectorModel, FeaturizerView,
                           calibrate_threshold, detector_from_state,
-                          detector_state, kernel_from_state, kernel_state,
-                          optimize_kernel)
-from .models import (ClassifierParams, DenoiserParams, accuracy, classify,
-                     train_classifier)
+                          detector_state, optimize_kernel)
+from .models import ClassifierParams, DenoiserParams, accuracy, train_classifier
 from .rng import Rng
 from .tensor import NonFiniteError
 from .theory import DiscreteDomain, tightness_probe, verify_theorem
@@ -97,9 +96,7 @@ def _eval_attack_cfg(cfg: RunConfig) -> AttackConfig:
 
 def _load_classifier(out: str) -> ClassifierParams:
     tensors, _ = load_model(_artifact(out, "classifier.model", "train-classifier"))
-    params = ClassifierParams.from_state(tensors)
-    params.freeze()
-    return params
+    return component_from_state(ClassifierParams, tensors)
 
 
 def _load_detector(out: str, featurizer) -> DetectorModel:
@@ -109,7 +106,7 @@ def _load_detector(out: str, featurizer) -> DetectorModel:
 
 def _load_denoiser(out: str, name: str = "denoiser.model") -> DenoiserParams:
     tensors, _ = load_model(_artifact(out, name, "train-denoiser"))
-    return DenoiserParams.from_state(tensors)
+    return component_from_state(DenoiserParams, tensors)
 
 
 def _adv_train_pool(cfg: RunConfig, classifier, images: ImageBatch, split,
@@ -141,7 +138,7 @@ def cmd_train_classifier(cfg: RunConfig, out: str):
                                    cfg.classifier_lr, rng.fork())
     test = images.subset(split.test)
     test_acc = accuracy(params, test.flat, test.labels)
-    save_model(os.path.join(out, "classifier.model"), params.state_dict(),
+    save_model(os.path.join(out, "classifier.model"), component_state(params),
                {"train_accuracy": repr(acc), "test_accuracy": repr(test_acc),
                 "seed": str(cfg.seed)})
     _write_csv(os.path.join(out, "classifier_report.csv"),
@@ -166,7 +163,7 @@ def cmd_train_kernel(cfg: RunConfig, out: str):
         clean, adv, featurizer, epochs=cfg.kernel_epochs, lr=cfg.kernel_lr,
         batch_size=min(cfg.batch_size, len(clean) // 2),
         lam=cfg.kernel_lambda, rng=rng.fork())
-    save_model(os.path.join(out, "kernel.model"), kernel_state(kernel),
+    save_model(os.path.join(out, "kernel.model"), component_state(kernel),
                {"lambda": repr(cfg.kernel_lambda), "seed": str(cfg.seed),
                 "uses_featurizer": str(featurizer is not None)})
     _write_csv(os.path.join(out, "kernel_trajectory.csv"), "epoch,j_hat",
@@ -180,7 +177,7 @@ def _load_kernel(cfg: RunConfig, out: str) -> DeepKernelParams:
     featurizer = None
     if meta.get("uses_featurizer") == "True":
         featurizer = FeaturizerView(_load_classifier(out))
-    return kernel_from_state(tensors, featurizer)
+    return component_from_state(DeepKernelParams, tensors, featurizer)
 
 
 def _clean_calibration_pool(cfg: RunConfig, rng: Rng):
@@ -231,7 +228,7 @@ def cmd_train_denoiser(cfg: RunConfig, out: str):
         alpha=cfg.alpha, epochs=cfg.denoiser_epochs, lr=cfg.denoiser_lr,
         decay_epochs=cfg.denoiser_decay_epochs, batch_size=cfg.batch_size)
     name = "denoiser.model" if cfg.noise_sigma > 0 else "denoiser_nonoise.model"
-    save_model(os.path.join(out, name), theta.state_dict(),
+    save_model(os.path.join(out, name), component_state(theta),
                {"alpha": repr(cfg.alpha), "noise_sigma": repr(cfg.noise_sigma),
                 "seed": str(cfg.seed)})
     _write_csv(os.path.join(out, "denoiser_trajectory.csv"), "epoch,loss",
@@ -316,9 +313,8 @@ def cmd_eval_mixed(cfg: RunConfig, out: str):
     images, split = _split_images(cfg, rng)
     pipeline = _build_pipeline(cfg, out)
     test = images.subset(split.test)
-    spec = MixedBatchSpec(cfg.mixed_proportions,
-                          _pipeline_attack(cfg, pipeline, rng.fork()))
-    rows = eval_mixed(pipeline, test.flat, test.labels, spec, cfg.trials,
+    rows = eval_mixed(pipeline, test.flat, test.labels, cfg.mixed_proportions,
+                      _pipeline_attack(cfg, pipeline, rng.fork()), cfg.trials,
                       rng.fork())
     _write_csv(os.path.join(out, "mixed_curve.csv"),
                "proportion,accuracy,std", rows)

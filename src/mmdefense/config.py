@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Optional
 
 
 class ConfigError(ValueError):

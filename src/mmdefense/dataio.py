@@ -10,12 +10,13 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .rng import Rng
+from .tensor import Tensor
 
 MAGIC = b"DDADMDL1"
 IDX_IMAGES_MAGIC = 0x00000803
@@ -139,27 +140,6 @@ def synth_digits(rng: Rng, n: int, classes: int = 4, size: int = 8,
 
 
 # ---------------------------------------------------------------------------
-# CSV point clouds
-# ---------------------------------------------------------------------------
-
-def load_points_csv(path: str):
-    """Header row x0,...,xd,label; returns (points [n,d], labels [n])."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header[-1] != "label" or not header[0].startswith("x"):
-            raise FormatError(f"{path}: expected header x0,...,xd,label")
-        rows = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return rows[:, :-1], rows[:, -1].astype(np.int64)
-
-
-def save_points_csv(path: str, points: np.ndarray, labels: np.ndarray):
-    dim = points.shape[1]
-    header = ",".join(f"x{i}" for i in range(dim)) + ",label"
-    body = np.column_stack([points, labels.astype(np.float64)])
-    np.savetxt(path, body, delimiter=",", header=header, comments="")
-
-
-# ---------------------------------------------------------------------------
 # splits
 # ---------------------------------------------------------------------------
 
@@ -170,10 +150,6 @@ class Split:
     train: np.ndarray
     val_reference: np.ndarray
     test: np.ndarray
-
-    def check_disjoint(self) -> bool:
-        a, b, c = set(self.train), set(self.val_reference), set(self.test)
-        return not (a & b or a & c or b & c)
 
 
 def make_split(n: int, train_fraction: float, val_batch: int, rng: Rng) -> Split:
@@ -192,6 +168,23 @@ def make_split(n: int, train_fraction: float, val_batch: int, rng: Rng) -> Split
 # ---------------------------------------------------------------------------
 # model container
 # ---------------------------------------------------------------------------
+
+def component_state(component) -> dict[str, np.ndarray]:
+    """A trained component's saved layout: one ``"<PREFIX>.<name>"`` entry
+    per name of its ``NAMES`` tuple, in that order."""
+    return {key: getattr(component, name).data
+            for key, name in _layout(type(component))}
+
+
+def component_from_state(cls, tensors: dict[str, np.ndarray], *extra):
+    """Rebuild `cls` from its saved layout with frozen tensors; `extra` fills
+    the constructor arguments that follow the tensors."""
+    return cls(*(Tensor(tensors[key]) for key, _ in _layout(cls)), *extra)
+
+
+def _layout(cls) -> list[tuple[str, str]]:
+    return [(f"{cls.PREFIX}.{name}", name) for name in cls.NAMES]
+
 
 def save_model(path: str, tensors: dict[str, np.ndarray],
                metadata: Optional[dict[str, str]] = None) -> None:
@@ -218,6 +211,22 @@ def save_model(path: str, tensors: dict[str, np.ndarray],
     os.replace(tmp, path)
 
 
+def _tensor_entries(path: str, header) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) per tensor entry of a decoded header."""
+    entries = header.get("tensors") if isinstance(header, dict) else None
+    if not isinstance(entries, list):
+        raise FormatError(f"{path}: header has no tensor list")
+    parsed = []
+    for e in entries:
+        fields = e if isinstance(e, dict) else {}
+        name, shape = fields.get("name"), fields.get("shape")
+        if (not isinstance(name, str) or not isinstance(shape, list)
+                or not all(type(d) is int and d >= 0 for d in shape)):
+            raise FormatError(f"{path}: malformed tensor entry {e!r}")
+        parsed.append((name, tuple(shape)))
+    return parsed
+
+
 def load_model(path: str):
     """Return (tensors dict, metadata dict); errors on any corruption."""
     with open(path, "rb") as fh:
@@ -231,20 +240,23 @@ def load_model(path: str):
         header = json.loads(raw[12:12 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: unreadable header: {exc}") from None
-    entries = header["tensors"]
-    names = [e["name"] for e in entries]
+    entries = _tensor_entries(path, header)
+    metadata = header.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise FormatError(f"{path}: metadata is not a mapping")
+    names = [name for name, _ in entries]
     if len(set(names)) != len(names):
         raise FormatError(f"{path}: duplicate tensor names")
-    expected = sum(8 * int(np.prod(e["shape"], dtype=np.int64)) for e in entries)
+    counts = [int(np.prod(shape, dtype=np.int64)) for _, shape in entries]
+    expected = 8 * sum(counts)
     body = raw[12 + hlen:]
     if len(body) != expected:
         raise FormatError(
             f"{path}: payload length {len(body)} != expected {expected}")
     tensors = {}
     offset = 0
-    for e in entries:
-        count = int(np.prod(e["shape"], dtype=np.int64))
+    for (name, shape), count in zip(entries, counts):
         arr = np.frombuffer(body, dtype="<f8", count=count, offset=offset)
-        tensors[e["name"]] = arr.reshape(e["shape"]).astype(np.float64)
+        tensors[name] = arr.reshape(shape).astype(np.float64)
         offset += 8 * count
-    return tensors, dict(header.get("metadata", {}))
+    return tensors, dict(metadata)

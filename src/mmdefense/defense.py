@@ -2,7 +2,7 @@
 accumulation queue, and the ablation/evaluation harness."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -37,11 +37,6 @@ class DefensePipeline:
     classifier: ClassifierParams
     reference: np.ndarray  # S_V, flattened [B, d]
     gate_enabled: bool = True
-    # optional: redraw S_V from a clean pool on every call instead of
-    # keeping it fixed (off by default)
-    reference_pool: Optional[np.ndarray] = None
-    resample_reference: bool = False
-    reference_rng: Optional[Rng] = None
 
     def __post_init__(self):
         self.reference = np.asarray(self.reference, dtype=np.float64)
@@ -50,23 +45,6 @@ class DefensePipeline:
             raise ValueError(
                 f"reference batch has {len(self.reference)} rows, detector "
                 f"expects {self.detector.batch_size}")
-        if self.resample_reference:
-            if self.reference_pool is None or self.reference_rng is None:
-                raise ValueError(
-                    "resample_reference needs reference_pool and reference_rng")
-            self.reference_pool = np.asarray(
-                self.reference_pool, dtype=np.float64)
-            self.reference_pool = self.reference_pool.reshape(
-                len(self.reference_pool), -1)
-            if len(self.reference_pool) < self.detector.batch_size:
-                raise ValueError("reference pool smaller than batch size")
-
-    def current_reference(self) -> np.ndarray:
-        if not self.resample_reference:
-            return self.reference
-        idx = self.reference_rng.choice(len(self.reference_pool),
-                                        self.detector.batch_size)
-        return self.reference_pool[idx]
 
     @property
     def batch_size(self) -> int:
@@ -84,7 +62,7 @@ def defend_batch(pipeline: DefensePipeline, batch: np.ndarray):
     if len(x) != pipeline.batch_size:
         raise ValueError(
             f"batch of {len(x)} samples, pipeline expects {pipeline.batch_size}")
-    stat = mmd_opt(pipeline.detector, pipeline.current_reference(), x)
+    stat = mmd_opt(pipeline.detector, pipeline.reference, x)
     t = pipeline.detector.threshold
     if pipeline.gate_enabled and stat < t:
         verdict = Verdict(CLEAN, stat, t)
@@ -180,18 +158,6 @@ def train_denoiser(clean: np.ndarray, labels: np.ndarray,
 # evaluation harness
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MixedBatchSpec:
-    """Proportion-p adversarial rows mixed into clean batches."""
-
-    proportions: Sequence[float]
-    attack: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-    def __post_init__(self):
-        if any(p < 0 or p > 1 for p in self.proportions):
-            raise ValueError("proportions must lie in [0,1]")
-
-
 def build_mixed_batch(clean: np.ndarray, labels: np.ndarray, p: float,
                       attack: Callable, rng: Rng):
     """round(p*B) adversarial rows, rest clean, positions shuffled."""
@@ -206,22 +172,26 @@ def build_mixed_batch(clean: np.ndarray, labels: np.ndarray, p: float,
 
 
 def eval_mixed(pipeline: DefensePipeline, clean_pool: np.ndarray,
-               labels_pool: np.ndarray, spec: MixedBatchSpec, trials: int,
-               rng: Rng):
-    """Accuracy over all rows (clean ground-truth labels) per AE proportion.
+               labels_pool: np.ndarray, proportions: Sequence[float],
+               attack: Callable[[np.ndarray, np.ndarray], np.ndarray],
+               trials: int, rng: Rng):
+    """Accuracy over all rows (clean ground-truth labels) per AE proportion:
+    round(p*B) rows of each batch come from `attack`, the rest stay clean.
 
     Returns rows of (proportion, mean accuracy, std).
     """
+    if any(p < 0 or p > 1 for p in proportions):
+        raise ValueError("proportions must lie in [0,1]")
     b = pipeline.batch_size
     pool = clean_pool.reshape(len(clean_pool), -1)
     rows = []
-    for p in spec.proportions:
+    for p in proportions:
         trial_rng = rng.clone()  # same batch draws for every proportion
         accs = []
         for _ in range(trials):
             idx = trial_rng.choice(len(pool), b)
             xb, yb = build_mixed_batch(pool[idx], labels_pool[idx], p,
-                                       spec.attack, trial_rng)
+                                       attack, trial_rng)
             pred, _ = defend_batch(pipeline, xb)
             accs.append(float((pred == yb).mean()))
         rows.append((float(p), float(np.mean(accs)), float(np.std(accs))))

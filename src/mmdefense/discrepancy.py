@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
+from .dataio import component_from_state, component_state
 from .models import ClassifierParams, features_forward
 from .optim import AdamState, adam_step
 from .rng import Rng
@@ -34,14 +35,14 @@ class FeaturizerView:
         return features_forward(self.classifier, x)
 
 
-_RAW_NAMES = ("raw_beta0", "raw_sigma_q", "raw_sigma_phi")
-
-
 @dataclass
 class DeepKernelParams:
     """Kernel state; featurizer=None means identity features (point-cloud
     experiments with no pretrained classifier).  Trained kernels are frozen;
     clone() gives a trainable copy."""
+
+    PREFIX = "kernel"
+    NAMES = ("raw_beta0", "raw_sigma_q", "raw_sigma_phi")
 
     raw_beta0: Tensor
     raw_sigma_q: Tensor
@@ -50,7 +51,7 @@ class DeepKernelParams:
 
     @property
     def raws(self) -> list[Tensor]:
-        return [getattr(self, n) for n in _RAW_NAMES]
+        return [getattr(self, n) for n in self.NAMES]
 
     def beta0(self) -> Tensor:
         return T.sigmoid(self.raw_beta0)
@@ -292,19 +293,8 @@ def calibrate_threshold(kernel: DeepKernelParams, clean_pool: np.ndarray,
 # persistence
 # ---------------------------------------------------------------------------
 
-def kernel_state(kernel: DeepKernelParams) -> dict[str, np.ndarray]:
-    return {f"kernel.{n}": p.data for n, p in zip(_RAW_NAMES, kernel.raws)}
-
-
-def kernel_from_state(tensors: dict,
-                      featurizer: Optional[FeaturizerView]) -> DeepKernelParams:
-    """Frozen kernel from `kernel_state` tensors; clone() it to train."""
-    return DeepKernelParams(*(Tensor(tensors[f"kernel.{n}"]) for n in _RAW_NAMES),
-                            featurizer)
-
-
 def detector_state(model: DetectorModel) -> tuple[dict, dict]:
-    tensors = kernel_state(model.kernel)
+    tensors = component_state(model.kernel)
     meta = {"threshold": repr(model.threshold),
             "batch_size": str(model.batch_size),
             "lambda": repr(model.lam),
@@ -315,7 +305,8 @@ def detector_state(model: DetectorModel) -> tuple[dict, dict]:
 
 def detector_from_state(tensors: dict, meta: dict,
                         featurizer: Optional[FeaturizerView]) -> DetectorModel:
-    return DetectorModel(kernel=kernel_from_state(tensors, featurizer),
+    return DetectorModel(kernel=component_from_state(DeepKernelParams, tensors,
+                                                     featurizer),
                          threshold=float(meta["threshold"]),
                          lam=float(meta["lambda"]),
                          batch_size=int(meta["batch_size"]),

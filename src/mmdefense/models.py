@@ -29,13 +29,15 @@ def _affine_init(rng: Rng, fan_in: int, fan_out: int, scale: Optional[float] = N
 class ClassifierParams:
     """flatten -> affine(d,64) -> ReLU -> affine(64,32) -> ReLU -> affine(32,K)."""
 
+    PREFIX = "classifier"
+    NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
+
     w1: Tensor
     b1: Tensor
     w2: Tensor
     b2: Tensor
     w3: Tensor
     b3: Tensor
-    num_classes: int
 
     @classmethod
     def init(cls, input_dim: int, num_classes: int, rng: Rng) -> "ClassifierParams":
@@ -44,25 +46,18 @@ class ClassifierParams:
         w1, b1 = _affine_init(rng, input_dim, HIDDEN1)
         w2, b2 = _affine_init(rng, HIDDEN1, HIDDEN2)
         w3, b3 = _affine_init(rng, HIDDEN2, num_classes)
-        return cls(w1, b1, w2, b2, w3, b3, num_classes)
+        return cls(w1, b1, w2, b2, w3, b3)
+
+    @property
+    def num_classes(self) -> int:
+        return self.w3.shape[1]
 
     @property
     def params(self) -> list[Tensor]:
-        return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]
+        return [getattr(self, n) for n in self.NAMES]
 
     def freeze(self):
         T.freeze(self.params)
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        names = ["w1", "b1", "w2", "b2", "w3", "b3"]
-        return {f"classifier.{n}": getattr(self, n).data for n in names}
-
-    @classmethod
-    def from_state(cls, tensors: dict[str, np.ndarray]) -> "ClassifierParams":
-        get = lambda n: Tensor(tensors[f"classifier.{n}"])
-        obj = cls(get("w1"), get("b1"), get("w2"), get("b2"), get("w3"), get("b3"),
-                  num_classes=tensors["classifier.w3"].shape[1])
-        return obj
 
 
 def features_forward(params: ClassifierParams, x: Tensor) -> Tensor:
@@ -129,6 +124,9 @@ class DenoiserParams:
     """Residual net: flatten -> affine(d,128) -> ReLU -> affine(128,d);
     output = clip(input + residual, 0, 1)."""
 
+    PREFIX = "denoiser"
+    NAMES = ("w1", "b1", "w2", "b2")
+
     w1: Tensor
     b1: Tensor
     w2: Tensor
@@ -140,24 +138,9 @@ class DenoiserParams:
         w2, b2 = _affine_init(rng, DENOISER_HIDDEN, input_dim, scale)
         return cls(w1, b1, w2, b2)
 
-    @classmethod
-    def zero(cls, input_dim: int) -> "DenoiserParams":
-        z = lambda *s: Tensor(np.zeros(s), requires_grad=True)
-        return cls(z(input_dim, DENOISER_HIDDEN), z(DENOISER_HIDDEN),
-                   z(DENOISER_HIDDEN, input_dim), z(input_dim))
-
     @property
     def params(self) -> list[Tensor]:
-        return [self.w1, self.b1, self.w2, self.b2]
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {f"denoiser.{n}": getattr(self, n).data
-                for n in ["w1", "b1", "w2", "b2"]}
-
-    @classmethod
-    def from_state(cls, tensors: dict[str, np.ndarray]) -> "DenoiserParams":
-        get = lambda n: Tensor(tensors[f"denoiser.{n}"])
-        return cls(get("w1"), get("b1"), get("w2"), get("b2"))
+        return [getattr(self, n) for n in self.NAMES]
 
 
 def denoiser_forward(theta: DenoiserParams, x: Tensor) -> Tensor:

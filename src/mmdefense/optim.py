@@ -1,12 +1,16 @@
 """Adam optimizer and the finite-difference gradient oracle."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .tensor import Tensor
+
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 @dataclass
@@ -16,20 +20,11 @@ class AdamState:
     m: list[np.ndarray]
     v: list[np.ndarray]
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def init(cls, params: Sequence[Tensor], beta1: float = 0.9,
-             beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
+    def init(cls, params: Sequence[Tensor]) -> "AdamState":
         return cls(m=[np.zeros_like(p.data) for p in params],
-                   v=[np.zeros_like(p.data) for p in params],
-                   t=0, beta1=beta1, beta2=beta2, eps=eps)
-
-    def clone(self) -> "AdamState":
-        return AdamState(m=[x.copy() for x in self.m], v=[x.copy() for x in self.v],
-                         t=self.t, beta1=self.beta1, beta2=self.beta2, eps=self.eps)
+                   v=[np.zeros_like(p.data) for p in params])
 
 
 def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray],
@@ -50,17 +45,16 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray],
         if not np.all(np.isfinite(g)):
             raise ArithmeticError("non-finite gradient passed to adam_step")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1 ** state.t
-    bc2 = 1.0 - b2 ** state.t
+    bc1 = 1.0 - BETA1 ** state.t
+    bc2 = 1.0 - BETA2 ** state.t
     for i, (p, g) in enumerate(zip(params, grads)):
         if maximize:
             g = -g
-        state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1.0 - b2) * g * g
+        state.m[i] = BETA1 * state.m[i] + (1.0 - BETA1) * g
+        state.v[i] = BETA2 * state.v[i] + (1.0 - BETA2) * g * g
         mhat = state.m[i] / bc1
         vhat = state.v[i] / bc2
-        p.data = p.data - lr * mhat / (np.sqrt(vhat) + state.eps)
+        p.data = p.data - lr * mhat / (np.sqrt(vhat) + EPS)
     return state
 
 

@@ -31,9 +31,6 @@ class Rng:
         """Child generator seeded from the parent stream."""
         return Rng(int(self._gen.integers(0, 2**63 - 1)))
 
-    def next_u64(self) -> int:
-        return int(self._gen.integers(0, 2**64, dtype=np.uint64))
-
     def uniform(self, shape=(), low: float = 0.0, high: float = 1.0) -> np.ndarray:
         return self._gen.uniform(low, high, size=shape)
 

@@ -18,7 +18,6 @@ Conventions fixed here for reproducibility of gradient checks:
 """
 from __future__ import annotations
 
-import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -252,15 +251,6 @@ def transpose(a: Tensor) -> Tensor:
     return _make("transpose", a.data.T.copy(), (a,), (lambda g: g.T,))
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
-    if int(np.prod(shape, dtype=np.int64)) != a.size and -1 not in shape:
-        raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
-    old = a.shape
-    return _make("reshape", a.data.reshape(shape), (a,),
-                 (lambda g: g.reshape(old),))
-
-
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
@@ -270,11 +260,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         return np.broadcast_to(g, a.shape).copy()
 
     return _make("sum", np.asarray(data, dtype=np.float64), (a,), (bw,))
-
-
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    count = a.size if axis is None else a.shape[axis]
-    return tsum(a, axis=axis, keepdims=keepdims) * (1.0 / count)
 
 
 def exp(a: Tensor) -> Tensor:
@@ -319,10 +304,6 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
         return g - sm * g.sum(axis=axis, keepdims=True)
 
     return _make("log_softmax", data, (a,), (bw,))
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    return exp(log_softmax(a, axis=axis))
 
 
 def pairwise_sqdist(x: Tensor, z: Tensor) -> Tensor:

@@ -81,11 +81,6 @@ def risk(h: np.ndarray, f: np.ndarray, phi: np.ndarray) -> float:
     return float(np.asarray(phi)[h != np.asarray(f)].sum())
 
 
-def optimal_hypothesis(domain: DiscreteDomain) -> np.ndarray:
-    """Pointwise clean-risk minimizer; ties at zero mass break toward f."""
-    return domain.f.copy()
-
-
 def hypothesis_from_index(index: int, n: int) -> np.ndarray:
     return np.array([(index >> i) & 1 for i in range(n)], dtype=np.int64)
 

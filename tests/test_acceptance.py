@@ -15,8 +15,8 @@ import pytest
 from mmdefense import tensor as T
 from mmdefense.attacks import AttackConfig, NoiseConfig, adaptive_pgd_eot, pgd
 from mmdefense.cli import main
-from mmdefense.defense import (BatchGate, DefensePipeline, MixedBatchSpec,
-                               ablate, build_mixed_batch, defend_batch,
+from mmdefense.defense import (BatchGate, DefensePipeline, ablate,
+                               build_mixed_batch, defend_batch,
                                eval_batch_size, eval_mixed, train_denoiser)
 from mmdefense.dataio import synth_blobs
 from mmdefense.discrepancy import (DeepKernelParams, calibrate_threshold,
@@ -329,10 +329,9 @@ def test_criterion_7_mixed_batch_shape(capsys, digit_setup):
     s = digit_setup
     attack = _deterministic_attack(s)
     proportions = tuple(round(p * 0.1, 1) for p in range(11))
-    spec = MixedBatchSpec(proportions, attack)
     trials = 3
-    rows = eval_mixed(s.pipeline, s.test.flat, s.test.labels, spec, trials,
-                      Rng(700))
+    rows = eval_mixed(s.pipeline, s.test.flat, s.test.labels, proportions,
+                      attack, trials, Rng(700))
     accs = [r[1] for r in rows]
     monotone = all(b <= a + 0.02 for a, b in zip(accs, accs[1:]))
 

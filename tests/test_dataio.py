@@ -1,11 +1,15 @@
+import json
 import struct
 
 import numpy as np
 import pytest
 
-from mmdefense.dataio import (FormatError, ImageBatch, load_idx, load_model,
-                              load_points_csv, make_split, save_model,
-                              save_points_csv, synth_blobs, synth_digits)
+from mmdefense.dataio import (FormatError, ImageBatch, component_state,
+                              load_idx, load_model, make_split, save_model,
+                              synth_blobs, synth_digits)
+from mmdefense.discrepancy import (DeepKernelParams, DetectorModel,
+                                   detector_state)
+from mmdefense.models import ClassifierParams, DenoiserParams
 from mmdefense.rng import Rng
 
 
@@ -136,7 +140,8 @@ class TestSplits:
     @pytest.mark.parametrize("seed", range(10))
     def test_disjoint_every_seed(self, seed):
         split = make_split(500, 0.6, 40, Rng(seed))
-        assert split.check_disjoint()
+        a, b, c = set(split.train), set(split.val_reference), set(split.test)
+        assert not (a & b or a & c or b & c)
         total = len(split.train) + len(split.val_reference) + len(split.test)
         assert total == 500
 
@@ -201,24 +206,56 @@ class TestModelContainer:
         with pytest.raises(FormatError, match="duplicate"):
             load_model(path)
 
+    @pytest.mark.parametrize("header", [
+        {"metadata": {}},                               # no tensor list
+        [{"name": "x", "dtype": "f8", "shape": [1]}],   # list, not an object
+        {"tensors": [{"name": "x", "dtype": "f8"}]},    # entry without shape
+        {"tensors": [{"name": "x", "dtype": "f8", "shape": "ab"}]},
+    ])
+    def test_malformed_header_rejected(self, tmp_path, header):
+        path = str(tmp_path / "m.model")
+        encoded = json.dumps(header).encode()
+        with open(path, "wb") as fh:
+            fh.write(b"DDADMDL1")
+            fh.write(struct.pack("<I", len(encoded)))
+            fh.write(encoded)
+            fh.write(np.ones(1).astype("<f8").tobytes())
+        with pytest.raises(FormatError, match="m.model"):
+            load_model(path)
 
-class TestPointsCsv:
-    def test_round_trip(self, tmp_path):
+
+def _header_names(path):
+    raw = open(path, "rb").read()
+    hlen = struct.unpack("<I", raw[8:12])[0]
+    return [e["name"] for e in json.loads(raw[12:12 + hlen])["tensors"]]
+
+
+class TestSavedLayout:
+    """Pins the tensor names and their order in each saved component, which
+    must not change between versions for existing .model files to load."""
+
+    def test_component_key_order(self, tmp_path):
         rng = Rng(8)
-        pts = rng.normal((20, 3), 0, 1)
-        labels = rng.integers(0, 2, 20)
-        path = str(tmp_path / "p.csv")
-        save_points_csv(path, pts, labels)
-        loaded, lab = load_points_csv(path)
-        assert np.allclose(loaded, pts)
-        assert np.array_equal(lab, labels)
+        kernel = DeepKernelParams.init_median(rng.uniform((10, 16)))
+        components = {
+            "classifier": (ClassifierParams.init(16, 3, rng.fork()),
+                           ["classifier.w1", "classifier.b1", "classifier.w2",
+                            "classifier.b2", "classifier.w3", "classifier.b3"]),
+            "denoiser": (DenoiserParams.init(16, rng.fork()),
+                         ["denoiser.w1", "denoiser.b1", "denoiser.w2",
+                          "denoiser.b2"]),
+            "kernel": (kernel, ["kernel.raw_beta0", "kernel.raw_sigma_q",
+                                "kernel.raw_sigma_phi"]),
+        }
+        for name, (component, expected) in components.items():
+            path = str(tmp_path / f"{name}.model")
+            save_model(path, component_state(component))
+            assert _header_names(path) == expected
 
-    def test_bad_header(self, tmp_path):
-        path = str(tmp_path / "p.csv")
-        with open(path, "w") as fh:
-            fh.write("foo,bar\n1,2\n")
-        with pytest.raises(FormatError):
-            load_points_csv(path)
+        detector = DetectorModel(kernel, threshold=0.1, lam=1e-8, batch_size=10)
+        path = str(tmp_path / "detector.model")
+        save_model(path, *detector_state(detector))
+        assert _header_names(path) == components["kernel"][1]
 
 
 class TestImageBatch:

