@@ -149,7 +149,6 @@ class TestPersistence:
                                         component_state(params))
         for a, b in zip(params.params, restored.params):
             assert np.array_equal(a.data, b.data)
-            assert not b.requires_grad
         assert restored.num_classes == params.num_classes == 4
 
     def test_denoiser_round_trip(self):
@@ -157,4 +156,3 @@ class TestPersistence:
         restored = component_from_state(DenoiserParams, component_state(theta))
         for a, b in zip(theta.params, restored.params):
             assert np.array_equal(a.data, b.data)
-            assert not b.requires_grad
