@@ -118,10 +118,10 @@ def _adv_train_pool(cfg: RunConfig, classifier, images: ImageBatch, split,
     return train.flat, train.labels, adv.reshape(len(adv), -1)
 
 
-def _build_pipeline(cfg: RunConfig, out: str, denoiser_name="denoiser.model"):
+def _build_pipeline(out: str):
     classifier = _load_classifier(out)
     detector = _load_detector(out, FeaturizerView(classifier))
-    denoiser = _load_denoiser(out, denoiser_name)
+    denoiser = _load_denoiser(out)
     ref = np.load(_artifact(out, "reference.npy", "calibrate"))
     return DefensePipeline(detector, denoiser, classifier, ref)
 
@@ -172,11 +172,12 @@ def cmd_train_kernel(cfg: RunConfig, out: str):
           f"{max(trajectory):.4f}")
 
 
-def _load_kernel(cfg: RunConfig, out: str) -> DeepKernelParams:
+def _load_kernel(out: str, classifier=None) -> DeepKernelParams:
+    """Featurizer wraps `classifier`, read from disk only when none is given."""
     tensors, meta = load_model(_artifact(out, "kernel.model", "train-kernel"))
     featurizer = None
     if meta.get("uses_featurizer") == "True":
-        featurizer = FeaturizerView(_load_classifier(out))
+        featurizer = FeaturizerView(classifier or _load_classifier(out))
     return component_from_state(DeepKernelParams, tensors, featurizer)
 
 
@@ -192,20 +193,19 @@ def _clean_calibration_pool(cfg: RunConfig, rng: Rng):
 
 def cmd_calibrate(cfg: RunConfig, out: str):
     rng = Rng(cfg.seed)
-    kernel = _load_kernel(cfg, out)
+    kernel = _load_kernel(out)
     pool, images, split = _clean_calibration_pool(cfg, rng)
     if cfg.threshold_mode == "fixed":
         detector = DetectorModel(kernel=kernel, threshold=cfg.threshold,
-                                 lam=cfg.kernel_lambda,
-                                 batch_size=cfg.batch_size,
-                                 far_target=cfg.far_target, seed=cfg.seed)
+                                 batch_size=cfg.batch_size)
     else:
         detector = calibrate_threshold(kernel, pool, cfg.batch_size,
                                        cfg.far_target, cfg.calibration_trials,
-                                       rng.fork(), cfg.kernel_lambda,
-                                       seed=cfg.seed)
+                                       rng.fork())
     tensors, meta = detector_state(detector)
-    meta["uses_featurizer"] = str(kernel.featurizer is not None)
+    meta.update({"lambda": repr(cfg.kernel_lambda),
+                 "far_target": repr(cfg.far_target), "seed": str(cfg.seed),
+                 "uses_featurizer": str(kernel.featurizer is not None)})
     save_model(os.path.join(out, "detector.model"), tensors, meta)
     if images is not None:
         reference = images.subset(split.val_reference).flat
@@ -220,7 +220,7 @@ def cmd_train_denoiser(cfg: RunConfig, out: str):
     rng = Rng(cfg.seed)
     images, split = _split_images(cfg, rng)
     classifier = _load_classifier(out)
-    kernel = _load_kernel(cfg, out)
+    kernel = _load_kernel(out, classifier)
     train = images.subset(split.train)
     theta, trajectory = train_denoiser(
         train.flat, train.labels, kernel, classifier, _train_attack_cfg(cfg),
@@ -260,7 +260,7 @@ def cmd_attack(cfg: RunConfig, out: str):
 def cmd_defend(cfg: RunConfig, out: str):
     rng = Rng(cfg.seed)
     images, split = _split_images(cfg, rng)
-    pipeline = _build_pipeline(cfg, out)
+    pipeline = _build_pipeline(out)
     test = images.subset(split.test)
     noise = NoiseConfig(cfg.noise_mu, cfg.noise_sigma)
     atk = _eval_attack_cfg(cfg)
@@ -311,7 +311,7 @@ def _pipeline_attack(cfg: RunConfig, pipeline: DefensePipeline, rng: Rng,
 def cmd_eval_mixed(cfg: RunConfig, out: str):
     rng = Rng(cfg.seed)
     images, split = _split_images(cfg, rng)
-    pipeline = _build_pipeline(cfg, out)
+    pipeline = _build_pipeline(out)
     test = images.subset(split.test)
     rows = eval_mixed(pipeline, test.flat, test.labels, cfg.mixed_proportions,
                       _pipeline_attack(cfg, pipeline, rng.fork()), cfg.trials,
@@ -325,14 +325,14 @@ def cmd_eval_batch_size(cfg: RunConfig, out: str):
     rng = Rng(cfg.seed)
     images, split = _split_images(cfg, rng)
     classifier = _load_classifier(out)
-    kernel = _load_kernel(cfg, out)
+    kernel = _load_kernel(out, classifier)
     denoiser = _load_denoiser(out)
     test = images.subset(split.test)
     calib = images.subset(np.concatenate([split.train, split.val_reference]))
     rows = eval_batch_size(kernel, denoiser, classifier, test.flat,
                            test.labels, calib.flat, cfg.batch_sizes,
                            cfg.trials, rng.fork(), cfg.far_target,
-                           cfg.calibration_trials, cfg.kernel_lambda)
+                           cfg.calibration_trials)
     _write_csv(os.path.join(out, "batch_size_curve.csv"),
                "batch_size,accuracy,std", rows)
     print("eval-batch-size: " + ", ".join(f"B={b}:{a:.3f}±{s:.3f}"
@@ -342,7 +342,7 @@ def cmd_eval_batch_size(cfg: RunConfig, out: str):
 def cmd_ablate(cfg: RunConfig, out: str):
     rng = Rng(cfg.seed)
     images, split = _split_images(cfg, rng)
-    pipeline = _build_pipeline(cfg, out)
+    pipeline = _build_pipeline(out)
     no_noise = None
     if os.path.exists(os.path.join(out, "denoiser_nonoise.model")):
         no_noise = DefensePipeline(pipeline.detector,

@@ -221,7 +221,8 @@ def _tensor_entries(path: str, header) -> list[tuple[str, tuple[int, ...]]]:
         fields = e if isinstance(e, dict) else {}
         name, shape = fields.get("name"), fields.get("shape")
         if (not isinstance(name, str) or not isinstance(shape, list)
-                or not all(type(d) is int and d >= 0 for d in shape)):
+                or not all(type(d) is int and d >= 0 for d in shape)
+                or fields.get("dtype") != "f8"):  # the only dtype written
             raise FormatError(f"{path}: malformed tensor entry {e!r}")
         parsed.append((name, tuple(shape)))
     return parsed

@@ -56,12 +56,10 @@ def defend_batch(pipeline: DefensePipeline, batch: np.ndarray):
 
     Clean verdict feeds the batch straight to the classifier; adversarial
     verdict routes it through the denoiser first.  Equality at the threshold
-    rules clean (the gate uses strict '<' for the clean branch).
+    rules adversarial (the gate uses strict '<' for the clean branch).  The
+    batch must have exactly B rows; `mmd_opt` rejects any other size.
     """
     x = np.asarray(batch, dtype=np.float64).reshape(len(batch), -1)
-    if len(x) != pipeline.batch_size:
-        raise ValueError(
-            f"batch of {len(x)} samples, pipeline expects {pipeline.batch_size}")
     stat = mmd_opt(pipeline.detector, pipeline.reference, x)
     t = pipeline.detector.threshold
     if pipeline.gate_enabled and stat < t:
@@ -202,8 +200,7 @@ def eval_batch_size(kernel: DeepKernelParams, denoiser: DenoiserParams,
                     classifier: ClassifierParams, clean_pool: np.ndarray,
                     labels_pool: np.ndarray, calib_pool: np.ndarray,
                     sizes: Sequence[int], trials: int, rng: Rng,
-                    far_target: float = 0.05, calib_trials: int = 200,
-                    lam: float = 1e-8):
+                    far_target: float = 0.05, calib_trials: int = 200):
     """Clean accuracy mean/std per batch size, recalibrating the detector
     (and redrawing the reference) for every size."""
     pool = clean_pool.reshape(len(clean_pool), -1)
@@ -213,7 +210,7 @@ def eval_batch_size(kernel: DeepKernelParams, denoiser: DenoiserParams,
         if b < 2:
             raise ValueError(f"batch size {b} cannot form the estimator")
         det = calibrate_threshold(kernel, calib, b, far_target, calib_trials,
-                                  rng.fork(), lam)
+                                  rng.fork())
         ref_idx = rng.choice(len(calib), b)
         pipe = DefensePipeline(det, denoiser, classifier, calib[ref_idx])
         accs = []

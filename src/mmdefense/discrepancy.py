@@ -220,52 +220,33 @@ def optimize_kernel(clean_pool: np.ndarray, adv_pool: np.ndarray,
 
 @dataclass
 class DetectorModel:
-    """Optimized kernel plus decision threshold and calibration metadata."""
+    """Optimized kernel plus the decision threshold for batches of size B."""
 
     kernel: DeepKernelParams
     threshold: float
-    lam: float
     batch_size: int
-    far_target: float = 0.05
-    seed: int = 0
     calibration: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not np.isfinite(self.threshold):
             raise ValueError("threshold must be finite")
-        if self.lam <= 0:
-            raise ValueError("lambda must be > 0")
-
-
-def _prepare_batch(batch: np.ndarray, b: int, rng: Rng) -> np.ndarray:
-    x = np.asarray(batch, dtype=np.float64).reshape(len(batch), -1)
-    if len(x) < b:
-        raise ValueError(f"batch of {len(x)} samples is below required size {b}")
-    if len(x) > b:
-        x = x[rng.choice(len(x), b)]
-    return x
 
 
 def mmd_opt(model: DetectorModel, s_x: np.ndarray, s_z: np.ndarray) -> float:
-    """Detection statistic under the optimized kernel; pure given the model.
-
-    Oversized batches are subsampled to the recorded batch size with the
-    model's seeded generator; undersized batches are an error.
-    """
-    rng = Rng(model.seed)
-    x = _prepare_batch(s_x, model.batch_size, rng)
-    z = _prepare_batch(s_z, model.batch_size, rng)
+    """Detection statistic under the optimized kernel; B rows per side."""
+    x = np.asarray(s_x, dtype=np.float64).reshape(len(s_x), -1)
+    z = np.asarray(s_z, dtype=np.float64).reshape(len(s_z), -1)
+    if len(x) != model.batch_size or len(z) != model.batch_size:
+        raise ValueError(f"batches of {len(x)} and {len(z)} samples, detector "
+                         f"expects {model.batch_size}")
     return mmd_u_squared(Tensor(x), Tensor(z), model.kernel).item()
 
 
 def calibrate_threshold(kernel: DeepKernelParams, clean_pool: np.ndarray,
-                        batch_size: int, far_target: float = 0.05,
-                        trials: int = 200, rng: Optional[Rng] = None,
-                        lam: float = 1e-8, seed: int = 0) -> DetectorModel:
+                        batch_size: int, far_target: float, trials: int,
+                        rng: Rng) -> DetectorModel:
     """Empirical (1 - FAR) quantile of the statistic between disjoint clean
     batches, resampled `trials` times."""
-    if rng is None:
-        rng = Rng(seed)
     pool = np.asarray(clean_pool, dtype=np.float64).reshape(len(clean_pool), -1)
     if len(pool) < 2 * batch_size:
         raise ValueError(
@@ -284,9 +265,8 @@ def calibrate_threshold(kernel: DeepKernelParams, clean_pool: np.ndarray,
     report = {"far_target": far_target, "trials": trials,
               "batch_size": batch_size, "null_mean": float(stats.mean()),
               "null_std": float(stats.std())}
-    return DetectorModel(kernel=kernel, threshold=t, lam=lam,
-                         batch_size=batch_size, far_target=far_target,
-                         seed=seed, calibration=report)
+    return DetectorModel(kernel=kernel, threshold=t, batch_size=batch_size,
+                         calibration=report)
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +274,9 @@ def calibrate_threshold(kernel: DeepKernelParams, clean_pool: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def detector_state(model: DetectorModel) -> tuple[dict, dict]:
-    tensors = component_state(model.kernel)
     meta = {"threshold": repr(model.threshold),
-            "batch_size": str(model.batch_size),
-            "lambda": repr(model.lam),
-            "far_target": repr(model.far_target),
-            "seed": str(model.seed)}
-    return tensors, meta
+            "batch_size": str(model.batch_size)}
+    return component_state(model.kernel), meta
 
 
 def detector_from_state(tensors: dict, meta: dict,
@@ -308,7 +284,4 @@ def detector_from_state(tensors: dict, meta: dict,
     return DetectorModel(kernel=component_from_state(DeepKernelParams, tensors,
                                                      featurizer),
                          threshold=float(meta["threshold"]),
-                         lam=float(meta["lambda"]),
-                         batch_size=int(meta["batch_size"]),
-                         far_target=float(meta["far_target"]),
-                         seed=int(meta["seed"]))
+                         batch_size=int(meta["batch_size"]))

@@ -374,11 +374,13 @@ def backward(tape: GradTape, output: Tensor) -> None:
                 adjoint[key] = adjoint[key] + pg
             else:
                 adjoint[key] = pg
-    # what is left in `adjoint` belongs to leaves (never produced on tape)
+    # what is left in `adjoint` belongs to leaves (never produced on tape);
+    # a non-finite adjoint stays non-finite on its way to a leaf
     for node in tape.nodes:
         for parent in node.parents:
             if parent.requires_grad and id(parent) in adjoint:
                 pg = adjoint.pop(id(parent))
+                _check_finite(pg, "backward")
                 parent.grad = pg if parent.grad is None else parent.grad + pg
 
 

@@ -10,10 +10,9 @@ import os
 import time
 
 import numpy as np
-import pytest
 
 from mmdefense import tensor as T
-from mmdefense.attacks import AttackConfig, NoiseConfig, adaptive_pgd_eot, pgd
+from mmdefense.attacks import NoiseConfig, adaptive_pgd_eot, pgd
 from mmdefense.cli import main
 from mmdefense.defense import (BatchGate, DefensePipeline, ablate,
                                build_mixed_batch, defend_batch,

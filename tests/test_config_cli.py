@@ -7,6 +7,7 @@ import pytest
 from mmdefense import cli
 from mmdefense.cli import main
 from mmdefense.config import ConfigError, config_echo, parse_config
+from mmdefense.dataio import load_model
 
 SMALL_DIGITS = """
 # small but complete digit run
@@ -162,13 +163,25 @@ class TestCliChain:
         assert cfg.batch_size == 50
 
     def test_loaders_return_frozen_components(self, full_run):
-        _, cfgpath, out, _ = full_run
-        cfg = parse_config(cfgpath)
-        kernel = cli._load_kernel(cfg, out)
-        pipe = cli._build_pipeline(cfg, out)
+        _, _, out, _ = full_run
+        kernel = cli._load_kernel(out)
+        pipe = cli._build_pipeline(out)
         loaded = (kernel.raws + pipe.detector.kernel.raws
                   + pipe.denoiser.params + pipe.classifier.params)
         assert not any(t.requires_grad for t in loaded)
+        clf = cli._load_classifier(out)
+        assert cli._load_kernel(out, clf).featurizer.classifier is clf
+
+    def test_detector_metadata_records_run_settings(self, full_run):
+        _, _, out, _ = full_run
+        _, meta = load_model(os.path.join(out, "detector.model"))
+        assert set(meta) == {"threshold", "batch_size", "lambda",
+                             "far_target", "seed", "uses_featurizer"}
+        assert meta["batch_size"] == "50"
+        assert meta["lambda"] == repr(1e-08)
+        assert meta["far_target"] == repr(0.05)
+        assert meta["seed"] == "0"
+        assert meta["uses_featurizer"] == "True"
 
     def test_mixed_curve_has_requested_proportions(self, full_run):
         _, _, out, _ = full_run

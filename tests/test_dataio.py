@@ -211,6 +211,7 @@ class TestModelContainer:
         [{"name": "x", "dtype": "f8", "shape": [1]}],   # list, not an object
         {"tensors": [{"name": "x", "dtype": "f8"}]},    # entry without shape
         {"tensors": [{"name": "x", "dtype": "f8", "shape": "ab"}]},
+        {"tensors": [{"name": "x", "dtype": "f4", "shape": [1]}]},
     ])
     def test_malformed_header_rejected(self, tmp_path, header):
         path = str(tmp_path / "m.model")
@@ -252,7 +253,7 @@ class TestSavedLayout:
             save_model(path, component_state(component))
             assert _header_names(path) == expected
 
-        detector = DetectorModel(kernel, threshold=0.1, lam=1e-8, batch_size=10)
+        detector = DetectorModel(kernel, threshold=0.1, batch_size=10)
         path = str(tmp_path / "detector.model")
         save_model(path, *detector_state(detector))
         assert _header_names(path) == components["kernel"][1]

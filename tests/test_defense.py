@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mmdefense.attacks import AttackConfig, NoiseConfig, pgd
+from mmdefense.attacks import pgd
 from mmdefense.defense import (ADVERSARIAL, CLEAN, BatchGate, DefensePipeline,
                                build_mixed_batch, defend_batch, eval_batch_size,
                                eval_mixed, train_denoiser)
@@ -43,9 +43,7 @@ class TestGate:
         stat = defend_batch(digit_setup.pipeline, x)[1].statistic
         pinned = DetectorModel(
             kernel=digit_setup.detector.kernel, threshold=stat,
-            lam=digit_setup.detector.lam,
-            batch_size=digit_setup.detector.batch_size,
-            seed=digit_setup.detector.seed)
+            batch_size=digit_setup.detector.batch_size)
         pipe = DefensePipeline(pinned, digit_setup.denoiser,
                                digit_setup.classifier, digit_setup.reference)
         _, verdict = defend_batch(pipe, x)

@@ -108,6 +108,14 @@ class TestBackward:
         backward(tape, y)
         assert x.grad == pytest.approx(8.0)
 
+    def test_non_finite_leaf_gradient_is_an_error(self):
+        # the forward is finite, but d sqrt(x)/dx at x = 0 is inf
+        x = Tensor([0.0, 1.0], requires_grad=True)
+        with GradTape() as tape:
+            y = T.tsum(T.sqrt(x))
+        with np.errstate(divide="ignore"), pytest.raises(NonFiniteError):
+            T.grad_of(tape, y, [x])
+
 
 PRIMITIVE_CASES = [
     ("add", lambda x: T.tsum(x + Tensor(np.linspace(1, 2, 12).reshape(3, 4))), (3, 4)),
