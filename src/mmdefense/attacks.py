@@ -118,7 +118,6 @@ def adaptive_pgd_eot(detector: DetectorModel, denoiser: DenoiserParams,
                      classifier: ClassifierParams, clean_batch: np.ndarray,
                      labels: np.ndarray, cfg: AttackConfig,
                      noise: NoiseConfig, rng: Rng,
-                     gate_threshold: Optional[float] = None,
                      alpha: float = 1e-2,
                      reference: Optional[np.ndarray] = None) -> np.ndarray:
     """White-box attack through detector, denoiser and classifier jointly.
@@ -127,11 +126,11 @@ def adaptive_pgd_eot(detector: DetectorModel, denoiser: DenoiserParams,
     clean originals by default) is computed once; depending on the branch,
     EOT gradients of [statistic + alpha * CE] are averaged over `cfg.eot`
     replicas.  On the denoiser branch each replica resamples the defense's
-    Gaussian noise; the clean branch draws none.
+    Gaussian noise; the clean branch draws none.  The attack always starts
+    at the clean batch: `cfg.random_start` is not read here.
     """
     if detector is None or denoiser is None or classifier is None:
         raise ValueError("adaptive attack needs detector, denoiser and classifier")
-    t = detector.threshold if gate_threshold is None else gate_threshold
     shape = clean_batch.shape
     x0 = clean_batch.reshape(len(clean_batch), -1)
     ref = x0 if reference is None else reference.reshape(len(reference), -1)
@@ -144,7 +143,7 @@ def adaptive_pgd_eot(detector: DetectorModel, denoiser: DenoiserParams,
         stat_value = stat.item()
         g_stat = T.grad_of(tape, stat, [xt])[0]
         g_eot = np.zeros_like(x)
-        if stat_value < t:
+        if stat_value < detector.threshold:
             # the clean branch draws no noise, so every replica has the same
             # gradient; adding it `eot` times keeps the average bitwise equal
             g_clean = g_stat + alpha * _ce_input_grad(classifier, x, labels)

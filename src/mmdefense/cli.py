@@ -16,14 +16,13 @@ import numpy as np
 from . import __version__
 from .attacks import AttackConfig, NoiseConfig, adaptive_pgd_eot, pgd
 from .config import ConfigError, RunConfig, config_echo, parse_config
-from .dataio import (ImageBatch, component_from_state, component_state,
-                     load_idx, load_model, make_split, save_model, synth_blobs,
-                     synth_digits)
+from .dataio import (FormatError, ImageBatch, component_from_state,
+                     component_state, load_idx, load_model, make_split,
+                     save_model, synth_blobs, synth_digits)
 from .defense import (DefensePipeline, ablate, defend_batch, eval_batch_size,
                       eval_mixed, train_denoiser)
 from .discrepancy import (DeepKernelParams, DetectorModel, FeaturizerView,
-                          calibrate_threshold, detector_from_state,
-                          detector_state, optimize_kernel)
+                          calibrate_threshold, optimize_kernel)
 from .models import ClassifierParams, DenoiserParams, accuracy, train_classifier
 from .rng import Rng
 from .tensor import NonFiniteError
@@ -99,9 +98,17 @@ def _load_classifier(out: str) -> ClassifierParams:
     return component_from_state(ClassifierParams, tensors)
 
 
-def _load_detector(out: str, featurizer) -> DetectorModel:
-    tensors, meta = load_model(_artifact(out, "detector.model", "calibrate"))
-    return detector_from_state(tensors, meta, featurizer)
+def _load_kernel(out: str, classifier=None, name: str = "kernel.model"):
+    """(kernel, metadata) of a kernel-bearing file: `kernel.model` or
+    `detector.model`, which adds threshold and batch-size metadata.  If the
+    metadata says the kernel uses a featurizer, it wraps `classifier`, read
+    from disk only when none is given."""
+    producer = "calibrate" if name == "detector.model" else "train-kernel"
+    tensors, meta = load_model(_artifact(out, name, producer))
+    featurizer = None
+    if meta.get("uses_featurizer") == "True":
+        featurizer = FeaturizerView(classifier or _load_classifier(out))
+    return component_from_state(DeepKernelParams, tensors, featurizer), meta
 
 
 def _load_denoiser(out: str, name: str = "denoiser.model") -> DenoiserParams:
@@ -120,7 +127,12 @@ def _adv_train_pool(cfg: RunConfig, classifier, images: ImageBatch, split,
 
 def _build_pipeline(out: str):
     classifier = _load_classifier(out)
-    detector = _load_detector(out, FeaturizerView(classifier))
+    kernel, meta = _load_kernel(out, classifier, "detector.model")
+    if "threshold" not in meta or "batch_size" not in meta:
+        raise FormatError(f"{os.path.join(out, 'detector.model')}: no "
+                          "threshold or batch_size metadata")
+    detector = DetectorModel(kernel, float(meta["threshold"]),
+                             int(meta["batch_size"]))
     denoiser = _load_denoiser(out)
     ref = np.load(_artifact(out, "reference.npy", "calibrate"))
     return DefensePipeline(detector, denoiser, classifier, ref)
@@ -172,15 +184,6 @@ def cmd_train_kernel(cfg: RunConfig, out: str):
           f"{max(trajectory):.4f}")
 
 
-def _load_kernel(out: str, classifier=None) -> DeepKernelParams:
-    """Featurizer wraps `classifier`, read from disk only when none is given."""
-    tensors, meta = load_model(_artifact(out, "kernel.model", "train-kernel"))
-    featurizer = None
-    if meta.get("uses_featurizer") == "True":
-        featurizer = FeaturizerView(classifier or _load_classifier(out))
-    return component_from_state(DeepKernelParams, tensors, featurizer)
-
-
 def _clean_calibration_pool(cfg: RunConfig, rng: Rng):
     if cfg.dataset == "synth_blobs":
         clean, _ = synth_blobs(rng.fork(), cfg.blobs_n, cfg.blobs_dim,
@@ -193,7 +196,7 @@ def _clean_calibration_pool(cfg: RunConfig, rng: Rng):
 
 def cmd_calibrate(cfg: RunConfig, out: str):
     rng = Rng(cfg.seed)
-    kernel = _load_kernel(out)
+    kernel, _ = _load_kernel(out)
     pool, images, split = _clean_calibration_pool(cfg, rng)
     if cfg.threshold_mode == "fixed":
         detector = DetectorModel(kernel=kernel, threshold=cfg.threshold,
@@ -202,11 +205,12 @@ def cmd_calibrate(cfg: RunConfig, out: str):
         detector = calibrate_threshold(kernel, pool, cfg.batch_size,
                                        cfg.far_target, cfg.calibration_trials,
                                        rng.fork())
-    tensors, meta = detector_state(detector)
-    meta.update({"lambda": repr(cfg.kernel_lambda),
-                 "far_target": repr(cfg.far_target), "seed": str(cfg.seed),
-                 "uses_featurizer": str(kernel.featurizer is not None)})
-    save_model(os.path.join(out, "detector.model"), tensors, meta)
+    save_model(os.path.join(out, "detector.model"), component_state(kernel),
+               {"threshold": repr(detector.threshold),
+                "batch_size": str(detector.batch_size),
+                "lambda": repr(cfg.kernel_lambda),
+                "far_target": repr(cfg.far_target), "seed": str(cfg.seed),
+                "uses_featurizer": str(kernel.featurizer is not None)})
     if images is not None:
         reference = images.subset(split.val_reference).flat
     else:
@@ -220,7 +224,7 @@ def cmd_train_denoiser(cfg: RunConfig, out: str):
     rng = Rng(cfg.seed)
     images, split = _split_images(cfg, rng)
     classifier = _load_classifier(out)
-    kernel = _load_kernel(out, classifier)
+    kernel, _ = _load_kernel(out, classifier)
     train = images.subset(split.train)
     theta, trajectory = train_denoiser(
         train.flat, train.labels, kernel, classifier, _train_attack_cfg(cfg),
@@ -325,7 +329,7 @@ def cmd_eval_batch_size(cfg: RunConfig, out: str):
     rng = Rng(cfg.seed)
     images, split = _split_images(cfg, rng)
     classifier = _load_classifier(out)
-    kernel = _load_kernel(out, classifier)
+    kernel, _ = _load_kernel(out, classifier)
     denoiser = _load_denoiser(out)
     test = images.subset(split.test)
     calib = images.subset(np.concatenate([split.train, split.val_reference]))
@@ -373,7 +377,7 @@ def cmd_verify_bound(cfg: RunConfig, out: str):
     min_slack = float("inf")
     for _ in range(cfg.domains):
         domain = DiscreteDomain.random(cfg.domain_size, rng.fork())
-        report = verify_theorem(domain, mode="all")
+        report = verify_theorem(domain)
         total_checked += report["hypotheses_checked"]
         violations += report["violations"]
         min_slack = min(min_slack, report["min_slack"])

@@ -21,6 +21,9 @@ from .tensor import Tensor
 MAGIC = b"DDADMDL1"
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+# glyph amplitude of `synth_digits`: classes stay linearly separable at the
+# default noise, with margins small enough for bounded attacks to bite
+DIGIT_CONTRAST = 0.25
 
 
 class FormatError(ValueError):
@@ -122,16 +125,12 @@ def _digit_templates(size: int = 8) -> np.ndarray:
 
 
 def synth_digits(rng: Rng, n: int, classes: int = 4, size: int = 8,
-                 pixel_noise: float = 0.1, contrast: float = 0.25) -> ImageBatch:
-    """Template glyphs plus clipped Gaussian pixel noise; label = template id.
-
-    `contrast` scales the glyph amplitude; the default keeps the classes
-    linearly separable at the default noise level while leaving the decision
-    margins small enough for bounded-perturbation attacks to bite.
-    """
+                 pixel_noise: float = 0.1) -> ImageBatch:
+    """Template glyphs at `DIGIT_CONTRAST` amplitude plus clipped Gaussian
+    pixel noise; label = template id."""
     if not 1 <= classes <= 4:
         raise ValueError(f"classes must be in [1,4], got {classes}")
-    templates = contrast * _digit_templates(size)[:classes]
+    templates = DIGIT_CONTRAST * _digit_templates(size)[:classes]
     labels = rng.integers(0, classes, n)
     data = templates[labels][:, None, :, :]
     if pixel_noise > 0:
@@ -179,7 +178,11 @@ def component_state(component) -> dict[str, np.ndarray]:
 def component_from_state(cls, tensors: dict[str, np.ndarray], *extra):
     """Rebuild `cls` from its saved layout with frozen tensors; `extra` fills
     the constructor arguments that follow the tensors."""
-    return cls(*(Tensor(tensors[key]) for key, _ in _layout(cls)), *extra)
+    layout = _layout(cls)
+    missing = [key for key, _ in layout if key not in tensors]
+    if missing:
+        raise FormatError(f"missing tensors {missing} of the {cls.PREFIX} layout")
+    return cls(*(Tensor(tensors[key]) for key, _ in layout), *extra)
 
 
 def _layout(cls) -> list[tuple[str, str]]:

@@ -12,13 +12,12 @@ constraint satisfied.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import tensor as T
-from .dataio import component_from_state, component_state
 from .models import ClassifierParams, features_forward
 from .optim import AdamState, adam_step
 from .rng import Rng
@@ -91,12 +90,8 @@ def _median_dist(x: np.ndarray) -> float:
     return med if med > 0 else 1.0
 
 
-def gaussian_kernel(x: Tensor, z: Tensor, sigma) -> Tensor:
+def gaussian_kernel(x: Tensor, z: Tensor, sigma: Tensor) -> Tensor:
     """q(x,z) = exp(-||x-z||^2 / (2 sigma^2)), rows of x [n,d] vs z [m,d]."""
-    if not isinstance(sigma, Tensor):
-        if sigma <= 0:
-            raise ValueError(f"sigma must be > 0, got {sigma}")
-        sigma = Tensor(float(sigma))
     d2 = T.pairwise_sqdist(x, z)
     return T.exp(-d2 / (2.0 * T.square(sigma)))
 
@@ -167,25 +162,22 @@ def j_hat(s_c: Tensor, s_a: Tensor, params: DeepKernelParams, lam: float) -> Ten
 # ---------------------------------------------------------------------------
 
 def optimize_kernel(clean_pool: np.ndarray, adv_pool: np.ndarray,
-                    featurizer: Optional[FeaturizerView] = None,
-                    epochs: int = 200, lr: float = 2e-4, batch_size: int = 100,
-                    lam: float = 1e-8, rng: Optional[Rng] = None,
-                    monitor_fraction: float = 0.2):
+                    featurizer: Optional[FeaturizerView], epochs: int,
+                    lr: float, batch_size: int, lam: float, rng: Rng):
     """Ascend the test-power proxy over raw kernel scalars with Adam.
 
-    One minibatch step per epoch; a held-out monitoring split selects the
-    returned parameters.  Returns (frozen params, monitor trajectory).
+    One minibatch step per epoch; the leading 20% of each pool is a held-out
+    monitoring split that selects the returned parameters.  Returns (frozen
+    params, monitor trajectory).
     """
-    if rng is None:
-        rng = Rng(0)
     clean = np.asarray(clean_pool, dtype=np.float64).reshape(len(clean_pool), -1)
     adv = np.asarray(adv_pool, dtype=np.float64).reshape(len(adv_pool), -1)
     if len(clean) == 0 or len(adv) == 0:
         raise ValueError("empty training pool")
     if batch_size < 2:
         raise ValueError(f"batch_size must be >= 2, got {batch_size}")
-    n_mon_c = max(2, int(len(clean) * monitor_fraction))
-    n_mon_a = max(2, int(len(adv) * monitor_fraction))
+    n_mon_c = max(2, int(len(clean) * 0.2))
+    n_mon_a = max(2, int(len(adv) * 0.2))
     mon_c, train_c = clean[:n_mon_c], clean[n_mon_c:]
     mon_a, train_a = adv[:n_mon_a], adv[n_mon_a:]
     if len(train_c) < 2 or len(train_a) < 2:
@@ -225,7 +217,6 @@ class DetectorModel:
     kernel: DeepKernelParams
     threshold: float
     batch_size: int
-    calibration: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not np.isfinite(self.threshold):
@@ -261,27 +252,6 @@ def calibrate_threshold(kernel: DeepKernelParams, clean_pool: np.ndarray,
         stats[i] = mmd_u_squared(Tensor(a), Tensor(b_), kernel).item()
     stats.sort()
     rank = min(trials - 1, max(0, int(np.ceil((1.0 - far_target) * trials)) - 1))
-    t = float(stats[rank])
-    report = {"far_target": far_target, "trials": trials,
-              "batch_size": batch_size, "null_mean": float(stats.mean()),
-              "null_std": float(stats.std())}
-    return DetectorModel(kernel=kernel, threshold=t, batch_size=batch_size,
-                         calibration=report)
+    return DetectorModel(kernel=kernel, threshold=float(stats[rank]),
+                         batch_size=batch_size)
 
-
-# ---------------------------------------------------------------------------
-# persistence
-# ---------------------------------------------------------------------------
-
-def detector_state(model: DetectorModel) -> tuple[dict, dict]:
-    meta = {"threshold": repr(model.threshold),
-            "batch_size": str(model.batch_size)}
-    return component_state(model.kernel), meta
-
-
-def detector_from_state(tensors: dict, meta: dict,
-                        featurizer: Optional[FeaturizerView]) -> DetectorModel:
-    return DetectorModel(kernel=component_from_state(DeepKernelParams, tensors,
-                                                     featurizer),
-                         threshold=float(meta["threshold"]),
-                         batch_size=int(meta["batch_size"]))

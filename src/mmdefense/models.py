@@ -15,6 +15,7 @@ from .tensor import GradTape, Tensor
 HIDDEN1 = 64
 HIDDEN2 = 32  # penultimate feature width
 DENOISER_HIDDEN = 128
+CLASSIFIER_BATCH = 128  # minibatch rows of `train_classifier`
 
 
 def _affine_init(rng: Rng, fan_in: int, fan_out: int, scale: Optional[float] = None):
@@ -91,8 +92,7 @@ def accuracy(params: ClassifierParams, batch: np.ndarray, labels: np.ndarray) ->
     return float((pred == labels).mean())
 
 
-def train_classifier(images: ImageBatch, epochs: int, lr: float, rng: Rng,
-                     batch_size: int = 128):
+def train_classifier(images: ImageBatch, epochs: int, lr: float, rng: Rng):
     """Adam on cross-entropy; returns (frozen params, final train accuracy)."""
     if images.labels is None:
         raise ValueError("classifier training needs labels")
@@ -106,8 +106,8 @@ def train_classifier(images: ImageBatch, epochs: int, lr: float, rng: Rng,
     n = len(x)
     for _ in range(epochs):
         order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
+        for start in range(0, n, CLASSIFIER_BATCH):
+            idx = order[start:start + CLASSIFIER_BATCH]
             if len(idx) < 2:
                 continue
             with GradTape() as tape:

@@ -55,5 +55,5 @@ class Rng:
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
-    def choice(self, n: int, k: int, replace: bool = False) -> np.ndarray:
-        return self._gen.choice(n, size=k, replace=replace)
+    def choice(self, n: int, k: int) -> np.ndarray:
+        return self._gen.choice(n, size=k, replace=False)

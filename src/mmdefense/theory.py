@@ -7,13 +7,13 @@ every hypothesis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .rng import Rng
 
 _TOL = 1e-12
+PROBE_GRID = 11  # interpolation points of `tightness_probe`, ends included
 
 
 @dataclass
@@ -85,38 +85,26 @@ def hypothesis_from_index(index: int, n: int) -> np.ndarray:
     return np.array([(index >> i) & 1 for i in range(n)], dtype=np.int64)
 
 
-def verify_theorem(domain: DiscreteDomain, mode: str = "all",
-                   sample: int = 0, rng: Optional[Rng] = None,
-                   tol: float = _TOL) -> dict:
-    """Check R_A <= R_C + d1 for every (or `sample` random) hypotheses.
+def verify_theorem(domain: DiscreteDomain, tol: float = _TOL) -> dict:
+    """Check R_A <= R_C + d1 for every one of the 2^N hypotheses (N <= 12).
 
     Returns {"hypotheses_checked", "violations", "min_slack", "max_slack"}.
     """
     n = domain.size
+    if n > 12:
+        raise ValueError(f"exhaustive check limited to N <= 12, got {n}")
     d1 = l1_divergence(domain.phi_c, domain.phi_a)
-    if mode == "all":
-        if n > 12:
-            raise ValueError(f"exhaustive mode limited to N <= 12, got {n}")
-        indices = range(1 << n)
-    elif mode == "sample":
-        if rng is None or sample < 1:
-            raise ValueError("sample mode needs rng and sample >= 1")
-        indices = [int(r) for r in rng.integers(0, 1 << n, sample)]
-    else:
-        raise ValueError(f"mode must be 'all' or 'sample', got {mode!r}")
     violations = 0
     min_slack = np.inf
     max_slack = -np.inf
-    count = 0
-    for idx in indices:
+    for idx in range(1 << n):
         h = hypothesis_from_index(idx, n)
         slack = risk(h, domain.f, domain.phi_c) + d1 - risk(h, domain.f, domain.phi_a)
         if slack < -tol:
             violations += 1
         min_slack = min(min_slack, slack)
         max_slack = max(max_slack, slack)
-        count += 1
-    return {"hypotheses_checked": count, "violations": violations,
+    return {"hypotheses_checked": 1 << n, "violations": violations,
             "min_slack": float(min_slack), "max_slack": float(max_slack)}
 
 
@@ -125,13 +113,12 @@ def max_excess_risk(domain: DiscreteDomain) -> float:
     return float(np.maximum(domain.phi_a - domain.phi_c, 0.0).sum())
 
 
-def tightness_probe(base: DiscreteDomain, target_phi_a: np.ndarray,
-                    grid: int = 11):
+def tightness_probe(base: DiscreteDomain, target_phi_a: np.ndarray):
     """Interpolate the adversarial mass from phi_c toward target_phi_a and
     report (mix, d1, max excess adversarial risk) per grid point."""
     rows = []
-    for i in range(grid):
-        w = i / (grid - 1)
+    for i in range(PROBE_GRID):
+        w = i / (PROBE_GRID - 1)
         phi_a = (1.0 - w) * base.phi_c + w * np.asarray(target_phi_a)
         dom = DiscreteDomain(base.phi_c, phi_a / phi_a.sum(), base.f)
         rows.append((float(w), l1_divergence(dom.phi_c, dom.phi_a),

@@ -237,7 +237,7 @@ def test_criterion_4_theorem_exhaustive(capsys):
     checked = violations = 0
     for _ in range(50):
         domain = DiscreteDomain.random(8, rng.fork())
-        report = verify_theorem(domain, mode="all", tol=1e-12)
+        report = verify_theorem(domain, tol=1e-12)
         checked += report["hypotheses_checked"]
         violations += report["violations"]
     worst = 0.0

@@ -4,7 +4,8 @@ import pytest
 from mmdefense.attacks import (AttackConfig, NoiseConfig, adaptive_pgd_eot,
                                fgsm, inject_noise, pgd)
 from mmdefense.dataio import synth_digits
-from mmdefense.discrepancy import DeepKernelParams, calibrate_threshold
+from mmdefense.discrepancy import (DeepKernelParams, DetectorModel,
+                                   calibrate_threshold)
 from mmdefense.models import DenoiserParams, accuracy, train_classifier
 from mmdefense.rng import Rng
 
@@ -167,28 +168,33 @@ class TestAdaptive:
         assert np.abs(one - many).max() < 1e-12
 
     def test_clean_branch_draws_no_noise_and_ignores_eot(self, setup):
-        # with the gate threshold at +inf every iteration takes the clean
-        # branch, whose replicas are identical: no draws, same sign steps
+        # with the gate threshold at the largest float every iteration takes
+        # the clean branch, whose replicas are identical: no draws, same sign
+        # steps
         images, classifier, detector, denoiser = setup
+        open_gate = DetectorModel(detector.kernel, np.finfo(float).max,
+                                  detector.batch_size)
         x, y = images.flat[:50], images.labels[:50]
         rng = Rng(8)
-        runs = [adaptive_pgd_eot(detector, denoiser, classifier, x, y,
+        runs = [adaptive_pgd_eot(open_gate, denoiser, classifier, x, y,
                                  self.cfg(eot=eot), NoiseConfig(0.0, 0.25),
-                                 rng, gate_threshold=np.inf)
+                                 rng)
                 for eot in (1, 10)]
         assert np.array_equal(runs[0], runs[1])
         assert np.array_equal(rng.uniform((8,)), Rng(8).uniform((8,)))
 
     def test_huge_alpha_open_gate_recovers_plain_pgd(self, setup):
-        # with the gate threshold at +inf the clean branch always runs, and
-        # alpha >> 1 drowns the statistic term: the attack must track plain
-        # PGD on the classifier
+        # with the gate threshold at the largest float the clean branch
+        # always runs, and alpha >> 1 drowns the statistic term: the attack
+        # must track plain PGD on the classifier
         images, classifier, detector, denoiser = setup
+        open_gate = DetectorModel(detector.kernel, np.finfo(float).max,
+                                  detector.batch_size)
         x, y = images.flat[:50], images.labels[:50]
         cfg = self.cfg(iters=10, eot=1)
-        adaptive = adaptive_pgd_eot(detector, denoiser, classifier, x, y,
+        adaptive = adaptive_pgd_eot(open_gate, denoiser, classifier, x, y,
                                     cfg, NoiseConfig(0.0, 0.25), Rng(6),
-                                    gate_threshold=np.inf, alpha=1e6)
+                                    alpha=1e6)
         plain = pgd(classifier, x, y, cfg, None)
         da, dp = (adaptive - x).ravel(), (plain - x).ravel()
         cosine = float(da @ dp / (np.linalg.norm(da) * np.linalg.norm(dp)))

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -164,13 +165,27 @@ class TestCliChain:
 
     def test_loaders_return_frozen_components(self, full_run):
         _, _, out, _ = full_run
-        kernel = cli._load_kernel(out)
+        kernel, _ = cli._load_kernel(out)
         pipe = cli._build_pipeline(out)
         loaded = (kernel.raws + pipe.detector.kernel.raws
                   + pipe.denoiser.params + pipe.classifier.params)
         assert not any(t.requires_grad for t in loaded)
         clf = cli._load_classifier(out)
-        assert cli._load_kernel(out, clf).featurizer.classifier is clf
+        assert cli._load_kernel(out, clf)[0].featurizer.classifier is clf
+
+    def test_detector_round_trip(self, full_run):
+        # detector.model is the kernel's layout plus threshold and batch-size
+        # metadata, read back through the kernel's loader
+        _, _, out, _ = full_run
+        kernel_tensors, _ = load_model(os.path.join(out, "kernel.model"))
+        tensors, meta = load_model(os.path.join(out, "detector.model"))
+        assert list(tensors) == list(kernel_tensors) == [
+            "kernel.raw_beta0", "kernel.raw_sigma_q", "kernel.raw_sigma_phi"]
+        detector = cli._build_pipeline(out).detector
+        assert detector.threshold == float(meta["threshold"])
+        assert detector.batch_size == int(meta["batch_size"]) == 50
+        for raw, saved in zip(detector.kernel.raws, kernel_tensors.values()):
+            assert raw.data.tobytes() == saved.tobytes()
 
     def test_detector_metadata_records_run_settings(self, full_run):
         _, _, out, _ = full_run
@@ -211,6 +226,20 @@ class TestCliErrors:
         assert code == 2
         assert "train-kernel" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source, target, named", [
+        ("kernel.model", "detector.model", "threshold"),
+        ("kernel.model", "denoiser.model", "denoiser.w1")])
+    def test_malformed_model_is_exit_1(self, full_run, tmp_path, capsys,
+                                       source, target, named):
+        _, cfgpath, out, _ = full_run
+        copy = str(tmp_path / "runs")
+        shutil.copytree(out, copy)
+        shutil.copyfile(os.path.join(copy, source), os.path.join(copy, target))
+        code = main(["defend", "--config", cfgpath, "--out", copy])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and named in err
+
     def test_unknown_command_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["explode", "--config", write_config(tmp_path)])
@@ -226,6 +255,8 @@ class TestCliBlobs:
         assert main(["calibrate", "--config", path, "--out", out]) == 0
         assert os.path.exists(os.path.join(out, "detector.model"))
         assert np.load(os.path.join(out, "reference.npy")).shape == (40, 2)
+        kernel, _ = cli._load_kernel(out, name="detector.model")
+        assert kernel.featurizer is None
 
 
 class TestReproducibility:

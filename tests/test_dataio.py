@@ -7,8 +7,7 @@ import pytest
 from mmdefense.dataio import (FormatError, ImageBatch, component_state,
                               load_idx, load_model, make_split, save_model,
                               synth_blobs, synth_digits)
-from mmdefense.discrepancy import (DeepKernelParams, DetectorModel,
-                                   detector_state)
+from mmdefense.discrepancy import DeepKernelParams
 from mmdefense.models import ClassifierParams, DenoiserParams
 from mmdefense.rng import Rng
 
@@ -252,11 +251,6 @@ class TestSavedLayout:
             path = str(tmp_path / f"{name}.model")
             save_model(path, component_state(component))
             assert _header_names(path) == expected
-
-        detector = DetectorModel(kernel, threshold=0.1, batch_size=10)
-        path = str(tmp_path / "detector.model")
-        save_model(path, *detector_state(detector))
-        assert _header_names(path) == components["kernel"][1]
 
 
 class TestImageBatch:

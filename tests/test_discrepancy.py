@@ -5,8 +5,7 @@ import pytest
 
 from mmdefense import tensor as T
 from mmdefense.discrepancy import (DeepKernelParams, calibrate_threshold,
-                                   deep_kernel, detector_from_state,
-                                   detector_state, gaussian_kernel, h_matrix,
+                                   deep_kernel, gaussian_kernel, h_matrix,
                                    j_hat, mmd_from_h, mmd_opt, mmd_u_squared,
                                    optimize_kernel, variance_hat)
 from mmdefense.optim import finite_diff_grad
@@ -71,11 +70,12 @@ def make_params(beta0, sigma_q, sigma_phi):
 class TestKernelValues:
     def test_gaussian_at_zero_distance_is_one(self):
         x = Tensor([[0.3, 0.7]])
-        assert gaussian_kernel(x, x, 2.0).data[0, 0] == pytest.approx(1.0)
+        assert gaussian_kernel(x, x, Tensor(2.0)).data[0, 0] == pytest.approx(1.0)
 
     def test_gaussian_hand_value(self):
         # ||x-z||^2 = 25, sigma = 5 -> exp(-25/50) = exp(-1/2)
-        out = gaussian_kernel(Tensor([[0.0, 0.0]]), Tensor([[3.0, 4.0]]), 5.0)
+        out = gaussian_kernel(Tensor([[0.0, 0.0]]), Tensor([[3.0, 4.0]]),
+                              Tensor(5.0))
         assert out.data[0, 0] == pytest.approx(math.exp(-0.5), rel=1e-12)
 
     def test_deep_kernel_diagonal_is_one(self):
@@ -106,10 +106,6 @@ class TestKernelValues:
             b0 = p.beta0().item()
             assert 0.0 < b0 < 1.0
             assert p.sigma_q().item() > 0.0
-
-    def test_nonpositive_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            gaussian_kernel(Tensor([[0.0]]), Tensor([[1.0]]), 0.0)
 
 
 class TestMmdEstimator:
@@ -310,7 +306,6 @@ class TestDetector:
         kernel = DeepKernelParams.init_median(pool[:32])
         model = calibrate_threshold(kernel, pool, 20, 0.05, 1, rng)
         assert np.isfinite(model.threshold)
-        assert model.calibration["trials"] == 1
 
     @pytest.mark.parametrize("rows", [10, 80])
     def test_wrong_size_batch_error_names_required_size(self, rows):
@@ -325,19 +320,6 @@ class TestDetector:
         kernel = make_params(0.5, 1.0, 1.0)
         with pytest.raises(ValueError):
             calibrate_threshold(kernel, np.zeros((30, 2)), 20, 0.05, 5, Rng(0))
-
-    def test_state_round_trip_preserves_statistic(self):
-        rng = Rng(16)
-        pool = rng.normal((300, 3), 0, 1)
-        kernel = DeepKernelParams.init_median(pool[:32])
-        model = calibrate_threshold(kernel, pool, 25, 0.05, 20, rng.fork())
-        tensors, meta = detector_state(model)
-        restored = detector_from_state(
-            {k: v.copy() for k, v in tensors.items()}, dict(meta), None)
-        a, b = pool[:25], pool[25:50]
-        assert mmd_opt(restored, a, b) == mmd_opt(model, a, b)
-        assert restored.threshold == model.threshold
-        assert not any(p.requires_grad for p in restored.kernel.raws)
 
 
 class TestOptimization:
@@ -358,7 +340,7 @@ class TestOptimization:
         adv[:, 0] += 1.5
         params, traj = optimize_kernel(clean, adv, None, epochs=30, lr=1e-2,
                                        batch_size=50, lam=1e-8,
-                                       rng=rng.fork(), monitor_fraction=0.2)
+                                       rng=rng.fork())
         mon_c, mon_a = clean[:60], adv[:60]
         m = 50
         achieved = j_hat(Tensor(mon_c[:m]), Tensor(mon_a[:m]),

@@ -1,4 +1,4 @@
-"""Every imported name in the package and its tests is used."""
+"""Every imported name in the package, its tests and the benchmark is used."""
 import ast
 import pathlib
 
@@ -6,7 +6,8 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FILES = sorted([*(ROOT / "src" / "mmdefense").glob("*.py"),
-                *(ROOT / "tests").glob("*.py")])
+                *(ROOT / "tests").glob("*.py"),
+                *(ROOT / "perfbench").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:

@@ -89,7 +89,7 @@ class TestTheorem:
     def test_exhaustive_no_violations(self):
         for seed in range(10):
             dom = DiscreteDomain.random(8, Rng(seed))
-            report = verify_theorem(dom, mode="all")
+            report = verify_theorem(dom)
             assert report["hypotheses_checked"] == 256
             assert report["violations"] == 0
             assert report["min_slack"] >= -1e-12
@@ -97,7 +97,7 @@ class TestTheorem:
     def test_identical_distributions_slack_is_exactly_zero(self):
         m = random_mass(Rng(20), 6)
         dom = DiscreteDomain(m, m.copy(), Rng(21).integers(0, 2, 6))
-        report = verify_theorem(dom, mode="all")
+        report = verify_theorem(dom)
         assert report["min_slack"] == 0.0
         # the bound is met with equality by every hypothesis here
         assert report["max_slack"] == 0.0
@@ -109,12 +109,12 @@ class TestTheorem:
             dom = DiscreteDomain.random(7, Rng(seed + 30))
             d1 = l1_divergence(dom.phi_c, dom.phi_a)
             assert max_excess_risk(dom) == pytest.approx(d1 / 2.0, abs=1e-12)
-            report = verify_theorem(dom, mode="all")
+            report = verify_theorem(dom)
             assert report["min_slack"] == pytest.approx(d1 / 2.0, abs=1e-12)
 
     def test_adversarial_search_finds_no_counterexample(self):
-        # randomized stress search over skewed domains; a regression here
-        # means either the bound or the divergence implementation broke
+        # exhaustive stress search over random skewed domains; a regression
+        # here means either the bound or the divergence implementation broke
         rng = Rng(99)
         for _ in range(200):
             n = int(rng.integers(2, 10))
@@ -122,24 +122,13 @@ class TestTheorem:
             a = random_mass(rng, n) ** 3  # sharpen to stress the supremum
             a = a / a.sum()
             dom = DiscreteDomain(c, a, rng.integers(0, 2, n))
-            report = verify_theorem(dom, mode="sample", sample=32,
-                                    rng=rng.fork())
+            report = verify_theorem(dom)
             assert report["violations"] == 0
-
-    def test_sample_mode_requires_rng(self):
-        dom = DiscreteDomain.random(4, Rng(0))
-        with pytest.raises(ValueError):
-            verify_theorem(dom, mode="sample", sample=10)
 
     def test_exhaustive_size_cap(self):
         dom = DiscreteDomain.random(13, Rng(0))
         with pytest.raises(ValueError):
-            verify_theorem(dom, mode="all")
-
-    def test_bad_mode_rejected(self):
-        dom = DiscreteDomain.random(4, Rng(0))
-        with pytest.raises(ValueError, match="mode"):
-            verify_theorem(dom, mode="exact")
+            verify_theorem(dom)
 
 
 class TestDomainValidation:
@@ -160,7 +149,7 @@ class TestTightnessProbe:
     def test_divergence_monotone_along_interpolation(self):
         base = DiscreteDomain.random(6, Rng(40))
         target = random_mass(Rng(41), 6)
-        rows = tightness_probe(base, target, grid=11)
+        rows = tightness_probe(base, target)
         mixes = [r[0] for r in rows]
         d1s = [r[1] for r in rows]
         assert mixes[0] == 0.0 and mixes[-1] == 1.0
@@ -170,5 +159,5 @@ class TestTightnessProbe:
     def test_excess_risk_tracks_half_divergence(self):
         base = DiscreteDomain.random(5, Rng(42))
         target = random_mass(Rng(43), 5)
-        for _, d1, excess in tightness_probe(base, target, grid=7):
+        for _, d1, excess in tightness_probe(base, target):
             assert excess == pytest.approx(d1 / 2.0, abs=1e-12)
