@@ -128,11 +128,15 @@ def _adv_train_pool(cfg: RunConfig, classifier, images: ImageBatch, split,
 def _build_pipeline(out: str):
     classifier = _load_classifier(out)
     kernel, meta = _load_kernel(out, classifier, "detector.model")
-    if "threshold" not in meta or "batch_size" not in meta:
-        raise FormatError(f"{os.path.join(out, 'detector.model')}: no "
-                          "threshold or batch_size metadata")
-    detector = DetectorModel(kernel, float(meta["threshold"]),
-                             int(meta["batch_size"]))
+    path = os.path.join(out, "detector.model")
+    try:
+        threshold, batch_size = float(meta["threshold"]), int(meta["batch_size"])
+    except KeyError:
+        raise FormatError(f"{path}: no threshold or batch_size metadata") from None
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: bad threshold or batch_size metadata: "
+                          f"{exc}") from None
+    detector = DetectorModel(kernel, threshold, batch_size)
     denoiser = _load_denoiser(out)
     ref = np.load(_artifact(out, "reference.npy", "calibrate"))
     return DefensePipeline(detector, denoiser, classifier, ref)

@@ -13,6 +13,7 @@ constraint satisfied.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -91,9 +92,14 @@ def _median_dist(x: np.ndarray) -> float:
 
 
 def gaussian_kernel(x: Tensor, z: Tensor, sigma: Tensor) -> Tensor:
-    """q(x,z) = exp(-||x-z||^2 / (2 sigma^2)), rows of x [n,d] vs z [m,d]."""
+    """q(x,z) = exp(-||x-z||^2 / (2 sigma^2)), rows of x [n,d] vs z [m,d].
+
+    The sign sits on the scalar denominator: d2 / (-2 sigma^2) is bitwise
+    -d2 / (2 sigma^2), in value and in every gradient, without negating the
+    [n,m] block.
+    """
     d2 = T.pairwise_sqdist(x, z)
-    return T.exp(-d2 / (2.0 * T.square(sigma)))
+    return T.exp(d2 / (-2.0 * T.square(sigma)))
 
 
 def deep_kernel(params: DeepKernelParams, x: Tensor, z: Tensor) -> Tensor:
@@ -126,8 +132,15 @@ def mmd_from_h(h: Tensor) -> Tensor:
     n = h.shape[0]
     if n < 2:
         raise ValueError(f"need batch size >= 2, got {n}")
-    offdiag = Tensor(1.0 - np.eye(n))
-    return T.tsum(h * offdiag) * (1.0 / (n * (n - 1)))
+    return T.tsum(h * _offdiag(n)) * (1.0 / (n * (n - 1)))
+
+
+@lru_cache(maxsize=8)
+def _offdiag(n: int) -> Tensor:
+    """Constant [n,n] mask with zeros on the diagonal (read-only: shared)."""
+    mask = 1.0 - np.eye(n)
+    mask.setflags(write=False)
+    return Tensor(mask)
 
 
 def mmd_u_squared(x: Tensor, z: Tensor, params: DeepKernelParams) -> Tensor:

@@ -1,8 +1,8 @@
-"""Adam optimizer and the finite-difference gradient oracle."""
+"""Adam optimizer."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -57,22 +57,3 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray],
         p.data = p.data - lr * mhat / (np.sqrt(vhat) + EPS)
     return state
 
-
-def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray,
-                     h: float = 1e-5) -> np.ndarray:
-    """Central differences (f(x+h e_i) - f(x-h e_i)) / (2h) per coordinate."""
-    if h <= 0:
-        raise ValueError(f"h must be > 0, got {h}")
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat = grad.reshape(-1)
-    xf = x.reshape(-1)
-    for i in range(xf.size):
-        orig = xf[i]
-        xf[i] = orig + h
-        fp = f(x)
-        xf[i] = orig - h
-        fm = f(x)
-        xf[i] = orig
-        flat[i] = (fp - fm) / (2.0 * h)
-    return grad

@@ -8,7 +8,7 @@ import pytest
 from mmdefense import cli
 from mmdefense.cli import main
 from mmdefense.config import ConfigError, config_echo, parse_config
-from mmdefense.dataio import load_model
+from mmdefense.dataio import load_model, save_model
 
 SMALL_DIGITS = """
 # small but complete digit run
@@ -239,6 +239,18 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and named in err
+
+    def test_non_numeric_threshold_is_exit_1(self, full_run, tmp_path, capsys):
+        _, cfgpath, out, _ = full_run
+        copy = str(tmp_path / "runs")
+        shutil.copytree(out, copy)
+        path = os.path.join(copy, "detector.model")
+        tensors, meta = load_model(path)
+        save_model(path, tensors, {**meta, "threshold": "abc"})
+        code = main(["defend", "--config", cfgpath, "--out", copy])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "detector.model" in err
 
     def test_unknown_command_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

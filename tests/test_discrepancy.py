@@ -8,9 +8,10 @@ from mmdefense.discrepancy import (DeepKernelParams, calibrate_threshold,
                                    deep_kernel, gaussian_kernel, h_matrix,
                                    j_hat, mmd_from_h, mmd_opt, mmd_u_squared,
                                    optimize_kernel, variance_hat)
-from mmdefense.optim import finite_diff_grad
 from mmdefense.rng import Rng
 from mmdefense.tensor import GradTape, Tensor
+
+from finite_diff import finite_diff_grad
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ from mmdefense.models import (ClassifierParams, DenoiserParams, accuracy,
                               classifier_forward, classify, cross_entropy,
                               denoise, denoiser_forward, features_forward,
                               train_classifier)
-from mmdefense.optim import finite_diff_grad
 from mmdefense.rng import Rng
 from mmdefense.tensor import GradTape, Tensor
+
+from finite_diff import finite_diff_grad
 
 
 @pytest.fixture(scope="module")

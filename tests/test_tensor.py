@@ -3,16 +3,19 @@ import inspect
 import numpy as np
 import pytest
 
+from mmdefense import discrepancy
 from mmdefense import tensor as T
-from mmdefense.discrepancy import (DeepKernelParams, FeaturizerView, j_hat,
-                                   mmd_u_squared)
+from mmdefense.discrepancy import (DeepKernelParams, FeaturizerView,
+                                   gaussian_kernel, j_hat, mmd_u_squared)
 from mmdefense.models import (ClassifierParams, DenoiserParams,
                               classifier_forward, cross_entropy,
                               denoiser_forward)
-from mmdefense.optim import AdamState, adam_step, finite_diff_grad
+from mmdefense.optim import AdamState, adam_step
 from mmdefense.rng import Rng
 from mmdefense.tensor import (GradTape, NonFiniteError, ShapeError, Tensor,
                               backward)
+
+from finite_diff import finite_diff_grad
 
 
 def numeric_grad(build, x0, h=1e-6):
@@ -48,6 +51,26 @@ class TestForwardOps:
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 5\)"):
             T.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
+
+    @pytest.mark.parametrize("op", ["sub", "mul", "div"])  # add: above
+    def test_binary_shape_mismatch_names_both_shapes(self, op):
+        with pytest.raises(ShapeError, match=rf"{op}: .*\(2, 3\).*\(4, 5\)"):
+            getattr(T, op)(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
+
+    def test_scalar_broadcasts_against_matrix(self):
+        m = Tensor(np.arange(6.0).reshape(2, 3))
+        assert np.array_equal((Tensor(2.0) * m).data, 2.0 * m.data)
+        assert np.array_equal((1.0 - m).data, 1.0 - m.data)
+        assert np.array_equal((m / np.float64(4.0)).data, m.data / 4.0)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), np.float64("-inf")])
+    def test_non_finite_python_operand_is_an_error(self, bad):
+        with pytest.raises(NonFiniteError):
+            Tensor(np.ones(2)) / bad  # 1 / inf is finite: the operand is the error
+
+    def test_zero_d_overflow_is_an_error(self):
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+            T.exp(Tensor(1000.0))
 
     def test_nan_is_an_error(self):
         with pytest.raises(NonFiniteError):
@@ -100,6 +123,16 @@ class TestBackward:
     def test_empty_tape_rejected(self):
         with pytest.raises(ValueError):
             backward(GradTape(), Tensor(1.0))
+
+    def test_output_off_the_tape_rejected_before_any_grad(self):
+        x = Tensor(2.0, requires_grad=True)
+        w = Tensor(np.ones(2), requires_grad=True)
+        with GradTape() as tape:
+            y = T.tsum(w * x)
+        off = y * x  # made after the tape closed
+        with pytest.raises(ValueError, match="not produced on this tape"):
+            backward(tape, off)
+        assert x.grad is None and w.grad is None
 
     def test_reused_node_accumulates(self):
         x = Tensor(2.0, requires_grad=True)
@@ -165,9 +198,8 @@ def _tape_everything(op, data, parents, grad_fns):
     T._check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data, out.requires_grad, out.grad = data, False, None
-    tape = T.active_tape()
-    if tape is not None:
-        tape.nodes.append(T._Node(out, parents, grad_fns))
+    if T._TAPE_STACK:
+        T._TAPE_STACK[-1].nodes.append(T._Node(out, parents, grad_fns))
     return out
 
 
@@ -248,6 +280,35 @@ def test_pruned_backward_equals_full_walk_bitwise(case, monkeypatch):
     assert any(np.any(g != 0) for g in got)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+
+
+def _unfolded_gaussian_kernel(x, z, sigma):
+    """gaussian_kernel as written before the sign moved to the denominator."""
+    d2 = T.pairwise_sqdist(x, z)
+    return T.exp(-d2 / (2.0 * T.square(sigma)))
+
+
+def test_gaussian_kernel_sign_fold_is_bitwise(monkeypatch):
+    _, _, xc, xa, _, kernel = _frozen_world()
+    weights = Tensor(Rng(5).normal((N, N), 0.0, 1.0))
+
+    def values_and_grads(kernel_fn):
+        k = kernel.clone()
+        x = Tensor(xa, requires_grad=True)
+        with GradTape() as tape:
+            block = kernel_fn(x, Tensor(xc), k.sigma_q())
+            out = T.tsum(block * weights)
+        direct = [block.data, *T.grad_of(tape, out, [x, k.raw_sigma_q])]
+        monkeypatch.setattr(discrepancy, "gaussian_kernel", kernel_fn)
+        with GradTape() as tape:
+            j = j_hat(Tensor(xc), x, k, 1e-8)
+        return direct + [j.data, *T.grad_of(tape, j, [x, *k.raws])]
+
+    folded = values_and_grads(gaussian_kernel)
+    unfolded = values_and_grads(_unfolded_gaussian_kernel)
+    assert any(np.any(g != 0) for g in folded[1:])
+    for got, want in zip(folded, unfolded):
+        assert np.array_equal(got, want)
 
 
 def test_statistic_computes_no_adjoint_for_a_constant():
