@@ -63,12 +63,12 @@ class ClassifierParams:
 
 def features_forward(params: ClassifierParams, x: Tensor) -> Tensor:
     """Penultimate activations [n, 32]; x is flattened [n, d]."""
-    h1 = T.relu(x @ params.w1 + params.b1)
-    return T.relu(h1 @ params.w2 + params.b2)
+    h1 = T.relu(T.affine(x, params.w1, params.b1))
+    return T.relu(T.affine(h1, params.w2, params.b2))
 
 
 def classifier_forward(params: ClassifierParams, x: Tensor) -> Tensor:
-    return features_forward(params, x) @ params.w3 + params.b3
+    return T.affine(features_forward(params, x), params.w3, params.b3)
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -145,7 +145,7 @@ class DenoiserParams:
 
 def denoiser_forward(theta: DenoiserParams, x: Tensor) -> Tensor:
     """x is flattened [n, d] (any finite values); output clipped to [0,1]."""
-    residual = T.relu(x @ theta.w1 + theta.b1) @ theta.w2 + theta.b2
+    residual = T.affine(T.relu(T.affine(x, theta.w1, theta.b1)), theta.w2, theta.b2)
     return T.clip(x + residual, 0.0, 1.0)
 
 

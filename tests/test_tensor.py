@@ -1,4 +1,6 @@
 import inspect
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,7 +75,7 @@ class TestForwardOps:
             T.exp(Tensor(1000.0))
 
     def test_nan_is_an_error(self):
-        with pytest.raises(NonFiniteError):
+        with pytest.warns(RuntimeWarning), pytest.raises(NonFiniteError):
             T.log(Tensor([0.0]))
         with pytest.raises(NonFiniteError):
             Tensor([np.nan])
@@ -89,6 +91,107 @@ class TestForwardOps:
         with GradTape():
             taped = run()
         assert np.array_equal(untaped, taped)
+
+    @pytest.mark.parametrize("w_shape,b_shape,shapes", [
+        ((5, 2), (2,), r"\(3, 4\) and \(5, 2\)"),  # inner dimensions differ
+        ((4,), (2,), r"\(3, 4\) and \(4,\)"),  # weight is not a matrix
+        ((4, 2), (3,), r"\(3, 2\) and \(3,\)"),  # bias does not broadcast
+        ((4, 2), (5, 3, 2), r"\(3, 2\) and \(5, 3, 2\)"),  # bias would grow the output
+    ], ids=["inner", "weight-vector", "bias", "bias-grows"])
+    def test_affine_shape_mismatch_names_both_shapes(self, w_shape, b_shape, shapes):
+        with pytest.raises(ShapeError, match=rf"affine: .*{shapes}"):
+            T.affine(Tensor(np.ones((3, 4))), Tensor(np.ones(w_shape)),
+                     Tensor(np.ones(b_shape)))
+
+
+BIG = 1e200  # finite, but its square overflows
+# (primitive, finite inputs -> non-finite output, name in the message, whether
+# numpy warns first); the ufunc-based ops always warn, while a BLAS-backed op
+# warns only if its BLAS leaves the floating-point status flags set
+NON_FINITE_CASES = [
+    ("add", lambda: T.add(Tensor([1e308]), Tensor([1e308])), "add", True),
+    ("sub", lambda: T.sub(Tensor([1e308]), Tensor([-1e308])), "sub", True),
+    ("mul", lambda: T.mul(Tensor([BIG]), Tensor([BIG])), "mul", True),
+    ("div", lambda: T.div(Tensor([1.0, 2.0]), Tensor([1.0, 0.0])), "div", True),
+    ("matmul", lambda: T.matmul(Tensor([[BIG, 1.0]]), Tensor([[BIG], [1.0]])), "matmul", False),
+    ("affine", lambda: T.affine(Tensor([[1e308]]), Tensor([[1.0]]), Tensor([1e308])), "affine",
+     False),
+    ("tsum", lambda: T.tsum(Tensor([1e308, 1e308])), "sum", True),
+    ("exp", lambda: T.exp(Tensor([1.0, 1000.0])), "exp", True),
+    ("log", lambda: T.log(Tensor([1.0, -1.0])), "log", True),
+    ("square", lambda: T.square(Tensor([BIG])), "square", True),
+    ("sqrt", lambda: T.sqrt(Tensor([4.0, -1.0])), "sqrt", True),
+    ("pairwise_sqdist", lambda: T.pairwise_sqdist(Tensor([[BIG]]), Tensor([[0.0]])),
+     "pairwise_sqdist", False),
+    ("log_softmax", lambda: T.log_softmax(Tensor([[1e308, -1e308]])), "log_softmax", True),
+]
+
+
+@pytest.mark.parametrize("build,name,warns", [c[1:] for c in NON_FINITE_CASES],
+                         ids=[c[0] for c in NON_FINITE_CASES])
+def test_every_primitive_raises_on_a_non_finite_output(build, name, warns):
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(NonFiniteError, match=rf"^{name} produced non-finite values$"):
+            build()
+    if warns:
+        assert any(issubclass(w.category, RuntimeWarning) for w in seen)
+
+
+def _with_layout(flat: np.ndarray, layout: str) -> np.ndarray:
+    """`flat`'s values, in memory order, as a C-order matrix, an F-order
+    matrix or a strided view whose skipped elements are NaN."""
+    n = flat.size
+    rows = max(d for d in range(1, math.isqrt(n) + 1) if n % d == 0)
+    if layout == "C":
+        return flat.reshape(rows, n // rows)
+    if layout == "F":
+        return flat.reshape(n // rows, rows).T
+    base = np.full(2 * n, np.nan)
+    base[::2] = flat
+    return base[::2]
+
+
+FINITE_CHECK_SIZES = [*range(1, 70), 100, 128, 6400, 10000]
+
+
+class TestFiniteCheck:
+    """The array check is one dot product; it must stay exact."""
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_one_non_finite_element_anywhere_is_caught(self, bad, layout):
+        for n in FINITE_CHECK_SIZES:
+            values = Rng(n).normal((n,), 0.0, 1.0)
+            T._check_finite(_with_layout(values, layout), "probe")  # finite passes
+            for pos in sorted({0, n // 2, n - 1}):
+                flat = values.copy()
+                flat[pos] = bad
+                with pytest.raises(NonFiniteError, match="probe"):
+                    T._check_finite(_with_layout(flat, layout), "probe")
+
+    @pytest.mark.parametrize("big", [1e200, -1e308, 1.7e308])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_finite_values_whose_squares_overflow_pass(self, big, layout):
+        flat = np.linspace(-1.0, 1.0, 12)
+        flat[5] = big
+        arr = _with_layout(flat, layout)
+        with np.errstate(over="ignore"):
+            ravelled = arr.ravel(order="K")
+            assert not math.isfinite(np.dot(ravelled, ravelled))  # the fallback runs
+            T._check_finite(arr, "probe")
+
+    @pytest.mark.parametrize("strict", ["warning-error", "errstate-raise"])
+    def test_overflowing_squares_pass_when_overflow_is_made_an_error(self, strict):
+        arr = np.array([[1.0, 1e200], [-1.7e308, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="raise" if strict == "errstate-raise" else "warn"):
+                T._check_finite(arr, "probe")
+                bad = arr.copy()
+                bad[1, 1] = np.nan
+                with pytest.raises(NonFiniteError, match="probe"):
+                    T._check_finite(bad, "probe")
 
 
 class TestBackward:
@@ -141,6 +244,13 @@ class TestBackward:
         backward(tape, y)
         assert x.grad == pytest.approx(8.0)
 
+    def test_one_element_matrix_output(self):
+        x = Tensor([[3.0]], requires_grad=True)
+        with GradTape() as tape:
+            y = T.matmul(x, x)
+        assert y.shape == (1, 1) and y.item() == 9.0
+        assert np.array_equal(T.grad_of(tape, y, [x])[0], [[6.0]])
+
     def test_non_finite_leaf_gradient_is_an_error(self):
         # the forward is finite, but d sqrt(x)/dx at x = 0 is inf
         x = Tensor([0.0, 1.0], requires_grad=True)
@@ -156,6 +266,8 @@ PRIMITIVE_CASES = [
     ("mul_broadcast", lambda x: T.tsum(x * Tensor(np.linspace(-1, 1, 4))), (3, 4)),
     ("div", lambda x: T.tsum(x / Tensor(np.linspace(1, 3, 4))), (3, 4)),
     ("matmul", lambda x: T.tsum(T.matmul(x, Tensor(np.linspace(0, 1, 12).reshape(4, 3)))), (3, 4)),
+    # x as the input, the weight and a broadcast bias at once
+    ("affine", lambda x: T.tsum(T.square(T.affine(x, T.transpose(x), T.tsum(x, axis=1)))), (3, 4)),
     ("transpose", lambda x: T.tsum(T.square(T.transpose(x))), (3, 4)),
     ("sum_axis", lambda x: T.tsum(T.square(T.tsum(x, axis=1))), (3, 4)),
     ("exp", lambda x: T.tsum(T.exp(x)), (3, 4)),
@@ -308,6 +420,47 @@ def test_gaussian_kernel_sign_fold_is_bitwise(monkeypatch):
     unfolded = values_and_grads(_unfolded_gaussian_kernel)
     assert any(np.any(g != 0) for g in folded[1:])
     for got, want in zip(folded, unfolded):
+        assert np.array_equal(got, want)
+
+
+def _unfused_affine(x, w, b):
+    """affine as written before the bias add joined the matmul node."""
+    return x @ w + b
+
+
+def _affine_case():
+    rng, clf, _, xa, _, _ = _frozen_world()
+    x = Tensor(xa, requires_grad=True)
+    w = Tensor(clf.w1.data, requires_grad=True)
+    b = Tensor(rng.normal(clf.b1.shape, 0.0, 1.0), requires_grad=True)
+    weights = Tensor(rng.normal((N, w.shape[1]), 0.0, 1.0))
+    return lambda: T.tsum(T.relu(T.affine(x, w, b)) * weights), [x, w, b]
+
+
+def _classifier_params_case():
+    _, clf, _, xa, y, _ = _frozen_world()
+    params = ClassifierParams(*(Tensor(p.data, requires_grad=True) for p in clf.params))
+    return lambda: cross_entropy(classifier_forward(params, Tensor(xa)), y), params.params
+
+
+AFFINE_CASES = [_affine_case, _classifier_params_case, *ACTIVITY_CASES]
+
+
+@pytest.mark.parametrize("case", AFFINE_CASES,
+                         ids=[c.__name__.strip("_") for c in AFFINE_CASES])
+def test_affine_equals_matmul_then_add_bitwise(case, monkeypatch):
+    def value_and_grads():
+        build, leaves = case()
+        with GradTape() as tape:
+            out = build()
+        return len(tape.nodes), [out.data, *T.grad_of(tape, out, leaves)]
+
+    fused_nodes, fused = value_and_grads()
+    monkeypatch.setattr(T, "affine", _unfused_affine)
+    unfused_nodes, unfused = value_and_grads()
+    assert fused_nodes < unfused_nodes
+    assert any(np.any(g != 0) for g in fused[1:])
+    for got, want in zip(fused, unfused):
         assert np.array_equal(got, want)
 
 
