@@ -80,11 +80,10 @@ def fgsm(classifier: ClassifierParams, batch: np.ndarray, labels: np.ndarray,
     return np.clip(x + eps * np.sign(grad), 0.0, 1.0).reshape(shape)
 
 
-def pgd(classifier: ClassifierParams, batch: np.ndarray, labels: np.ndarray,
-        cfg: AttackConfig, rng: Optional[Rng] = None) -> np.ndarray:
-    """Iterated ascent on cross-entropy with ball projection and [0,1] clip."""
-    shape = batch.shape
-    x0 = batch.reshape(len(batch), -1)
+def random_start(x0: np.ndarray, cfg: AttackConfig,
+                 rng: Optional[Rng] = None) -> np.ndarray:
+    """PGD's start for flattened `x0`: a uniform draw from the eps-ball,
+    clipped to [0,1], or `x0` itself (drawing nothing) without random start."""
     delta = np.zeros_like(x0)
     if cfg.random_start:
         if rng is None:
@@ -98,20 +97,42 @@ def pgd(classifier: ClassifierParams, batch: np.ndarray, labels: np.ndarray,
             radius = cfg.eps * rng.uniform((len(x0), 1)) ** (1.0 / x0.shape[1])
             delta = direction * radius
         delta = np.clip(x0 + delta, 0.0, 1.0) - x0
-    x = x0 + delta
+    return x0 + delta
+
+
+def pgd_steps(classifier: ClassifierParams, x0: np.ndarray, x: np.ndarray,
+              labels: np.ndarray, cfg: AttackConfig) -> np.ndarray:
+    """PGD's step loop from start `x` around flattened `x0`; draws nothing."""
     for _ in range(cfg.iters):
-        grad = _ce_input_grad(classifier, x, labels)
-        x = x + cfg.step * _step_direction(grad, cfg)
+        # the gradient dies within its step: it is not held while the next
+        # step's tape is built, one [n, d] array less at PGD's memory peak
+        x = x + cfg.step * _step_direction(
+            _ce_input_grad(classifier, x, labels), cfg)
         x = x0 + _project(x - x0, cfg)
         x = np.clip(x, 0.0, 1.0)
-    return x.reshape(shape)
+    return x
+
+
+def pgd(classifier: ClassifierParams, batch: np.ndarray, labels: np.ndarray,
+        cfg: AttackConfig, rng: Optional[Rng] = None) -> np.ndarray:
+    """Iterated ascent on cross-entropy with ball projection and [0,1] clip."""
+    x0 = batch.reshape(len(batch), -1)
+    x = pgd_steps(classifier, x0, random_start(x0, cfg, rng), labels, cfg)
+    return x.reshape(batch.shape)
+
+
+def noise_draw(shape, noise: NoiseConfig, rng: Rng) -> Optional[np.ndarray]:
+    """The IID Gaussian noise `inject_noise` adds; None, drawing nothing,
+    when the noise is zero."""
+    if noise.sigma == 0 and noise.mu == 0:
+        return None
+    return rng.normal(shape, noise.mu, noise.sigma)
 
 
 def inject_noise(batch: np.ndarray, noise: NoiseConfig, rng: Rng) -> np.ndarray:
     """Additive IID Gaussian noise, deliberately unclipped."""
-    if noise.sigma == 0 and noise.mu == 0:
-        return batch.copy()
-    return batch + rng.normal(batch.shape, noise.mu, noise.sigma)
+    draw = noise_draw(batch.shape, noise, rng)
+    return batch.copy() if draw is None else batch + draw
 
 
 def adaptive_pgd_eot(detector: DetectorModel, denoiser: DenoiserParams,

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import sys
 import time
 
@@ -42,6 +43,10 @@ def _artifact(out: str, name: str, producer: str) -> str:
     return path
 
 
+def _peak_rss_mb(who: int) -> float:
+    return round(resource.getrusage(who).ru_maxrss * 1024 / 1e6, 3)
+
+
 def _write_manifest(out: str, command: str, cfg: RunConfig, started: float):
     manifest = {
         "command": command,
@@ -51,6 +56,10 @@ def _write_manifest(out: str, command: str, cfg: RunConfig, started: float):
         "numpy": np.__version__,
         "python": sys.version.split()[0],
         "wall_time_s": round(time.time() - started, 3),
+        # peak resident memory of this process, and of the largest child it
+        # waited for (train-denoiser's PGD worker); Linux gives ru_maxrss in KiB
+        "peak_rss_mb": _peak_rss_mb(resource.RUSAGE_SELF),
+        "peak_rss_children_mb": _peak_rss_mb(resource.RUSAGE_CHILDREN),
     }
     with open(os.path.join(out, f"manifest_{command}.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -2,13 +2,16 @@
 accumulation queue, and the ablation/evaluation harness."""
 from __future__ import annotations
 
+import multiprocessing
+import signal
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import attacks
 from . import tensor as T
-from .attacks import AttackConfig, NoiseConfig, inject_noise, pgd
+from .attacks import AttackConfig, NoiseConfig, noise_draw
 from .discrepancy import (DeepKernelParams, DetectorModel, calibrate_threshold,
                           mmd_opt, mmd_u_squared)
 from .models import (ClassifierParams, DenoiserParams, classifier_forward,
@@ -98,6 +101,55 @@ class BatchGate:
 # denoiser training
 # ---------------------------------------------------------------------------
 
+def _minibatches(x: np.ndarray, labels: np.ndarray, attack_cfg: AttackConfig,
+                 noise: NoiseConfig, rng: Rng, epochs: int, batch_size: int):
+    """Yield (epoch, (clean rows, labels, PGD start), noise draw) per
+    minibatch, drawing from `rng` in the serial loop's order: the
+    permutation per epoch, then per minibatch the PGD start and the noise.
+    Every minibatch has at least 2 rows: a 1-row tail starts at n - 1,
+    which the range leaves out, so it is skipped and draws nothing."""
+    n = len(x)
+    for epoch in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n - 1, batch_size):
+            idx = order[start:start + batch_size]
+            xc = x[idx]
+            x_start = attacks.random_start(xc, attack_cfg, rng)
+            yield (epoch, (xc, labels[idx], x_start),
+                   noise_draw(xc.shape, noise, rng))
+
+
+def _pgd_worker(conn, parent_end, classifier: ClassifierParams,
+                attack_cfg: AttackConfig):
+    """Answer each (clean rows, labels, start) job with PGD's step loop until
+    None arrives; an exception is sent back and ends the worker."""
+    parent_end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops us
+    try:
+        while (job := conn.recv()) is not None:
+            xc, yc, x_start = job
+            try:
+                xa = attacks.pgd_steps(classifier, xc, x_start, yc, attack_cfg)
+            except Exception as exc:  # re-raised in the parent
+                conn.send((False, exc))
+                return
+            conn.send((True, xa))
+    except (EOFError, BrokenPipeError):  # the parent is gone
+        return
+
+
+def _pgd_result(conn, worker) -> np.ndarray:
+    try:
+        ok, value = conn.recv()
+    except EOFError:
+        worker.join()
+        raise RuntimeError(
+            f"PGD worker exited with code {worker.exitcode}") from None
+    if not ok:
+        raise value
+    return value
+
+
 def train_denoiser(clean: np.ndarray, labels: np.ndarray,
                    kernel: DeepKernelParams, classifier: ClassifierParams,
                    attack_cfg: AttackConfig, noise: NoiseConfig, rng: Rng,
@@ -111,30 +163,53 @@ def train_denoiser(clean: np.ndarray, labels: np.ndarray,
     MMD(S_clean, g(S_noise)) + alpha * CE(classifier(g(S_noise)), Y)
     with Adam; lr is divided by 10 at each decay epoch.
     Returns (frozen DenoiserParams, per-epoch mean loss trajectory).
+
+    The adversarial examples attack the frozen classifier only, so PGD's
+    step loop runs in one forked worker process, one minibatch ahead of the
+    denoiser step.  Every random draw stays in this process, in the order
+    of a serial loop, so the result is bitwise that of a serial loop.  This
+    needs a POSIX `fork`; the worker is always stopped before this returns
+    or raises.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     if kernel is None or classifier is None:
         raise ValueError("denoiser training needs the kernel and classifier")
+    if len(clean) < 2 or batch_size < 2:
+        raise ValueError(f"need at least 2 rows and batch_size >= 2, got "
+                         f"{len(clean)} rows and batch_size {batch_size}")
+    if len(labels) != len(clean):
+        raise ValueError(f"{len(labels)} labels for {len(clean)} rows")
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
     x = np.asarray(clean, dtype=np.float64).reshape(len(clean), -1)
     frozen = [p.data.copy() for p in classifier.params]
     theta = DenoiserParams.init(x.shape[1], rng, scale=1e-2)
     state = AdamState.init(theta.params)
-    n = len(x)
-    cur_lr = lr
-    trajectory = []
+    lrs, cur_lr = [], lr
     for epoch in range(1, epochs + 1):
         if epoch in decay_epochs:
             cur_lr /= 10.0
-        order = rng.permutation(n)
-        losses = []
-        for start in range(0, n - 1, batch_size):
-            idx = order[start:start + batch_size]
-            if len(idx) < 2:
-                continue
-            xc, yc = x[idx], labels[idx]
-            xa = pgd(classifier, xc, yc, attack_cfg, rng).reshape(len(idx), -1)
-            xn = inject_noise(xa, noise, rng)
+        lrs.append(cur_lr)
+    losses = [[] for _ in range(epochs)]
+
+    jobs = _minibatches(x, labels, attack_cfg, noise, rng, epochs, batch_size)
+    ctx = multiprocessing.get_context("fork")
+    conn, child_end = ctx.Pipe()
+    worker = ctx.Process(target=_pgd_worker, daemon=True,
+                         args=(child_end, conn, classifier, attack_cfg))
+    worker.start()
+    child_end.close()
+    try:
+        job = next(jobs)
+        conn.send(job[1])
+        while job is not None:
+            upcoming = next(jobs, None)  # drawn while the worker runs PGD
+            xa = _pgd_result(conn, worker)
+            if upcoming is not None:
+                conn.send(upcoming[1])
+            epoch, (xc, yc, _), draw = job
+            xn = xa if draw is None else xa + draw
             with GradTape() as tape:
                 denoised = denoiser_forward(theta, Tensor(xn))
                 stat = mmd_u_squared(Tensor(xc), denoised, kernel)
@@ -142,14 +217,21 @@ def train_denoiser(clean: np.ndarray, labels: np.ndarray,
                     classifier_forward(classifier, denoised), yc)
                 loss = stat + alpha * ce
             grads = T.grad_of(tape, loss, theta.params)
-            adam_step(theta.params, grads, state, cur_lr)
-            losses.append(loss.item())
-        trajectory.append(float(np.mean(losses)))
+            adam_step(theta.params, grads, state, lrs[epoch])
+            losses[epoch].append(loss.item())
+            job = upcoming
+        conn.send(None)
+    except BaseException:
+        worker.terminate()
+        raise
+    finally:
+        worker.join()
+        conn.close()
     for p, orig in zip(classifier.params, frozen):
         if not np.array_equal(p.data, orig):
             raise RuntimeError("classifier parameters mutated during denoiser training")
     T.freeze(theta.params)
-    return theta, trajectory
+    return theta, [float(np.mean(epoch_losses)) for epoch_losses in losses]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -49,3 +51,14 @@ class DigitSetup:
 @pytest.fixture(scope="session")
 def digit_setup():
     return DigitSetup()
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_child_process():
+    """Fail any test that leaves a live multiprocessing child behind."""
+    yield
+    leaked = multiprocessing.active_children()
+    for child in leaked:
+        child.terminate()
+        child.join()
+    assert not leaked, f"test left child processes running: {leaked}"

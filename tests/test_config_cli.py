@@ -5,10 +5,11 @@ import shutil
 import numpy as np
 import pytest
 
-from mmdefense import cli
+from mmdefense import attacks, cli
 from mmdefense.cli import main
 from mmdefense.config import ConfigError, config_echo, parse_config
 from mmdefense.dataio import load_model, save_model
+from mmdefense.tensor import NonFiniteError
 
 SMALL_DIGITS = """
 # small but complete digit run
@@ -149,6 +150,14 @@ class TestCliChain:
                 manifest = json.load(fh)
             assert manifest["command"] == command
             assert manifest["dataset"] == "synth_digits"
+            assert np.isfinite(manifest["peak_rss_mb"])
+            assert manifest["peak_rss_mb"] > 0
+            # RUSAGE_CHILDREN covers only children already waited for, so
+            # it may read 0 before the PGD worker has run
+            assert np.isfinite(manifest["peak_rss_children_mb"])
+            assert manifest["peak_rss_children_mb"] >= 0
+        with open(os.path.join(out, "manifest_train-denoiser.json")) as fh:
+            assert json.load(fh)["peak_rss_children_mb"] > 0
 
     def test_bound_report_clean(self, full_run):
         _, _, out, _ = full_run
@@ -251,6 +260,30 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and "detector.model" in err
+
+    def test_zero_denoiser_epochs_is_exit_1(self, full_run, tmp_path, capsys):
+        _, _, out, _ = full_run
+        copy = str(tmp_path / "runs")
+        shutil.copytree(out, copy)
+        path = write_config(tmp_path, SMALL_DIGITS + "denoiser_epochs = 0\n")
+        code = main(["train-denoiser", "--config", path, "--out", copy])
+        assert code == 1
+        assert "epochs must be >= 1" in capsys.readouterr().err
+
+    def test_non_finite_pgd_in_the_worker_is_exit_3(self, full_run, tmp_path,
+                                                   capsys, monkeypatch):
+        _, cfgpath, out, _ = full_run
+        copy = str(tmp_path / "runs")
+        shutil.copytree(out, copy)
+
+        def non_finite(*args):
+            raise NonFiniteError("backward produced non-finite values")
+
+        monkeypatch.setattr(attacks, "_ce_input_grad", non_finite)
+        code = main(["train-denoiser", "--config", cfgpath, "--out", copy])
+        assert code == 3
+        assert ("numeric failure: backward produced non-finite values"
+                in capsys.readouterr().err)
 
     def test_unknown_command_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

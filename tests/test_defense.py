@@ -1,13 +1,21 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
-from mmdefense.attacks import pgd
+from mmdefense import attacks, defense
+from mmdefense import tensor as T
+from mmdefense.attacks import AttackConfig, NoiseConfig, inject_noise, pgd
 from mmdefense.defense import (ADVERSARIAL, CLEAN, BatchGate, DefensePipeline,
                                build_mixed_batch, defend_batch, eval_batch_size,
                                eval_mixed, train_denoiser)
-from mmdefense.discrepancy import DetectorModel
-from mmdefense.models import accuracy, classify
+from mmdefense.discrepancy import DetectorModel, mmd_u_squared
+from mmdefense.models import (DenoiserParams, accuracy, classifier_forward,
+                              classify, cross_entropy, denoiser_forward)
+from mmdefense.optim import AdamState, adam_step
 from mmdefense.rng import Rng
+from mmdefense.tensor import GradTape, NonFiniteError, Tensor
 
 
 def clean_test_batch(setup, rng, b=100):
@@ -147,6 +155,179 @@ class TestDenoiserTraining:
             train_denoiser(s.train.flat[:200], s.train.labels[:200], s.kernel,
                            s.classifier, s.train_attack, s.noise, Rng(0),
                            alpha=0.0, epochs=1)
+
+
+def inline_pgd(classifier, batch, labels, cfg, rng=None):
+    """`pgd` as written before its start and its step loop were split."""
+    shape = batch.shape
+    x0 = batch.reshape(len(batch), -1)
+    delta = np.zeros_like(x0)
+    if cfg.random_start:
+        if cfg.norm == attacks.LINF:
+            delta = rng.uniform(x0.shape, -cfg.eps, cfg.eps)
+        else:
+            direction = rng.normal(x0.shape, 0.0, 1.0)
+            direction /= np.maximum(
+                np.sqrt((direction * direction).sum(axis=1, keepdims=True)), 1e-30)
+            radius = cfg.eps * rng.uniform((len(x0), 1)) ** (1.0 / x0.shape[1])
+            delta = direction * radius
+        delta = np.clip(x0 + delta, 0.0, 1.0) - x0
+    x = x0 + delta
+    for _ in range(cfg.iters):
+        grad = attacks._ce_input_grad(classifier, x, labels)
+        x = x + cfg.step * attacks._step_direction(grad, cfg)
+        x = x0 + attacks._project(x - x0, cfg)
+        x = np.clip(x, 0.0, 1.0)
+    return x.reshape(shape)
+
+
+def serial_train_denoiser(clean, labels, kernel, classifier, attack_cfg, noise,
+                          rng, alpha=1e-2, epochs=60, lr=1e-3,
+                          decay_epochs=(45, 60), batch_size=100):
+    """`train_denoiser` as a serial loop in one process, as it was written
+    before PGD moved to a worker."""
+    x = np.asarray(clean, dtype=np.float64).reshape(len(clean), -1)
+    theta = DenoiserParams.init(x.shape[1], rng, scale=1e-2)
+    state = AdamState.init(theta.params)
+    n = len(x)
+    cur_lr = lr
+    trajectory = []
+    for epoch in range(1, epochs + 1):
+        if epoch in decay_epochs:
+            cur_lr /= 10.0
+        order = rng.permutation(n)
+        losses = []
+        for start in range(0, n - 1, batch_size):
+            idx = order[start:start + batch_size]
+            if len(idx) < 2:
+                continue
+            xc, yc = x[idx], labels[idx]
+            xa = inline_pgd(classifier, xc, yc, attack_cfg, rng).reshape(len(idx), -1)
+            xn = inject_noise(xa, noise, rng)
+            with GradTape() as tape:
+                denoised = denoiser_forward(theta, Tensor(xn))
+                stat = mmd_u_squared(Tensor(xc), denoised, kernel)
+                ce = cross_entropy(classifier_forward(classifier, denoised), yc)
+                loss = stat + alpha * ce
+            grads = T.grad_of(tape, loss, theta.params)
+            adam_step(theta.params, grads, state, cur_lr)
+            losses.append(loss.item())
+        trajectory.append(float(np.mean(losses)))
+    T.freeze(theta.params)
+    return theta, trajectory
+
+
+LINF_START = AttackConfig("linf", 0.1, 0.02, 3, 1, True)
+L2_START = AttackConfig("l2", 1.0, 0.2, 3, 1, True)
+NO_START = AttackConfig("linf", 0.1, 0.02, 3, 1, False)
+
+# (attack, noise, rows, epochs, decay epochs); B = 100 throughout
+SERIAL_CASES = {
+    "linf-random-start": (LINF_START, NoiseConfig(0.0, 0.25), 300, 2, (45, 60)),
+    "l2-random-start": (L2_START, NoiseConfig(0.0, 0.25), 300, 2, (45, 60)),
+    "no-random-start-no-noise": (NO_START, NoiseConfig(0.0, 0.0), 300, 2, (45, 60)),
+    "ragged-tail": (LINF_START, NoiseConfig(0.0, 0.25), 250, 2, (45, 60)),
+    "skipped-1-row-tail": (LINF_START, NoiseConfig(0.0, 0.25), 301, 2, (45, 60)),
+    "decay-across-epochs": (LINF_START, NoiseConfig(0.0, 0.25), 200, 4, (2, 4)),
+}
+
+
+class TestDenoiserWorker:
+    """PGD runs in a forked worker one minibatch ahead; the result must be
+    bitwise that of the serial loop, and no worker may outlive the call."""
+
+    @pytest.mark.parametrize("case", SERIAL_CASES)
+    def test_bitwise_equal_to_the_serial_loop(self, digit_setup, case):
+        s = digit_setup
+        cfg, noise, rows, epochs, decay = SERIAL_CASES[case]
+        runs = []
+        for train in (train_denoiser, serial_train_denoiser):
+            rng = Rng(40)
+            theta, traj = train(
+                s.train.flat[:rows], s.train.labels[:rows], s.kernel,
+                s.classifier, cfg, noise, rng, epochs=epochs,
+                decay_epochs=decay, batch_size=100)
+            runs.append(([p.data.tobytes() for p in theta.params],
+                         np.array(traj).tobytes(), rng.uniform((4,)).tobytes()))
+        assert len(runs[0][1]) == 8 * epochs
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("cfg", [LINF_START, L2_START, NO_START],
+                             ids=["linf", "l2", "no-random-start"])
+    def test_split_pgd_equals_inline_pgd_bitwise(self, digit_setup, cfg):
+        s = digit_setup
+        x, y = s.test.data[:50], s.test.labels[:50]
+        rngs = Rng(41), Rng(41)
+        got = pgd(s.classifier, x, y, cfg, rngs[0])
+        want = inline_pgd(s.classifier, x, y, cfg, rngs[1])
+        assert got.shape == x.shape and got.tobytes() == want.tobytes()
+        assert rngs[0].uniform((4,)).tobytes() == rngs[1].uniform((4,)).tobytes()
+
+    def test_worker_exception_is_reraised_with_its_type_and_message(
+            self, digit_setup, monkeypatch):
+        s = digit_setup
+
+        def non_finite(*args):
+            raise NonFiniteError("backward produced non-finite values")
+
+        # patched in the parent before the fork, so the worker raises it
+        monkeypatch.setattr(attacks, "_ce_input_grad", non_finite)
+        with pytest.raises(NonFiniteError,
+                           match="^backward produced non-finite values$"):
+            train_denoiser(s.train.flat[:200], s.train.labels[:200], s.kernel,
+                           s.classifier, s.train_attack, s.noise, Rng(0),
+                           epochs=1)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_that_dies_is_a_runtime_error(self, digit_setup, monkeypatch):
+        s = digit_setup
+        monkeypatch.setattr(attacks, "pgd_steps", lambda *args: os._exit(7))
+        with pytest.raises(RuntimeError, match="PGD worker exited with code 7"):
+            train_denoiser(s.train.flat[:200], s.train.labels[:200], s.kernel,
+                           s.classifier, s.train_attack, s.noise, Rng(0),
+                           epochs=1)
+        assert multiprocessing.active_children() == []
+
+    def test_exception_in_the_parent_stops_the_worker(self, digit_setup,
+                                                      monkeypatch):
+        s = digit_setup
+
+        def failing_step(*args):
+            raise RuntimeError("adam failed")
+
+        monkeypatch.setattr(defense, "adam_step", failing_step)
+        with pytest.raises(RuntimeError, match="^adam failed$"):
+            train_denoiser(s.train.flat[:200], s.train.labels[:200], s.kernel,
+                           s.classifier, s.train_attack, s.noise, Rng(0),
+                           epochs=1)
+        assert multiprocessing.active_children() == []
+
+    def test_normal_return_leaves_no_worker(self, digit_setup):
+        s = digit_setup
+        _, traj = train_denoiser(s.train.flat[:200], s.train.labels[:200],
+                                 s.kernel, s.classifier, s.train_attack,
+                                 s.noise, Rng(0), epochs=1)
+        assert len(traj) == 1 and np.isfinite(traj[0])
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("rows, n_labels, kwargs, match", [
+        (1, 1, {}, "at least 2 rows"),
+        (300, 300, {"batch_size": 1}, "batch_size >= 2"),
+        (300, 200, {}, "200 labels for 300 rows"),
+        (300, 300, {"epochs": 0}, "epochs must be >= 1"),
+    ], ids=["one-row", "batch-size-1", "labels-mismatch", "zero-epochs"])
+    def test_bad_input_rejected_before_the_fork(self, digit_setup, monkeypatch,
+                                                rows, n_labels, kwargs, match):
+        s = digit_setup
+
+        def no_fork(*args):
+            raise AssertionError("forked before validating")
+
+        monkeypatch.setattr(defense.multiprocessing, "get_context", no_fork)
+        with pytest.raises(ValueError, match=match):
+            train_denoiser(s.train.flat[:rows], s.train.labels[:n_labels],
+                           s.kernel, s.classifier, s.train_attack, s.noise,
+                           Rng(0), **kwargs)
 
 
 class TestMixedEval:
