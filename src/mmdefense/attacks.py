@@ -13,6 +13,7 @@ from .models import (ClassifierParams, DenoiserParams, classifier_forward,
                      cross_entropy, denoiser_forward)
 from .rng import Rng
 from .tensor import GradTape, Tensor
+from .worker import job_worker
 
 LINF = "linf"
 L2 = "l2"
@@ -135,6 +136,17 @@ def inject_noise(batch: np.ndarray, noise: NoiseConfig, rng: Rng) -> np.ndarray:
     return batch.copy() if draw is None else batch + draw
 
 
+def _replica_ce_grad(denoiser: DenoiserParams, classifier: ClassifierParams,
+                     x: np.ndarray, n: np.ndarray,
+                     labels: np.ndarray) -> np.ndarray:
+    """Input gradient of CE(classifier(denoiser(x + n))) for one EOT replica."""
+    xt = Tensor(x, requires_grad=True)
+    with GradTape() as tape:
+        denoised = denoiser_forward(denoiser, xt + Tensor(n))
+        loss = cross_entropy(classifier_forward(classifier, denoised), labels)
+    return T.grad_of(tape, loss, [xt])[0]
+
+
 def adaptive_pgd_eot(detector: DetectorModel, denoiser: DenoiserParams,
                      classifier: ClassifierParams, clean_batch: np.ndarray,
                      labels: np.ndarray, cfg: AttackConfig,
@@ -149,39 +161,61 @@ def adaptive_pgd_eot(detector: DetectorModel, denoiser: DenoiserParams,
     replicas.  On the denoiser branch each replica resamples the defense's
     Gaussian noise; the clean branch draws none.  The attack always starts
     at the clean batch: `cfg.random_start` is not read here.
+
+    Each call starts one worker, a forked process where
+    `mmdefense.worker.fork_pays()`, which inherits the denoiser, the
+    classifier and the labels.  On the denoiser branch this process draws all `cfg.eot`
+    noises in replica order, sends the first ceil(eot / 2) to the worker,
+    and computes the statistic's gradient and the other replicas meanwhile;
+    the replicas are then summed in replica order, so the result and the
+    next draw from `rng` are bitwise those of a serial loop.  The clean
+    branch leaves the worker idle.  A worker exception is re-raised here
+    with its type and message, and the worker is stopped before this
+    returns or raises.  Mismatched labels or reference rows are a
+    `ValueError` before anything forks.
     """
     if detector is None or denoiser is None or classifier is None:
         raise ValueError("adaptive attack needs detector, denoiser and classifier")
+    if len(labels) != len(clean_batch):
+        raise ValueError(f"{len(labels)} labels for {len(clean_batch)} rows")
+    if reference is not None and len(reference) != len(clean_batch):
+        raise ValueError(f"reference has {len(reference)} rows, the batch "
+                         f"{len(clean_batch)}")
     shape = clean_batch.shape
     x0 = clean_batch.reshape(len(clean_batch), -1)
     ref = x0 if reference is None else reference.reshape(len(reference), -1)
     x = x0.copy()
-    for _ in range(cfg.iters):
-        # statistic and its input gradient, shared by every EOT replica
-        xt = Tensor(x, requires_grad=True)
-        with GradTape() as tape:
-            stat = mmd_u_squared(Tensor(ref), xt, detector.kernel)
-        stat_value = stat.item()
-        g_stat = T.grad_of(tape, stat, [xt])[0]
-        g_eot = np.zeros_like(x)
-        if stat_value < detector.threshold:
-            # the clean branch draws no noise, so every replica has the same
-            # gradient; adding it `eot` times keeps the average bitwise equal
-            g_clean = g_stat + alpha * _ce_input_grad(classifier, x, labels)
-            for _k in range(cfg.eot):
-                g_eot += g_clean
-        else:
-            for _k in range(cfg.eot):
-                n = rng.normal(x.shape, noise.mu, noise.sigma)
-                xt = Tensor(x, requires_grad=True)
-                with GradTape() as tape:
-                    denoised = denoiser_forward(denoiser, xt + Tensor(n))
-                    loss = cross_entropy(
-                        classifier_forward(classifier, denoised), labels)
-                g_ce = T.grad_of(tape, loss, [xt])[0]
-                g_eot += g_stat + alpha * g_ce
-        g_eot /= cfg.eot
-        x = x + cfg.step * _step_direction(g_eot, cfg)
-        x = x0 + _project(x - x0, cfg)
-        x = np.clip(x, 0.0, 1.0)
+
+    def replicas(x, noises):
+        return [_replica_ce_grad(denoiser, classifier, x, n, labels)
+                for n in noises]
+
+    with job_worker(replicas) as worker:
+        for _ in range(cfg.iters):
+            # the statistic and its input gradient, shared by every replica
+            xt = Tensor(x, requires_grad=True)
+            with GradTape() as tape:
+                stat = mmd_u_squared(Tensor(ref), xt, detector.kernel)
+            g_eot = np.zeros_like(x)
+            if stat.item() < detector.threshold:
+                # the clean branch draws no noise, so every replica has the
+                # same gradient; adding it `eot` times keeps the average
+                # bitwise equal
+                g_stat = T.grad_of(tape, stat, [xt])[0]
+                g_clean = g_stat + alpha * _ce_input_grad(classifier, x, labels)
+                for _k in range(cfg.eot):
+                    g_eot += g_clean
+            else:
+                noises = [rng.normal(x.shape, noise.mu, noise.sigma)
+                          for _k in range(cfg.eot)]
+                split = (cfg.eot + 1) // 2
+                worker.submit(x, noises[:split])
+                g_stat = T.grad_of(tape, stat, [xt])[0]
+                ours = replicas(x, noises[split:])
+                for g_ce in worker.result() + ours:
+                    g_eot += g_stat + alpha * g_ce
+            g_eot /= cfg.eot
+            x = x + cfg.step * _step_direction(g_eot, cfg)
+            x = x0 + _project(x - x0, cfg)
+            x = np.clip(x, 0.0, 1.0)
     return x.reshape(shape)

@@ -2,8 +2,6 @@
 accumulation queue, and the ablation/evaluation harness."""
 from __future__ import annotations
 
-import multiprocessing
-import signal
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -19,6 +17,7 @@ from .models import (ClassifierParams, DenoiserParams, classifier_forward,
 from .optim import AdamState, adam_step
 from .rng import Rng
 from .tensor import GradTape, Tensor
+from .worker import job_worker
 
 CLEAN = "clean"
 ADVERSARIAL = "adversarial"
@@ -119,37 +118,6 @@ def _minibatches(x: np.ndarray, labels: np.ndarray, attack_cfg: AttackConfig,
                    noise_draw(xc.shape, noise, rng))
 
 
-def _pgd_worker(conn, parent_end, classifier: ClassifierParams,
-                attack_cfg: AttackConfig):
-    """Answer each (clean rows, labels, start) job with PGD's step loop until
-    None arrives; an exception is sent back and ends the worker."""
-    parent_end.close()
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops us
-    try:
-        while (job := conn.recv()) is not None:
-            xc, yc, x_start = job
-            try:
-                xa = attacks.pgd_steps(classifier, xc, x_start, yc, attack_cfg)
-            except Exception as exc:  # re-raised in the parent
-                conn.send((False, exc))
-                return
-            conn.send((True, xa))
-    except (EOFError, BrokenPipeError):  # the parent is gone
-        return
-
-
-def _pgd_result(conn, worker) -> np.ndarray:
-    try:
-        ok, value = conn.recv()
-    except EOFError:
-        worker.join()
-        raise RuntimeError(
-            f"PGD worker exited with code {worker.exitcode}") from None
-    if not ok:
-        raise value
-    return value
-
-
 def train_denoiser(clean: np.ndarray, labels: np.ndarray,
                    kernel: DeepKernelParams, classifier: ClassifierParams,
                    attack_cfg: AttackConfig, noise: NoiseConfig, rng: Rng,
@@ -166,10 +134,10 @@ def train_denoiser(clean: np.ndarray, labels: np.ndarray,
 
     The adversarial examples attack the frozen classifier only, so PGD's
     step loop runs in one forked worker process, one minibatch ahead of the
-    denoiser step.  Every random draw stays in this process, in the order
-    of a serial loop, so the result is bitwise that of a serial loop.  This
-    needs a POSIX `fork`; the worker is always stopped before this returns
-    or raises.
+    denoiser step, where `mmdefense.worker.fork_pays()`, and here otherwise.
+    Every random draw stays in this process, in the order of a serial loop,
+    so the result is bitwise that of a serial loop.  The worker is always
+    stopped before this returns or raises.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
@@ -193,21 +161,18 @@ def train_denoiser(clean: np.ndarray, labels: np.ndarray,
         lrs.append(cur_lr)
     losses = [[] for _ in range(epochs)]
 
+    def pgd_job(xc, yc, x_start):
+        return attacks.pgd_steps(classifier, xc, x_start, yc, attack_cfg)
+
     jobs = _minibatches(x, labels, attack_cfg, noise, rng, epochs, batch_size)
-    ctx = multiprocessing.get_context("fork")
-    conn, child_end = ctx.Pipe()
-    worker = ctx.Process(target=_pgd_worker, daemon=True,
-                         args=(child_end, conn, classifier, attack_cfg))
-    worker.start()
-    child_end.close()
-    try:
+    with job_worker(pgd_job) as worker:
         job = next(jobs)
-        conn.send(job[1])
+        worker.submit(*job[1])
         while job is not None:
             upcoming = next(jobs, None)  # drawn while the worker runs PGD
-            xa = _pgd_result(conn, worker)
+            xa = worker.result()
             if upcoming is not None:
-                conn.send(upcoming[1])
+                worker.submit(*upcoming[1])
             epoch, (xc, yc, _), draw = job
             xn = xa if draw is None else xa + draw
             with GradTape() as tape:
@@ -220,13 +185,6 @@ def train_denoiser(clean: np.ndarray, labels: np.ndarray,
             adam_step(theta.params, grads, state, lrs[epoch])
             losses[epoch].append(loss.item())
             job = upcoming
-        conn.send(None)
-    except BaseException:
-        worker.terminate()
-        raise
-    finally:
-        worker.join()
-        conn.close()
     for p, orig in zip(classifier.params, frozen):
         if not np.array_equal(p.data, orig):
             raise RuntimeError("classifier parameters mutated during denoiser training")

@@ -1,13 +1,21 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
+from mmdefense import attacks, worker
+from mmdefense import tensor as T
 from mmdefense.attacks import (AttackConfig, NoiseConfig, adaptive_pgd_eot,
                                fgsm, inject_noise, pgd)
 from mmdefense.dataio import synth_digits
 from mmdefense.discrepancy import (DeepKernelParams, DetectorModel,
-                                   calibrate_threshold)
-from mmdefense.models import DenoiserParams, accuracy, train_classifier
+                                   calibrate_threshold, mmd_u_squared)
+from mmdefense.models import (DenoiserParams, accuracy, classifier_forward,
+                              cross_entropy, denoiser_forward,
+                              train_classifier)
 from mmdefense.rng import Rng
+from mmdefense.tensor import GradTape, NonFiniteError, Tensor
 
 
 @pytest.fixture(scope="module")
@@ -217,3 +225,189 @@ class TestAdaptive:
                              self.cfg(), NoiseConfig(0.0, 0.25), Rng(7),
                              reference=ref)
         assert not np.array_equal(a, b)
+
+
+def serial_adaptive_pgd_eot(detector, denoiser, classifier, clean_batch,
+                            labels, cfg, noise, rng, alpha=1e-2,
+                            reference=None, branches=None):
+    """`adaptive_pgd_eot` as a serial loop in one process, as it was written
+    before half of the EOT replicas moved to a worker; appends each
+    iteration's branch (True for the denoiser branch) to `branches`."""
+    shape = clean_batch.shape
+    x0 = clean_batch.reshape(len(clean_batch), -1)
+    ref = x0 if reference is None else reference.reshape(len(reference), -1)
+    x = x0.copy()
+    for _ in range(cfg.iters):
+        xt = Tensor(x, requires_grad=True)
+        with GradTape() as tape:
+            stat = mmd_u_squared(Tensor(ref), xt, detector.kernel)
+        stat_value = stat.item()
+        g_stat = T.grad_of(tape, stat, [xt])[0]
+        g_eot = np.zeros_like(x)
+        if branches is not None:
+            branches.append(stat_value >= detector.threshold)
+        if stat_value < detector.threshold:
+            g_clean = g_stat + alpha * attacks._ce_input_grad(classifier, x,
+                                                              labels)
+            for _k in range(cfg.eot):
+                g_eot += g_clean
+        else:
+            for _k in range(cfg.eot):
+                n = rng.normal(x.shape, noise.mu, noise.sigma)
+                xt = Tensor(x, requires_grad=True)
+                with GradTape() as tape:
+                    denoised = denoiser_forward(denoiser, xt + Tensor(n))
+                    loss = cross_entropy(
+                        classifier_forward(classifier, denoised), labels)
+                g_ce = T.grad_of(tape, loss, [xt])[0]
+                g_eot += g_stat + alpha * g_ce
+        g_eot /= cfg.eot
+        x = x + cfg.step * attacks._step_direction(g_eot, cfg)
+        x = x0 + attacks._project(x - x0, cfg)
+        x = np.clip(x, 0.0, 1.0)
+    return x.reshape(shape)
+
+
+ALWAYS_DENOISE = -np.finfo(float).max
+OPEN_GATE = np.finfo(float).max
+LINF_5 = AttackConfig("linf", 0.1, 0.02, 5, 3, False)
+# (attack, threshold or None for the calibrated one, external reference,
+# the branches the serial loop must take)
+WORKER_CASES = {
+    "denoiser-branch-eot-1": (AttackConfig("linf", 0.1, 0.02, 5, 1, False),
+                              ALWAYS_DENOISE, False, {True}),
+    "denoiser-branch-eot-3": (LINF_5, ALWAYS_DENOISE, False, {True}),
+    "denoiser-branch-eot-10": (AttackConfig("linf", 0.1, 0.02, 5, 10, False),
+                               ALWAYS_DENOISE, False, {True}),
+    "clean-branch-only": (LINF_5, OPEN_GATE, False, {False}),
+    "mixed-branches": (LINF_5, None, False, {False, True}),
+    "l2": (AttackConfig("l2", 1.0, 0.2, 5, 4, False), None, False,
+           {False, True}),
+    "external-reference": (LINF_5, None, True, {False, True}),
+}
+
+
+@pytest.mark.usefixtures("forking")
+class TestAttackWorker:
+    """Half of each iteration's EOT replicas run in a forked worker; the
+    result must be bitwise that of the serial loop, and no worker may
+    outlive the call."""
+
+    def args(self, setup, threshold=None):
+        images, classifier, detector, denoiser = setup
+        if threshold is not None:
+            detector = DetectorModel(detector.kernel, threshold,
+                                     detector.batch_size)
+        return (detector, denoiser, classifier, images.flat[:50],
+                images.labels[:50])
+
+    @pytest.mark.parametrize("case", WORKER_CASES)
+    def test_bitwise_equal_to_the_serial_loop(self, setup, case):
+        cfg, threshold, external, want_branches = WORKER_CASES[case]
+        reference = setup[0].flat[100:150] if external else None
+        noise = NoiseConfig(0.0, 0.25)
+        runs, branches = [], []
+        for attack in (adaptive_pgd_eot, serial_adaptive_pgd_eot):
+            rng = Rng(9)
+            kwargs = {} if attack is adaptive_pgd_eot else {"branches": branches}
+            adv = attack(*self.args(setup, threshold), cfg, noise, rng,
+                         reference=reference, **kwargs)
+            runs.append((adv.tobytes(), rng.uniform((4,)).tobytes()))
+        assert set(branches) == want_branches
+        assert runs[0] == runs[1]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("case", ["mixed-branches", "l2"])
+    def test_inline_worker_equals_the_serial_loop(self, setup, monkeypatch,
+                                                  case):
+        def no_fork(*args):
+            raise AssertionError("forked although the worker runs inline")
+
+        monkeypatch.setattr(worker, "fork_pays", lambda: False)
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        cfg, threshold, _, _ = WORKER_CASES[case]
+        runs = []
+        for attack in (adaptive_pgd_eot, serial_adaptive_pgd_eot):
+            rng = Rng(9)
+            adv = attack(*self.args(setup, threshold), cfg,
+                         NoiseConfig(0.0, 0.25), rng)
+            runs.append((adv.tobytes(), rng.uniform((4,)).tobytes()))
+        assert runs[0] == runs[1]
+
+    def test_worker_exception_is_reraised_with_its_type_and_message(
+            self, setup, monkeypatch):
+        parent, real = os.getpid(), attacks._replica_ce_grad
+
+        def non_finite_in_the_worker(*args):
+            if os.getpid() != parent:
+                raise NonFiniteError("backward produced non-finite values")
+            return real(*args)
+
+        # patched in the parent before the fork, so the worker raises it
+        monkeypatch.setattr(attacks, "_replica_ce_grad",
+                            non_finite_in_the_worker)
+        with pytest.raises(NonFiniteError,
+                           match="^backward produced non-finite values$"):
+            adaptive_pgd_eot(*self.args(setup, ALWAYS_DENOISE), LINF_5,
+                             NoiseConfig(0.0, 0.25), Rng(0))
+        assert multiprocessing.active_children() == []
+
+    def test_worker_that_dies_is_a_runtime_error(self, setup, monkeypatch):
+        parent, real = os.getpid(), attacks._replica_ce_grad
+
+        def exit_in_the_worker(*args):
+            if os.getpid() != parent:
+                os._exit(7)
+            return real(*args)
+
+        monkeypatch.setattr(attacks, "_replica_ce_grad", exit_in_the_worker)
+        with pytest.raises(RuntimeError, match="PGD worker exited with code 7"):
+            adaptive_pgd_eot(*self.args(setup, ALWAYS_DENOISE), LINF_5,
+                             NoiseConfig(0.0, 0.25), Rng(0))
+        assert multiprocessing.active_children() == []
+
+    def test_exception_in_the_caller_stops_the_worker(self, setup,
+                                                      monkeypatch):
+        parent, real = os.getpid(), attacks._replica_ce_grad
+
+        def fails_in_the_caller(*args):
+            if os.getpid() == parent:
+                raise RuntimeError("caller replica failed")
+            return real(*args)
+
+        monkeypatch.setattr(attacks, "_replica_ce_grad", fails_in_the_caller)
+        with pytest.raises(RuntimeError, match="^caller replica failed$"):
+            adaptive_pgd_eot(*self.args(setup, ALWAYS_DENOISE), LINF_5,
+                             NoiseConfig(0.0, 0.25), Rng(0))
+        assert multiprocessing.active_children() == []
+
+    def test_normal_return_leaves_no_worker(self, setup):
+        x = setup[0].flat[:50]
+        adv = adaptive_pgd_eot(*self.args(setup, ALWAYS_DENOISE), LINF_5,
+                               NoiseConfig(0.0, 0.25), Rng(0))
+        assert adv.shape == x.shape and np.abs(adv - x).max() <= 0.1 + 1e-12
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("missing, n_labels, ref_rows, match", [
+        (None, 40, None, "40 labels for 50 rows"),
+        (None, 50, 49, "reference has 49 rows, the batch 50"),
+        (0, 50, None, "needs detector, denoiser and classifier"),
+        (1, 50, None, "needs detector, denoiser and classifier"),
+        (2, 50, None, "needs detector, denoiser and classifier"),
+    ], ids=["labels-mismatch", "reference-mismatch", "no-detector",
+            "no-denoiser", "no-classifier"])
+    def test_bad_input_rejected_before_the_fork(self, setup, monkeypatch,
+                                                missing, n_labels, ref_rows,
+                                                match):
+        def no_fork(*args):
+            raise AssertionError("forked before validating")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        args = list(self.args(setup))
+        if missing is not None:
+            args[missing] = None
+        args[4] = args[4][:n_labels]
+        reference = None if ref_rows is None else setup[0].flat[:ref_rows]
+        with pytest.raises(ValueError, match=match):
+            adaptive_pgd_eot(*args, LINF_5, NoiseConfig(0.0, 0.25), Rng(0),
+                             reference=reference)

@@ -5,7 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
-from mmdefense import attacks, cli
+from mmdefense import attacks, cli, worker
 from mmdefense.cli import main
 from mmdefense.config import ConfigError, config_echo, parse_config
 from mmdefense.dataio import load_model, save_model
@@ -119,10 +119,14 @@ def full_run(tmp_path_factory):
     cfgpath = write_config(tmp)
     out = str(tmp / "runs")
     codes = {}
-    for command in ("train-classifier", "train-kernel", "calibrate",
-                    "train-denoiser", "attack", "defend", "eval-mixed",
-                    "eval-batch-size", "ablate", "verify-bound"):
-        codes[command] = main([command, "--config", cfgpath, "--out", out])
+    with pytest.MonkeyPatch.context() as mp:
+        # the workers fork whatever the BLAS thread count, so the manifests
+        # record their memory on any machine
+        mp.setattr(worker, "fork_pays", lambda: True)
+        for command in ("train-classifier", "train-kernel", "calibrate",
+                        "train-denoiser", "attack", "defend", "eval-mixed",
+                        "eval-batch-size", "ablate", "verify-bound"):
+            codes[command] = main([command, "--config", cfgpath, "--out", out])
     return tmp, cfgpath, out, codes
 
 
@@ -153,11 +157,12 @@ class TestCliChain:
             assert np.isfinite(manifest["peak_rss_mb"])
             assert manifest["peak_rss_mb"] > 0
             # RUSAGE_CHILDREN covers only children already waited for, so
-            # it may read 0 before the PGD worker has run
+            # it may read 0 before the first PGD worker has run
             assert np.isfinite(manifest["peak_rss_children_mb"])
             assert manifest["peak_rss_children_mb"] >= 0
-        with open(os.path.join(out, "manifest_train-denoiser.json")) as fh:
-            assert json.load(fh)["peak_rss_children_mb"] > 0
+        for command in ("train-denoiser", "defend"):
+            with open(os.path.join(out, f"manifest_{command}.json")) as fh:
+                assert json.load(fh)["peak_rss_children_mb"] > 0
 
     def test_bound_report_clean(self, full_run):
         _, _, out, _ = full_run
@@ -270,6 +275,7 @@ class TestCliErrors:
         assert code == 1
         assert "epochs must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.usefixtures("forking")
     def test_non_finite_pgd_in_the_worker_is_exit_3(self, full_run, tmp_path,
                                                    capsys, monkeypatch):
         _, cfgpath, out, _ = full_run

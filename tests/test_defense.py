@@ -232,6 +232,7 @@ SERIAL_CASES = {
 }
 
 
+@pytest.mark.usefixtures("forking")
 class TestDenoiserWorker:
     """PGD runs in a forked worker one minibatch ahead; the result must be
     bitwise that of the serial loop, and no worker may outlive the call."""
@@ -323,7 +324,7 @@ class TestDenoiserWorker:
         def no_fork(*args):
             raise AssertionError("forked before validating")
 
-        monkeypatch.setattr(defense.multiprocessing, "get_context", no_fork)
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
         with pytest.raises(ValueError, match=match):
             train_denoiser(s.train.flat[:rows], s.train.labels[:n_labels],
                            s.kernel, s.classifier, s.train_attack, s.noise,
