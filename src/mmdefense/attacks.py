@@ -162,17 +162,16 @@ def adaptive_pgd_eot(detector: DetectorModel, denoiser: DenoiserParams,
     Gaussian noise; the clean branch draws none.  The attack always starts
     at the clean batch: `cfg.random_start` is not read here.
 
-    Each call starts one worker, a forked process where
-    `mmdefense.worker.fork_pays()`, which inherits the denoiser, the
-    classifier and the labels.  On the denoiser branch this process draws all `cfg.eot`
-    noises in replica order, sends the first ceil(eot / 2) to the worker,
-    and computes the statistic's gradient and the other replicas meanwhile;
-    the replicas are then summed in replica order, so the result and the
-    next draw from `rng` are bitwise those of a serial loop.  The clean
-    branch leaves the worker idle.  A worker exception is re-raised here
-    with its type and message, and the worker is stopped before this
-    returns or raises.  Mismatched labels or reference rows are a
-    `ValueError` before anything forks.
+    Each call starts one forked worker process (POSIX `fork` needed), which
+    inherits the denoiser, the classifier and the labels.  On the denoiser
+    branch this process draws all `cfg.eot` noises in replica order, sends
+    the first ceil(eot / 2) to the worker, and computes the statistic's
+    gradient and the other replicas meanwhile; the replicas are then summed
+    in replica order, so the result and the next draw from `rng` are
+    bitwise those of a serial loop.  The clean branch leaves the worker
+    idle.  A worker exception is re-raised here with its type and message,
+    and the worker is stopped before this returns or raises.  Mismatched
+    labels or reference rows are a `ValueError` before anything forks.
     """
     if detector is None or denoiser is None or classifier is None:
         raise ValueError("adaptive attack needs detector, denoiser and classifier")

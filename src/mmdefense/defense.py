@@ -134,10 +134,10 @@ def train_denoiser(clean: np.ndarray, labels: np.ndarray,
 
     The adversarial examples attack the frozen classifier only, so PGD's
     step loop runs in one forked worker process, one minibatch ahead of the
-    denoiser step, where `mmdefense.worker.fork_pays()`, and here otherwise.
-    Every random draw stays in this process, in the order of a serial loop,
-    so the result is bitwise that of a serial loop.  The worker is always
-    stopped before this returns or raises.
+    denoiser step.  Every random draw stays in this process, in the order
+    of a serial loop, so the result is bitwise that of a serial loop.  This
+    needs a POSIX `fork`; the worker is always stopped before this returns
+    or raises.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")

@@ -1,5 +1,4 @@
-"""A job worker: one forked process that answers jobs sent over a pipe, or
-this process where a second one would not pay.
+"""A job worker: one forked process that answers jobs sent over a pipe.
 
 `train_denoiser` runs PGD against the frozen classifier in it, one minibatch
 ahead of the denoiser step, and `adaptive_pgd_eot` runs half of each
@@ -7,58 +6,13 @@ iteration's EOT replicas in it.  The child inherits its function and
 everything the function reads through `fork`, so no weights are pickled and
 monkeypatches made in the parent before the call reach the child; only the
 jobs' arguments and results cross the pipe.
-
-A second process pays only when both processes' BLAS threads fit on the
-usable CPUs: OpenBLAS threads spin while they wait for work, so two
-processes that each run as many BLAS threads as there are CPUs are several
-times slower than one.  Changing the thread count would change the
-results in their last bits, so where the threads do not fit, the jobs run
-in this process instead, when their results are read.
 """
 from __future__ import annotations
 
-import ctypes
 import multiprocessing
-import os
 import signal
-from collections import deque
 from contextlib import contextmanager
-from typing import Callable, Optional
-
-# OpenBLAS's thread-count getter under the names its builds export
-_GET_THREADS = ("scipy_openblas_get_num_threads64_",
-                "scipy_openblas_get_num_threads",
-                "openblas_get_num_threads64_", "openblas_get_num_threads")
-
-
-def blas_threads() -> Optional[int]:
-    """Threads of the loaded OpenBLAS, asked through its own API; None when
-    no OpenBLAS is found among the libraries this process has mapped."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            libs = sorted({path for path in (line.split()[-1] for line in fh)
-                           if "blas" in path.lower() and path.startswith("/")})
-    except OSError:
-        return None
-    for path in libs:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:  # mapped, but not a library this process can open
-            continue
-        for sym in _GET_THREADS:
-            fn = getattr(lib, sym, None)
-            if fn is not None:
-                fn.argtypes = []
-                fn.restype = ctypes.c_int
-                return int(fn())
-    return None
-
-
-def fork_pays() -> bool:
-    """True when this process and a forked child both fit on the usable
-    CPUs with their BLAS threads; False for an unknown BLAS."""
-    threads = blas_threads()
-    return threads is not None and 2 * threads <= len(os.sched_getaffinity(0))
+from typing import Callable
 
 
 def _serve(conn, parent_end, fn: Callable):
@@ -102,34 +56,14 @@ class Worker:
         return value
 
 
-class InlineWorker:
-    """A `Worker` stand-in that runs each job in this process when its
-    result is read, so an exception surfaces where the worker's would."""
-
-    def __init__(self, fn: Callable):
-        self._fn = fn
-        self._jobs: deque = deque()
-
-    def submit(self, *job):
-        self._jobs.append(job)
-
-    def result(self):
-        return self._fn(*self._jobs.popleft())
-
-
 @contextmanager
 def job_worker(fn: Callable):
-    """Yield a worker that answers each submitted job with `fn(*job)`.
-
-    Where `fork_pays()`, a forked child runs the jobs while the caller
-    works on; it is always joined before the block is left, and terminated
-    first if the block raised.  Otherwise an `InlineWorker` runs them in
-    this process.  `fn` must draw nothing from any generator the caller
-    uses, so both give the caller the same results and the same draws.
+    """Yield a forked worker that answers each submitted job with `fn(*job)`
+    while the caller works on.  This needs a POSIX `fork`; the worker is
+    always joined before the block is left, and terminated first if the
+    block raised.  `fn` must draw nothing from any generator the caller
+    uses, so the caller's draws are those of a serial loop.
     """
-    if not fork_pays():
-        yield InlineWorker(fn)
-        return
     ctx = multiprocessing.get_context("fork")
     conn, child_end = ctx.Pipe()
     process = ctx.Process(target=_serve, daemon=True,

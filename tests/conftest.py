@@ -3,7 +3,6 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from mmdefense import worker
 from mmdefense.attacks import AttackConfig, NoiseConfig, pgd
 from mmdefense.dataio import make_split, synth_digits
 from mmdefense.defense import DefensePipeline, train_denoiser
@@ -63,10 +62,3 @@ def no_leaked_child_process():
         child.terminate()
         child.join()
     assert not leaked, f"test left child processes running: {leaked}"
-
-
-@pytest.fixture
-def forking(monkeypatch):
-    """Run every job worker in a forked child, whatever the BLAS thread
-    count, so the worker's lifecycle is tested on any machine."""
-    monkeypatch.setattr(worker, "fork_pays", lambda: True)

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from mmdefense import attacks, worker
+from mmdefense import attacks
 from mmdefense import tensor as T
 from mmdefense.attacks import (AttackConfig, NoiseConfig, adaptive_pgd_eot,
                                fgsm, inject_noise, pgd)
@@ -287,7 +287,6 @@ WORKER_CASES = {
 }
 
 
-@pytest.mark.usefixtures("forking")
 class TestAttackWorker:
     """Half of each iteration's EOT replicas run in a forked worker; the
     result must be bitwise that of the serial loop, and no worker may
@@ -316,23 +315,6 @@ class TestAttackWorker:
         assert set(branches) == want_branches
         assert runs[0] == runs[1]
         assert multiprocessing.active_children() == []
-
-    @pytest.mark.parametrize("case", ["mixed-branches", "l2"])
-    def test_inline_worker_equals_the_serial_loop(self, setup, monkeypatch,
-                                                  case):
-        def no_fork(*args):
-            raise AssertionError("forked although the worker runs inline")
-
-        monkeypatch.setattr(worker, "fork_pays", lambda: False)
-        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
-        cfg, threshold, _, _ = WORKER_CASES[case]
-        runs = []
-        for attack in (adaptive_pgd_eot, serial_adaptive_pgd_eot):
-            rng = Rng(9)
-            adv = attack(*self.args(setup, threshold), cfg,
-                         NoiseConfig(0.0, 0.25), rng)
-            runs.append((adv.tobytes(), rng.uniform((4,)).tobytes()))
-        assert runs[0] == runs[1]
 
     def test_worker_exception_is_reraised_with_its_type_and_message(
             self, setup, monkeypatch):

@@ -5,7 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
-from mmdefense import attacks, cli, worker
+from mmdefense import attacks, cli
 from mmdefense.cli import main
 from mmdefense.config import ConfigError, config_echo, parse_config
 from mmdefense.dataio import load_model, save_model
@@ -119,14 +119,10 @@ def full_run(tmp_path_factory):
     cfgpath = write_config(tmp)
     out = str(tmp / "runs")
     codes = {}
-    with pytest.MonkeyPatch.context() as mp:
-        # the workers fork whatever the BLAS thread count, so the manifests
-        # record their memory on any machine
-        mp.setattr(worker, "fork_pays", lambda: True)
-        for command in ("train-classifier", "train-kernel", "calibrate",
-                        "train-denoiser", "attack", "defend", "eval-mixed",
-                        "eval-batch-size", "ablate", "verify-bound"):
-            codes[command] = main([command, "--config", cfgpath, "--out", out])
+    for command in ("train-classifier", "train-kernel", "calibrate",
+                    "train-denoiser", "attack", "defend", "eval-mixed",
+                    "eval-batch-size", "ablate", "verify-bound"):
+        codes[command] = main([command, "--config", cfgpath, "--out", out])
     return tmp, cfgpath, out, codes
 
 
@@ -275,7 +271,6 @@ class TestCliErrors:
         assert code == 1
         assert "epochs must be >= 1" in capsys.readouterr().err
 
-    @pytest.mark.usefixtures("forking")
     def test_non_finite_pgd_in_the_worker_is_exit_3(self, full_run, tmp_path,
                                                    capsys, monkeypatch):
         _, cfgpath, out, _ = full_run

@@ -232,7 +232,6 @@ SERIAL_CASES = {
 }
 
 
-@pytest.mark.usefixtures("forking")
 class TestDenoiserWorker:
     """PGD runs in a forked worker one minibatch ahead; the result must be
     bitwise that of the serial loop, and no worker may outlive the call."""

@@ -1,36 +1,30 @@
-"""The job worker: a forked child where a second process pays, this process
-otherwise, with the same results and the same failures either way."""
+"""The job worker: one forked child that answers jobs in order, relays its
+exceptions and never outlives its block."""
 import multiprocessing
 import os
-import subprocess
-import sys
 
 import pytest
 
-from mmdefense import worker
-from mmdefense.worker import InlineWorker, job_worker
+from mmdefense.worker import job_worker
 
 
 def square_or_fail(x):
     if x < 0:
         raise ValueError(f"negative job {x}")
+    if x == 0:
+        os._exit(5)
     return x * x
 
 
-@pytest.mark.parametrize("fork", [True, False], ids=["forked", "inline"])
-def test_results_come_back_in_submission_order(monkeypatch, fork):
-    monkeypatch.setattr(worker, "fork_pays", lambda: fork)
+def test_results_come_back_in_submission_order():
     with job_worker(square_or_fail) as w:
-        assert isinstance(w, InlineWorker) != fork
         w.submit(3)
         w.submit(4)
         assert (w.result(), w.result()) == (9, 16)
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("fork", [True, False], ids=["forked", "inline"])
-def test_job_exception_is_raised_when_its_result_is_read(monkeypatch, fork):
-    monkeypatch.setattr(worker, "fork_pays", lambda: fork)
+def test_job_exception_is_raised_when_its_result_is_read():
     with pytest.raises(ValueError, match="^negative job -2$"):
         with job_worker(square_or_fail) as w:
             w.submit(-2)  # the job fails, but only reading its result raises
@@ -40,30 +34,17 @@ def test_job_exception_is_raised_when_its_result_is_read(monkeypatch, fork):
     assert multiprocessing.active_children() == []
 
 
-def test_inline_worker_starts_no_process(monkeypatch):
-    def no_fork(*args):
-        raise AssertionError("forked although the worker runs inline")
-
-    monkeypatch.setattr(worker, "fork_pays", lambda: False)
-    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
-    with job_worker(square_or_fail) as w:
-        w.submit(5)
-        assert w.result() == 25
+def test_dead_worker_is_a_runtime_error_with_its_exit_code():
+    with pytest.raises(RuntimeError, match="^PGD worker exited with code 5$"):
+        with job_worker(square_or_fail) as w:
+            w.submit(0)
+            w.result()
+    assert multiprocessing.active_children() == []
 
 
-def child_decision(threads: str) -> str:
-    """`blas_threads()` and `fork_pays()` in a fresh interpreter whose
-    OpenBLAS was started with `threads` threads."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-    code = ("import numpy\nfrom mmdefense import worker\n"
-            "print(worker.blas_threads(), worker.fork_pays())")
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True).stdout.split()
-
-
-@pytest.mark.skipif(worker.blas_threads() is None,
-                    reason="numpy is not linked against a known OpenBLAS")
-def test_fork_pays_only_when_both_processes_fit_on_the_cpus():
-    cpus = len(os.sched_getaffinity(0))
-    assert child_decision("1") == ["1", str(cpus >= 2)]
-    assert child_decision(str(cpus)) == [str(cpus), "False"]
+def test_caller_exception_stops_a_busy_worker():
+    with pytest.raises(KeyError):
+        with job_worker(square_or_fail) as w:
+            w.submit(10 ** 6)
+            raise KeyError("caller failed")
+    assert multiprocessing.active_children() == []
