@@ -163,15 +163,20 @@ def adaptive_pgd_eot(detector: DetectorModel, denoiser: DenoiserParams,
     at the clean batch: `cfg.random_start` is not read here.
 
     Each call starts one forked worker process (POSIX `fork` needed), which
-    inherits the denoiser, the classifier and the labels.  On the denoiser
-    branch this process draws all `cfg.eot` noises in replica order, sends
-    the first ceil(eot / 2) to the worker, and computes the statistic's
-    gradient and the other replicas meanwhile; the replicas are then summed
-    in replica order, so the result and the next draw from `rng` are
-    bitwise those of a serial loop.  The clean branch leaves the worker
-    idle.  A worker exception is re-raised here with its type and message,
-    and the worker is stopped before this returns or raises.  Mismatched
-    labels or reference rows are a `ValueError` before anything forks.
+    inherits the denoiser, the classifier, the labels and a copy of `rng`
+    where the caller's stands.  The worker draws every denoiser-branch
+    iteration's `cfg.eot` noises from its copy, in replica order, one
+    iteration ahead: on receiving `x` it sends the caller the last
+    floor(eot / 2), sends the gradients of the first ceil(eot / 2), then
+    draws the next iteration's noises while the caller computes the next
+    statistic.  This process computes the statistic's gradient and its own
+    replicas meanwhile, sums the replicas in replica order, and moves `rng`
+    past the worker's draws with `Rng.skip_normal`, so the result and the
+    next draw from `rng` are bitwise those of a serial loop.  The clean
+    branch leaves the worker idle.  A worker exception is re-raised here
+    with its type and message, and the worker is stopped before this
+    returns or raises.  Mismatched labels or reference rows are a
+    `ValueError` before anything forks.
     """
     if detector is None or denoiser is None or classifier is None:
         raise ValueError("adaptive attack needs detector, denoiser and classifier")
@@ -185,11 +190,25 @@ def adaptive_pgd_eot(detector: DetectorModel, denoiser: DenoiserParams,
     ref = x0 if reference is None else reference.reshape(len(reference), -1)
     x = x0.copy()
 
+    split = (cfg.eot + 1) // 2
+    drawn = None  # the worker's noises for its next job, drawn in advance
+
     def replicas(x, noises):
         return [_replica_ce_grad(denoiser, classifier, x, n, labels)
                 for n in noises]
 
-    with job_worker(replicas) as worker:
+    def draw():
+        return [rng.normal(x0.shape, noise.mu, noise.sigma)
+                for _k in range(cfg.eot)]
+
+    def eot_job(x):
+        nonlocal drawn
+        noises = drawn or draw()
+        yield noises[split:]
+        yield replicas(x, noises[:split])
+        drawn = draw()
+
+    with job_worker(eot_job) as worker:
         for _ in range(cfg.iters):
             # the statistic and its input gradient, shared by every replica
             xt = Tensor(x, requires_grad=True)
@@ -205,12 +224,11 @@ def adaptive_pgd_eot(detector: DetectorModel, denoiser: DenoiserParams,
                 for _k in range(cfg.eot):
                     g_eot += g_clean
             else:
-                noises = [rng.normal(x.shape, noise.mu, noise.sigma)
-                          for _k in range(cfg.eot)]
-                split = (cfg.eot + 1) // 2
-                worker.submit(x, noises[:split])
+                worker.submit(x)
+                rng.skip_normal(x.shape, cfg.eot)
+                noises = worker.result()
                 g_stat = T.grad_of(tape, stat, [xt])[0]
-                ours = replicas(x, noises[split:])
+                ours = replicas(x, noises)
                 for g_ce in worker.result() + ours:
                     g_eot += g_stat + alpha * g_ce
             g_eot /= cfg.eot

@@ -162,7 +162,7 @@ def train_denoiser(clean: np.ndarray, labels: np.ndarray,
     losses = [[] for _ in range(epochs)]
 
     def pgd_job(xc, yc, x_start):
-        return attacks.pgd_steps(classifier, xc, x_start, yc, attack_cfg)
+        yield attacks.pgd_steps(classifier, xc, x_start, yc, attack_cfg)
 
     jobs = _minibatches(x, labels, attack_cfg, noise, rng, epochs, batch_size)
     with job_worker(pgd_job) as worker:

@@ -49,6 +49,20 @@ class Rng:
         out = mu + sigma * z
         return out.reshape(shape) if shape else float(out[0])
 
+    def skip_normal(self, shape=(), count: int = 1) -> None:
+        """Move past `count` calls of `normal(shape)` without computing them.
+
+        Each call takes 2 * ceil(size / 2) uniforms, one 64-bit output each,
+        so the next draw of any kind is bitwise the one those calls would
+        leave.  The 32-bit half that `integers` or `choice` may have
+        buffered stays buffered, as it does across `normal`
+        (`bit_generator.advance` would drop it)."""
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
+        n = int(np.prod(shape))
+        self._gen.bit_generator.random_raw(2 * ((n + 1) // 2) * count,
+                                           output=False)
+
     def integers(self, low: int, high: int, shape=None) -> np.ndarray:
         return self._gen.integers(low, high, size=shape)
 

@@ -1,68 +1,98 @@
 """A job worker: one forked process that answers jobs sent over a pipe.
 
 `train_denoiser` runs PGD against the frozen classifier in it, one minibatch
-ahead of the denoiser step, and `adaptive_pgd_eot` runs half of each
-iteration's EOT replicas in it.  The child inherits its function and
-everything the function reads through `fork`, so no weights are pickled and
-monkeypatches made in the parent before the call reach the child; only the
-jobs' arguments and results cross the pipe.
+ahead of the denoiser step, and `adaptive_pgd_eot` draws each iteration's
+EOT noises and runs half of its replicas in it.  The child inherits its
+function and everything the function reads through `fork`, so no weights
+are pickled and monkeypatches made in the parent before the call reach the
+child; only the jobs' arguments and results cross the pipe.
 """
 from __future__ import annotations
 
 import multiprocessing
 import signal
 from contextlib import contextmanager
-from typing import Callable
+from typing import Callable, Iterator
 
 
-def _serve(conn, parent_end, fn: Callable):
-    """Answer each job with `fn(*job)` until None arrives; an exception is
-    sent back and ends the worker."""
+def _serve(conn, parent_end, fn: Callable[..., Iterator]):
+    """Run each job `fn(*job)` to its end, sending every value it yields as
+    one result, until None arrives; an exception is sent back and ends the
+    worker."""
     parent_end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops us
     try:
         while (job := conn.recv()) is not None:
             try:
-                out = fn(*job)
+                for out in fn(*job):
+                    conn.send((True, out))
             except Exception as exc:  # re-raised in the parent
                 conn.send((False, exc))
                 return
-            conn.send((True, out))
-    except (EOFError, BrokenPipeError):  # the parent is gone
+    except (EOFError, ConnectionError):  # the parent is gone
         return
 
 
 class Worker:
-    """The parent's end: `submit` a job, then read its `result`, in order."""
+    """The parent's end: `submit` a job, then read its results in order."""
 
     def __init__(self, conn, process):
         self._conn = conn
         self._process = process
 
     def submit(self, *job):
-        self._conn.send(job)
+        self._send(job)
+
+    def _send(self, message):
+        try:
+            self._conn.send(message)
+        except ConnectionError:  # the worker has stopped; reading says why
+            pass
 
     def result(self):
-        """The oldest unread job's result; the worker's exception is
-        re-raised here with its type and message."""
+        """The oldest unread result; an exception the worker raised since
+        its previous result is re-raised here with its type and message."""
         try:
             ok, value = self._conn.recv()
-        except EOFError:
-            self._process.join()
-            raise RuntimeError(
-                f"PGD worker exited with code {self._process.exitcode}") from None
+        except (EOFError, ConnectionError):
+            self._died()
         if not ok:
             raise value
         return value
 
+    def _died(self):
+        self._process.join()
+        raise RuntimeError(
+            f"job worker exited with code {self._process.exitcode}") from None
+
+    def _finish(self):
+        """Stop the worker after its last job; what it raised or how it died
+        after the last result read is raised here."""
+        self._send(None)
+        while True:
+            try:
+                ok, value = self._conn.recv()
+            except (EOFError, ConnectionError):
+                break
+            if not ok:
+                raise value
+        self._process.join()
+        if self._process.exitcode != 0:
+            self._died()
+
 
 @contextmanager
-def job_worker(fn: Callable):
-    """Yield a forked worker that answers each submitted job with `fn(*job)`
-    while the caller works on.  This needs a POSIX `fork`; the worker is
-    always joined before the block is left, and terminated first if the
-    block raised.  `fn` must draw nothing from any generator the caller
-    uses, so the caller's draws are those of a serial loop.
+def job_worker(fn: Callable[..., Iterator]):
+    """Yield a forked worker that runs each submitted job as the generator
+    `fn(*job)` while the caller works on: each yielded value is one result,
+    read with `result()` in order, and the code after a job's last yield
+    runs before the next job is read.  This needs a POSIX `fork`; the
+    worker is always joined before the block is left, and terminated first
+    if the block raised.  An exception the worker raises after the last
+    result read reaches the caller at its next `result()` or when the block
+    is left.  The child draws only from its own forked copies of the
+    caller's generators; a caller that must end where a serial loop would
+    moves its generator past the child's draws itself (`Rng.skip_normal`).
     """
     ctx = multiprocessing.get_context("fork")
     conn, child_end = ctx.Pipe()
@@ -71,8 +101,9 @@ def job_worker(fn: Callable):
     process.start()
     child_end.close()
     try:
-        yield Worker(conn, process)
-        conn.send(None)
+        worker = Worker(conn, process)
+        yield worker
+        worker._finish()
     except BaseException:
         process.terminate()
         raise

@@ -271,26 +271,42 @@ def serial_adaptive_pgd_eot(detector, denoiser, classifier, clean_batch,
 ALWAYS_DENOISE = -np.finfo(float).max
 OPEN_GATE = np.finfo(float).max
 LINF_5 = AttackConfig("linf", 0.1, 0.02, 5, 3, False)
-# (attack, threshold or None for the calibrated one, external reference,
-# the branches the serial loop must take)
+
+
+def worker_case(cfg, threshold, branches, external=False,
+                noise=NoiseConfig(0.0, 0.25), buffered_half=False):
+    """(attack, threshold or None for the calibrated one, the branches the
+    serial loop must take, external reference, noise, whether the caller's
+    generator holds a buffered 32-bit half before the attack)"""
+    return cfg, threshold, branches, external, noise, buffered_half
+
+
 WORKER_CASES = {
-    "denoiser-branch-eot-1": (AttackConfig("linf", 0.1, 0.02, 5, 1, False),
-                              ALWAYS_DENOISE, False, {True}),
-    "denoiser-branch-eot-3": (LINF_5, ALWAYS_DENOISE, False, {True}),
-    "denoiser-branch-eot-10": (AttackConfig("linf", 0.1, 0.02, 5, 10, False),
-                               ALWAYS_DENOISE, False, {True}),
-    "clean-branch-only": (LINF_5, OPEN_GATE, False, {False}),
-    "mixed-branches": (LINF_5, None, False, {False, True}),
-    "l2": (AttackConfig("l2", 1.0, 0.2, 5, 4, False), None, False,
-           {False, True}),
-    "external-reference": (LINF_5, None, True, {False, True}),
+    "denoiser-branch-eot-1": worker_case(
+        AttackConfig("linf", 0.1, 0.02, 5, 1, False), ALWAYS_DENOISE, {True}),
+    "denoiser-branch-eot-2": worker_case(
+        AttackConfig("linf", 0.1, 0.02, 5, 2, False), ALWAYS_DENOISE, {True}),
+    "denoiser-branch-eot-3": worker_case(LINF_5, ALWAYS_DENOISE, {True}),
+    "denoiser-branch-eot-10": worker_case(
+        AttackConfig("linf", 0.1, 0.02, 5, 10, False), ALWAYS_DENOISE,
+        {True}),
+    "zero-noise": worker_case(LINF_5, ALWAYS_DENOISE, {True},
+                              noise=NoiseConfig(0.0, 0.0)),
+    "buffered-half": worker_case(LINF_5, None, {False, True},
+                                 buffered_half=True),
+    "clean-branch-only": worker_case(LINF_5, OPEN_GATE, {False}),
+    "mixed-branches": worker_case(LINF_5, None, {False, True}),
+    "l2": worker_case(AttackConfig("l2", 1.0, 0.2, 5, 4, False), None,
+                      {False, True}),
+    "external-reference": worker_case(LINF_5, None, {False, True},
+                                      external=True),
 }
 
 
 class TestAttackWorker:
-    """Half of each iteration's EOT replicas run in a forked worker; the
-    result must be bitwise that of the serial loop, and no worker may
-    outlive the call."""
+    """A forked worker draws each iteration's EOT noises and runs half of
+    its replicas; the result and the caller's next draw must be bitwise
+    those of the serial loop, and no worker may outlive the call."""
 
     def args(self, setup, threshold=None):
         images, classifier, detector, denoiser = setup
@@ -302,16 +318,20 @@ class TestAttackWorker:
 
     @pytest.mark.parametrize("case", WORKER_CASES)
     def test_bitwise_equal_to_the_serial_loop(self, setup, case):
-        cfg, threshold, external, want_branches = WORKER_CASES[case]
+        cfg, threshold, want_branches, external, noise, buffered_half = (
+            WORKER_CASES[case])
         reference = setup[0].flat[100:150] if external else None
-        noise = NoiseConfig(0.0, 0.25)
         runs, branches = [], []
         for attack in (adaptive_pgd_eot, serial_adaptive_pgd_eot):
             rng = Rng(9)
+            if buffered_half:
+                rng.choice(10, 3)
+                assert rng._gen.bit_generator.state["has_uint32"] == 1
             kwargs = {} if attack is adaptive_pgd_eot else {"branches": branches}
             adv = attack(*self.args(setup, threshold), cfg, noise, rng,
                          reference=reference, **kwargs)
-            runs.append((adv.tobytes(), rng.uniform((4,)).tobytes()))
+            runs.append((adv.tobytes(), rng.integers(0, 10, (4,)).tobytes(),
+                         rng.uniform((4,)).tobytes()))
         assert set(branches) == want_branches
         assert runs[0] == runs[1]
         assert multiprocessing.active_children() == []
@@ -343,7 +363,7 @@ class TestAttackWorker:
             return real(*args)
 
         monkeypatch.setattr(attacks, "_replica_ce_grad", exit_in_the_worker)
-        with pytest.raises(RuntimeError, match="PGD worker exited with code 7"):
+        with pytest.raises(RuntimeError, match="job worker exited with code 7"):
             adaptive_pgd_eot(*self.args(setup, ALWAYS_DENOISE), LINF_5,
                              NoiseConfig(0.0, 0.25), Rng(0))
         assert multiprocessing.active_children() == []

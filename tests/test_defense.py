@@ -282,7 +282,7 @@ class TestDenoiserWorker:
     def test_worker_that_dies_is_a_runtime_error(self, digit_setup, monkeypatch):
         s = digit_setup
         monkeypatch.setattr(attacks, "pgd_steps", lambda *args: os._exit(7))
-        with pytest.raises(RuntimeError, match="PGD worker exited with code 7"):
+        with pytest.raises(RuntimeError, match="job worker exited with code 7"):
             train_denoiser(s.train.flat[:200], s.train.labels[:200], s.kernel,
                            s.classifier, s.train_attack, s.noise, Rng(0),
                            epochs=1)
