@@ -1,5 +1,6 @@
-"""Adversarial example generation: FGSM, PGD, noise injection, and the
-adaptive white-box attack that differentiates through the whole defense."""
+"""Adversarial example generation: PGD, the Gaussian noise of denoiser
+training, and the adaptive white-box attack that differentiates through the
+whole defense."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -68,19 +69,6 @@ def _step_direction(grad: np.ndarray, cfg: AttackConfig) -> np.ndarray:
     return grad / np.maximum(norms, 1e-30)
 
 
-def fgsm(classifier: ClassifierParams, batch: np.ndarray, labels: np.ndarray,
-         eps: float) -> np.ndarray:
-    """Single signed-gradient step on cross-entropy, clipped to [0,1]."""
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
-    shape = batch.shape
-    x = batch.reshape(len(batch), -1)
-    if eps == 0:
-        return batch.copy()
-    grad = _ce_input_grad(classifier, x, labels)
-    return np.clip(x + eps * np.sign(grad), 0.0, 1.0).reshape(shape)
-
-
 def random_start(x0: np.ndarray, cfg: AttackConfig,
                  rng: Optional[Rng] = None) -> np.ndarray:
     """PGD's start for flattened `x0`: a uniform draw from the eps-ball,
@@ -123,17 +111,11 @@ def pgd(classifier: ClassifierParams, batch: np.ndarray, labels: np.ndarray,
 
 
 def noise_draw(shape, noise: NoiseConfig, rng: Rng) -> Optional[np.ndarray]:
-    """The IID Gaussian noise `inject_noise` adds; None, drawing nothing,
-    when the noise is zero."""
+    """The IID Gaussian noise denoiser training adds, unclipped, to its
+    adversarial examples; None, drawing nothing, when the noise is zero."""
     if noise.sigma == 0 and noise.mu == 0:
         return None
     return rng.normal(shape, noise.mu, noise.sigma)
-
-
-def inject_noise(batch: np.ndarray, noise: NoiseConfig, rng: Rng) -> np.ndarray:
-    """Additive IID Gaussian noise, deliberately unclipped."""
-    draw = noise_draw(batch.shape, noise, rng)
-    return batch.copy() if draw is None else batch + draw
 
 
 def _replica_ce_grad(denoiser: DenoiserParams, classifier: ClassifierParams,

@@ -213,13 +213,9 @@ def cmd_calibrate(cfg: RunConfig, out: str):
     rng = Rng(cfg.seed)
     kernel, _ = _load_kernel(out)
     pool, images, split = _clean_calibration_pool(cfg, rng)
-    if cfg.threshold_mode == "fixed":
-        detector = DetectorModel(kernel=kernel, threshold=cfg.threshold,
-                                 batch_size=cfg.batch_size)
-    else:
-        detector = calibrate_threshold(kernel, pool, cfg.batch_size,
-                                       cfg.far_target, cfg.calibration_trials,
-                                       rng.fork())
+    detector = calibrate_threshold(kernel, pool, cfg.batch_size,
+                                   cfg.far_target, cfg.calibration_trials,
+                                   rng.fork())
     save_model(os.path.join(out, "detector.model"), component_state(kernel),
                {"threshold": repr(detector.threshold),
                 "batch_size": str(detector.batch_size),
@@ -243,7 +239,7 @@ def cmd_train_denoiser(cfg: RunConfig, out: str):
     train = images.subset(split.train)
     theta, trajectory = train_denoiser(
         train.flat, train.labels, kernel, classifier, _train_attack_cfg(cfg),
-        NoiseConfig(cfg.noise_mu, cfg.noise_sigma), rng.fork(),
+        NoiseConfig(0.0, cfg.noise_sigma), rng.fork(),
         alpha=cfg.alpha, epochs=cfg.denoiser_epochs, lr=cfg.denoiser_lr,
         decay_epochs=cfg.denoiser_decay_epochs, batch_size=cfg.batch_size)
     name = "denoiser.model" if cfg.noise_sigma > 0 else "denoiser_nonoise.model"
@@ -281,7 +277,7 @@ def cmd_defend(cfg: RunConfig, out: str):
     images, split = _split_images(cfg, rng)
     pipeline = _build_pipeline(out)
     test = images.subset(split.test)
-    noise = NoiseConfig(cfg.noise_mu, cfg.noise_sigma)
+    noise = NoiseConfig(0.0, cfg.noise_sigma)
     atk = _eval_attack_cfg(cfg)
     b = pipeline.batch_size
     n_batches = len(test) // b
@@ -317,7 +313,7 @@ def cmd_defend(cfg: RunConfig, out: str):
 def _pipeline_attack(cfg: RunConfig, pipeline: DefensePipeline, rng: Rng,
                      noise: NoiseConfig = None):
     if noise is None:
-        noise = NoiseConfig(cfg.noise_mu, cfg.noise_sigma)
+        noise = NoiseConfig(0.0, cfg.noise_sigma)
     atk = _eval_attack_cfg(cfg)
 
     def attack(x, y):

@@ -40,7 +40,6 @@ class RunConfig:
     denoiser_lr: float = 1e-3
     denoiser_decay_epochs: tuple = (45, 60)
     alpha: float = 1e-2
-    noise_mu: float = 0.0
     noise_sigma: float = 0.25
     # attacks
     attack_norm: str = "linf"
@@ -51,9 +50,7 @@ class RunConfig:
     attack_random_start: bool = True
     train_attack_iters: int = 10
     # threshold
-    threshold_mode: str = "calibrate"  # calibrate | fixed
     far_target: float = 0.05
-    threshold: float = 0.5
     calibration_trials: int = 200
     # evaluation
     trials: int = 20
@@ -70,8 +67,6 @@ class RunConfig:
             raise ConfigError(f"alpha must be > 0, got {self.alpha}")
         if self.noise_sigma < 0:
             raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if self.threshold_mode not in ("calibrate", "fixed"):
-            raise ConfigError(f"bad threshold_mode {self.threshold_mode!r}")
         if self.dataset not in ("", "synth_digits", "synth_blobs", "idx"):
             raise ConfigError(f"bad dataset {self.dataset!r}")
 

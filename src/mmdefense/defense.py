@@ -13,7 +13,7 @@ from .attacks import AttackConfig, NoiseConfig, noise_draw
 from .discrepancy import (DeepKernelParams, DetectorModel, calibrate_threshold,
                           mmd_opt, mmd_u_squared)
 from .models import (ClassifierParams, DenoiserParams, classifier_forward,
-                     cross_entropy, denoise, denoiser_forward)
+                     cross_entropy, denoiser_forward)
 from .optim import AdamState, adam_step
 from .rng import Rng
 from .tensor import GradTape, Tensor
@@ -64,13 +64,13 @@ def defend_batch(pipeline: DefensePipeline, batch: np.ndarray):
     x = np.asarray(batch, dtype=np.float64).reshape(len(batch), -1)
     stat = mmd_opt(pipeline.detector, pipeline.reference, x)
     t = pipeline.detector.threshold
+    xt = Tensor(x)
     if pipeline.gate_enabled and stat < t:
         verdict = Verdict(CLEAN, stat, t)
-        logits = classifier_forward(pipeline.classifier, Tensor(x)).data
     else:
         verdict = Verdict(ADVERSARIAL, stat, t)
-        cleaned = denoise(pipeline.denoiser, x)
-        logits = classifier_forward(pipeline.classifier, Tensor(cleaned)).data
+        xt = denoiser_forward(pipeline.denoiser, xt)
+    logits = classifier_forward(pipeline.classifier, xt).data
     return logits.argmax(axis=1), verdict
 
 

@@ -258,6 +258,8 @@ def calibrate_threshold(kernel: DeepKernelParams, clean_pool: np.ndarray,
             f"batches of {batch_size}")
     if trials < 1:
         raise ValueError("need at least one calibration trial")
+    if not 0 < far_target < 1:
+        raise ValueError(f"far_target must lie in (0, 1), got {far_target}")
     stats = np.empty(trials)
     for i in range(trials):
         idx = rng.choice(len(pool), 2 * batch_size)

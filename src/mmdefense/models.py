@@ -148,9 +148,3 @@ def denoiser_forward(theta: DenoiserParams, x: Tensor) -> Tensor:
     residual = T.affine(T.relu(T.affine(x, theta.w1, theta.b1)), theta.w2, theta.b2)
     return T.clip(x + residual, 0.0, 1.0)
 
-
-def denoise(theta: DenoiserParams, batch: np.ndarray) -> np.ndarray:
-    """Untaped denoiser pass preserving the input's [n,c,h,w] shape."""
-    shape = batch.shape
-    out = denoiser_forward(theta, Tensor(batch.reshape(len(batch), -1)))
-    return out.data.reshape(shape)

@@ -29,6 +29,7 @@ Measured with numpy 2.4 on a 2-CPU x86-64 Xeon, BLAS on one thread.
 """
 from __future__ import annotations
 
+import ctypes
 import math
 from typing import Callable, Optional, Sequence
 
@@ -442,3 +443,27 @@ def grad_of(tape: GradTape, output: Tensor, leaves: Sequence[Tensor]) -> list[np
     backward(tape, output)
     return [leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
             for leaf in leaves]
+
+
+def one_blas_thread() -> bool:
+    """Run the loaded OpenBLAS on one thread, through its own
+    `scipy_openblas_set_num_threads64_`; False, changing nothing, where no
+    mapped BLAS library has it.  Every matrix here is at most a few hundred
+    wide, where more BLAS threads cost more than they give."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = {line.split()[-1] for line in fh
+                    if "blas" in line.lower() and "/" in line}
+    except OSError:  # no /proc: not Linux
+        return False
+    for path in sorted(libs):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # e.g. "(deleted)": the file was replaced since mapped
+            continue
+        fn = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [ctypes.c_int], None
+            fn(1)
+            return True
+    return False

@@ -7,7 +7,7 @@ import pytest
 from mmdefense import attacks
 from mmdefense import tensor as T
 from mmdefense.attacks import (AttackConfig, NoiseConfig, adaptive_pgd_eot,
-                               fgsm, inject_noise, pgd)
+                               noise_draw, pgd)
 from mmdefense.dataio import synth_digits
 from mmdefense.discrepancy import (DeepKernelParams, DetectorModel,
                                    calibrate_threshold, mmd_u_squared)
@@ -46,13 +46,14 @@ class TestConfigs:
             NoiseConfig(0.0, -0.1)
 
 
-class TestFgsm:
-    def test_eps_zero_is_copy(self, setup):
-        images, classifier, _, _ = setup
-        out = fgsm(classifier, images.flat[:10], images.labels[:10], 0.0)
-        assert np.array_equal(out, images.flat[:10])
-        assert out is not images.flat  # a copy, not a view
+def fgsm(classifier, batch, labels, eps):
+    """FGSM: PGD with one step of size eps and no random start."""
+    cfg = AttackConfig(norm="linf", eps=eps, step=eps, iters=1, eot=1,
+                       random_start=False)
+    return pgd(classifier, batch, labels, cfg)
 
+
+class TestFgsm:
     def test_moves_by_at_most_eps(self, setup):
         images, classifier, _, _ = setup
         x = images.flat[:50]
@@ -78,8 +79,12 @@ class TestPgd:
         x, y = images.flat[:30], images.labels[:30]
         cfg = AttackConfig(norm="linf", eps=0.1, step=0.1, iters=1,
                            eot=1, random_start=False)
-        assert np.array_equal(pgd(classifier, x, y, cfg),
-                              fgsm(classifier, x, y, 0.1))
+        xt = Tensor(x, requires_grad=True)
+        with GradTape() as tape:
+            loss = cross_entropy(classifier_forward(classifier, xt), y)
+        grad = T.grad_of(tape, loss, [xt])[0]
+        sign_step = np.clip(x + 0.1 * np.sign(grad), 0.0, 1.0)
+        assert np.array_equal(pgd(classifier, x, y, cfg), sign_step)
 
     @pytest.mark.parametrize("norm", ["linf", "l2"])
     @pytest.mark.parametrize("seed", range(5))
@@ -126,17 +131,17 @@ class TestPgd:
 class TestInjectNoise:
     def test_unclipped_by_design(self):
         x = np.full((200, 8), 0.99)
-        out = inject_noise(x, NoiseConfig(0.0, 0.5), Rng(0))
+        out = x + noise_draw(x.shape, NoiseConfig(0.0, 0.5), Rng(0))
         assert out.max() > 1.0  # downstream code clips, this stays raw
 
-    def test_zero_noise_is_copy(self):
-        x = np.linspace(0, 1, 12).reshape(3, 4)
-        out = inject_noise(x, NoiseConfig(0.0, 0.0), Rng(0))
-        assert np.array_equal(out, x) and out is not x
+    def test_zero_noise_draws_nothing(self):
+        rng = Rng(0)
+        assert noise_draw((3, 4), NoiseConfig(0.0, 0.0), rng) is None
+        assert np.array_equal(rng.uniform((5,)), Rng(0).uniform((5,)))
 
     def test_moment_match(self):
-        x = np.zeros((400, 50))
-        out = inject_noise(x, NoiseConfig(0.1, 0.25), Rng(1))
+        out = noise_draw((400, 50), NoiseConfig(0.1, 0.25), Rng(1))
+        assert out.shape == (400, 50)
         assert abs(out.mean() - 0.1) < 0.01
         assert abs(out.std() - 0.25) < 0.01
 

@@ -54,9 +54,10 @@ class TestParsing:
         assert cfg.dataset == "synth_digits"
 
     def test_unknown_key_names_line(self, tmp_path):
-        text = "dataset = synth_digits\nfrobnicate = 3\n"
-        with pytest.raises(ConfigError, match="line 2.*frobnicate"):
-            parse_config(write_config(tmp_path, text))
+        for key in ("frobnicate", "threshold_mode", "threshold", "noise_mu"):
+            text = f"dataset = synth_digits\n{key} = 3\n"
+            with pytest.raises(ConfigError, match=f"line 2.*'{key}'"):
+                parse_config(write_config(tmp_path, text))
 
     def test_malformed_value_names_line(self, tmp_path):
         text = "dataset = synth_digits\nseed = twelve\n"
@@ -96,11 +97,6 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config(write_config(
                 tmp_path, "dataset = synth_digits\nattack_random_start = 1\n"))
-
-    def test_bad_threshold_mode(self, tmp_path):
-        with pytest.raises(ConfigError):
-            parse_config(write_config(
-                tmp_path, "dataset = synth_digits\nthreshold_mode = magic\n"))
 
     def test_echo_round_trips(self, tmp_path):
         cfg = parse_config(write_config(tmp_path))
@@ -270,6 +266,16 @@ class TestCliErrors:
         code = main(["train-denoiser", "--config", path, "--out", copy])
         assert code == 1
         assert "epochs must be >= 1" in capsys.readouterr().err
+
+    def test_far_target_outside_unit_interval_is_exit_1(self, full_run,
+                                                         tmp_path, capsys):
+        _, _, out, _ = full_run
+        copy = str(tmp_path / "runs")
+        shutil.copytree(out, copy)
+        path = write_config(tmp_path, SMALL_DIGITS + "far_target = 1.5\n")
+        code = main(["calibrate", "--config", path, "--out", copy])
+        assert code == 1
+        assert "far_target must lie in (0, 1)" in capsys.readouterr().err
 
     def test_non_finite_pgd_in_the_worker_is_exit_3(self, full_run, tmp_path,
                                                    capsys, monkeypatch):

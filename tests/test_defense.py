@@ -6,7 +6,7 @@ import pytest
 
 from mmdefense import attacks, defense
 from mmdefense import tensor as T
-from mmdefense.attacks import AttackConfig, NoiseConfig, inject_noise, pgd
+from mmdefense.attacks import AttackConfig, NoiseConfig, pgd
 from mmdefense.defense import (ADVERSARIAL, CLEAN, BatchGate, DefensePipeline,
                                build_mixed_batch, defend_batch, eval_batch_size,
                                eval_mixed, train_denoiser)
@@ -144,8 +144,7 @@ class TestDenoiserTraining:
         x, y = clean_test_batch(s, rng, 400)
         adv = pgd(s.classifier, x, y, s.eval_attack, rng)
         noised = adv + rng.normal(adv.shape, 0.0, 0.25)
-        from mmdefense.models import denoise
-        cleaned = denoise(s.denoiser, noised)
+        cleaned = denoiser_forward(s.denoiser, Tensor(noised)).data
         assert (accuracy(s.classifier, cleaned, y)
                 >= accuracy(s.classifier, adv, y) + 0.2)
 
@@ -203,7 +202,9 @@ def serial_train_denoiser(clean, labels, kernel, classifier, attack_cfg, noise,
                 continue
             xc, yc = x[idx], labels[idx]
             xa = inline_pgd(classifier, xc, yc, attack_cfg, rng).reshape(len(idx), -1)
-            xn = inject_noise(xa, noise, rng)
+            xn = xa  # zero noise draws nothing
+            if noise.sigma or noise.mu:
+                xn = xa + rng.normal(xa.shape, noise.mu, noise.sigma)
             with GradTape() as tape:
                 denoised = denoiser_forward(theta, Tensor(xn))
                 stat = mmd_u_squared(Tensor(xc), denoised, kernel)

@@ -322,6 +322,13 @@ class TestDetector:
         with pytest.raises(ValueError):
             calibrate_threshold(kernel, np.zeros((30, 2)), 20, 0.05, 5, Rng(0))
 
+    @pytest.mark.parametrize("far_target", [0.0, 1.0, 1.5, np.nan])
+    def test_far_target_outside_unit_interval_rejected(self, far_target):
+        kernel = make_params(0.5, 1.0, 1.0)
+        with pytest.raises(ValueError, match="far_target"):
+            calibrate_threshold(kernel, np.zeros((40, 2)), 20, far_target, 5,
+                                Rng(0))
+
 
 class TestOptimization:
     def test_training_improves_monitored_power(self):

@@ -1,5 +1,8 @@
 import inspect
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -485,6 +488,39 @@ def test_statistic_computes_no_adjoint_for_a_constant():
 def test_untaped_outputs_stay_constant():
     x = Tensor(np.ones(3), requires_grad=True)
     assert not (x * x).requires_grad
+
+
+BLAS_THREADS = """
+import ctypes
+import numpy
+import mmdefense
+with open("/proc/self/maps", encoding="utf-8") as fh:
+    libs = {line.split()[-1] for line in fh if "blas" in line.lower() and "/" in line}
+for path in sorted(libs):
+    get = getattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads64_", None)
+    if get is not None:
+        get.restype = ctypes.c_int
+        print(get())
+"""
+
+
+def test_import_sets_one_blas_thread():
+    if not T.one_blas_thread():
+        pytest.skip("no mapped BLAS has scipy_openblas_set_num_threads64_")
+    src = os.path.dirname(os.path.dirname(T.__file__))
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = src
+    run = subprocess.run([sys.executable, "-c", BLAS_THREADS], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "1\n"
+
+
+def test_unloadable_blas_mapping_is_skipped(monkeypatch):
+    def unloadable(path):
+        raise OSError(f"{path}: cannot open shared object file")
+
+    monkeypatch.setattr(T.ctypes, "CDLL", unloadable)
+    assert T.one_blas_thread() is False
 
 
 class TestTracerContract:
