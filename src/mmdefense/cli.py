@@ -47,6 +47,12 @@ def _peak_rss_mb(who: int) -> float:
     return round(resource.getrusage(who).ru_maxrss * 1024 / 1e6, 3)
 
 
+def _write_json(path: str, obj):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_manifest(out: str, command: str, cfg: RunConfig, started: float):
     manifest = {
         "command": command,
@@ -63,9 +69,7 @@ def _write_manifest(out: str, command: str, cfg: RunConfig, started: float):
         "peak_rss_mb": _peak_rss_mb(resource.RUSAGE_SELF),
         "peak_rss_children_mb": _peak_rss_mb(resource.RUSAGE_CHILDREN),
     }
-    with open(os.path.join(out, f"manifest_{command}.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out, f"manifest_{command}.json"), manifest)
 
 
 def _write_csv(path: str, header: str, rows):
@@ -127,15 +131,6 @@ def _load_denoiser(out: str, name: str = "denoiser.model") -> DenoiserParams:
     return component_from_state(DenoiserParams, tensors)
 
 
-def _adv_train_pool(cfg: RunConfig, classifier, images: ImageBatch, split,
-                    rng: Rng):
-    """PGD adversarial counterparts of the clean training pool."""
-    atk = _train_attack_cfg(cfg)
-    train = images.subset(split.train)
-    adv = pgd(classifier, train.flat, train.labels, atk, rng)
-    return train.flat, train.labels, adv.reshape(len(adv), -1)
-
-
 def _build_pipeline(out: str):
     classifier = _load_classifier(out)
     kernel, meta = _load_kernel(out, classifier, "detector.model")
@@ -184,8 +179,10 @@ def cmd_train_kernel(cfg: RunConfig, out: str):
         images, split = _split_images(cfg, rng)
         classifier = _load_classifier(out)
         featurizer = FeaturizerView(classifier)
-        clean, _, adv = _adv_train_pool(cfg, classifier, images, split,
-                                        rng.fork())
+        train = images.subset(split.train)
+        clean = train.flat
+        adv = pgd(classifier, clean, train.labels, _train_attack_cfg(cfg),
+                  rng.fork())
     kernel, trajectory = optimize_kernel(
         clean, adv, featurizer, epochs=cfg.kernel_epochs, lr=cfg.kernel_lr,
         batch_size=min(cfg.batch_size, len(clean) // 2),
@@ -400,9 +397,7 @@ def cmd_verify_bound(cfg: RunConfig, out: str):
     report = {"domains": cfg.domains, "domain_size": cfg.domain_size,
               "hypotheses_checked": total_checked, "violations": violations,
               "min_slack": min_slack}
-    with open(os.path.join(out, "bound_report.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out, "bound_report.json"), report)
     print(f"verify-bound: {total_checked} hypotheses over {cfg.domains} "
           f"domains, {violations} violations, min slack {min_slack:.3e}")
 

@@ -57,9 +57,6 @@ class ClassifierParams:
     def params(self) -> list[Tensor]:
         return [getattr(self, n) for n in self.NAMES]
 
-    def freeze(self):
-        T.freeze(self.params)
-
 
 def features_forward(params: ClassifierParams, x: Tensor) -> Tensor:
     """Penultimate activations [n, 32]; x is flattened [n, d]."""
@@ -115,7 +112,7 @@ def train_classifier(images: ImageBatch, epochs: int, lr: float, rng: Rng):
                 loss = cross_entropy(logits, y[idx])
             grads = T.grad_of(tape, loss, params.params)
             adam_step(params.params, grads, state, lr)
-    params.freeze()
+    T.freeze(params.params)
     return params, accuracy(params, x, y)
 
 

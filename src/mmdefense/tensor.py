@@ -24,14 +24,14 @@ output is checked with one BLAS dot of the array with itself instead (about
 that sum of squares non-finite, and only a finite array whose squares
 overflow pays the exact `np.isfinite(...).all()` pass as well.  No primitive
 enters an `np.errstate` block: the output check raises on every inf or NaN,
-so div / log / sqrt let numpy warn as usual on their way to that error.
+so div / sqrt let numpy warn as usual on their way to that error.
 Measured with numpy 2.4 on a 2-CPU x86-64 Xeon, BLAS on one thread.
 """
 from __future__ import annotations
 
 import ctypes
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -63,31 +63,24 @@ class GradTape:
         self.nodes: list[_Node] = []
 
     def __enter__(self) -> "GradTape":
-        _push_tape(self)
+        _TAPE_STACK.append(self)
         return self
 
     def __exit__(self, *exc):
-        _pop_tape(self)
+        if not _TAPE_STACK or _TAPE_STACK[-1] is not self:
+            raise RuntimeError("tape stack corrupted")
+        _TAPE_STACK.pop()
         return False
 
 
 _TAPE_STACK: list[GradTape] = []
 
 
-def _push_tape(tape: GradTape):
-    _TAPE_STACK.append(tape)
-
-
-def _pop_tape(tape: GradTape):
-    if not _TAPE_STACK or _TAPE_STACK[-1] is not tape:
-        raise RuntimeError("tape stack corrupted")
-    _TAPE_STACK.pop()
-
-
 class Tensor:
-    """Dense n-d array of float64 with optional gradient accumulation."""
+    """Dense n-d array of float64; a leaf built with requires_grad=True is
+    trainable."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -95,7 +88,6 @@ class Tensor:
             raise NonFiniteError("tensor constructed from non-finite data")
         self.data = arr
         self.requires_grad = requires_grad
-        self.grad: Optional[np.ndarray] = None
 
     @property
     def shape(self) -> tuple:
@@ -107,9 +99,6 @@ class Tensor:
 
     def item(self) -> float:
         return self.data.item()
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -159,7 +148,6 @@ def _lift(x) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = np.array(x, dtype=np.float64)
     out.requires_grad = False
-    out.grad = None
     return out
 
 
@@ -192,7 +180,6 @@ def _make(op: str, data: np.ndarray, parents: tuple[Tensor, ...],
     _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.grad = None
     if _TAPE_STACK:
         out.requires_grad = any(p.requires_grad for p in parents)
         _TAPE_STACK[-1].nodes.append(_Node(out, parents, grad_fns))
@@ -318,11 +305,6 @@ def exp(a: Tensor) -> Tensor:
     return _make("exp", data, (a,), (lambda g: g * data,))
 
 
-def log(a: Tensor) -> Tensor:
-    data = np.log(a.data)
-    return _make("log", data, (a,), (lambda g: g / a.data,))
-
-
 def square(a: Tensor) -> Tensor:
     return _make("square", a.data * a.data, (a,), (lambda g: g * 2.0 * a.data,))
 
@@ -394,8 +376,8 @@ def sigmoid(a: Tensor) -> Tensor:
 # backward pass
 # ---------------------------------------------------------------------------
 
-def backward(tape: GradTape, output: Tensor) -> None:
-    """Accumulate d(output)/d(leaf) into .grad of every requires_grad leaf.
+def backward(tape: GradTape, output: Tensor) -> dict[int, np.ndarray]:
+    """d(output)/d(leaf) of every requires_grad leaf it reaches, by id(leaf).
 
     Touches each taped node exactly once, in reverse creation order, and
     computes a parent's adjoint only when that parent requires grad: a
@@ -428,20 +410,15 @@ def backward(tape: GradTape, output: Tensor) -> None:
         raise ValueError("output was not produced on this tape")
     # what is left in `adjoint` belongs to leaves (never produced on tape);
     # a non-finite adjoint stays non-finite on its way to a leaf
-    for node in tape.nodes:
-        for parent in node.parents:
-            if parent.requires_grad and id(parent) in adjoint:
-                pg = adjoint.pop(id(parent))
-                _check_finite(pg, "backward")
-                parent.grad = pg if parent.grad is None else parent.grad + pg
+    for pg in adjoint.values():
+        _check_finite(pg, "backward")
+    return adjoint
 
 
 def grad_of(tape: GradTape, output: Tensor, leaves: Sequence[Tensor]) -> list[np.ndarray]:
-    """Convenience wrapper: zero, run backward, and collect leaf gradients."""
-    for leaf in leaves:
-        leaf.zero_grad()
-    backward(tape, output)
-    return [leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
+    """Gradients of `output` for `leaves`; zeros for a leaf it does not reach."""
+    grads = backward(tape, output)
+    return [grads[id(leaf)] if id(leaf) in grads else np.zeros_like(leaf.data)
             for leaf in leaves]
 
 

@@ -34,6 +34,8 @@ class DiscreteDomain:
         if len(self.phi_a) != n or len(self.f) != n:
             raise ValueError("phi_c, phi_a and f must have equal length")
         for name, phi in (("phi_c", self.phi_c), ("phi_a", self.phi_a)):
+            if not np.isfinite(phi).all():
+                raise ValueError(f"{name} has non-finite mass")
             if (phi < 0).any():
                 raise ValueError(f"{name} has negative mass")
             if abs(phi.sum() - 1.0) > _TOL * max(1, n):
@@ -59,20 +61,10 @@ def l1_divergence(phi_c: np.ndarray, phi_a: np.ndarray) -> float:
     phi_c = np.asarray(phi_c, dtype=np.float64)
     phi_a = np.asarray(phi_a, dtype=np.float64)
     for phi in (phi_c, phi_a):
-        if abs(phi.sum() - 1.0) > _TOL * max(1, len(phi)) or (phi < 0).any():
+        if (not np.isfinite(phi).all() or (phi < 0).any()
+                or abs(phi.sum() - 1.0) > _TOL * max(1, len(phi))):
             raise ValueError("inputs must be normalized probability masses")
     return float(np.abs(phi_c - phi_a).sum())
-
-
-def l1_divergence_bruteforce(phi_c: np.ndarray, phi_a: np.ndarray) -> float:
-    """2 * max over all 2^N subsets; exact oracle for N <= 16."""
-    n = len(phi_c)
-    if n > 16:
-        raise ValueError(f"brute force limited to N <= 16, got {n}")
-    diff = np.asarray(phi_c) - np.asarray(phi_a)
-    masks = np.arange(1 << n, dtype=np.int64)
-    membership = (masks[:, None] >> np.arange(n)) & 1
-    return 2.0 * float(np.abs(membership @ diff).max())
 
 
 def risk(h: np.ndarray, f: np.ndarray, phi: np.ndarray) -> float:

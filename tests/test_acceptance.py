@@ -2,8 +2,8 @@
 
 Every expected value here is either derived from an independent oracle
 implemented in the tests (scalar loops, finite differences from
-`finite_diff.py`, subset enumeration) or is a direct property assertion at
-the stated tolerance.
+`finite_diff.py`, subset enumeration from `subset_enumeration.py`) or is a
+direct property assertion at the stated tolerance.
 Run with plain pytest; the per-criterion verdict lines print unconditionally.
 """
 import math
@@ -28,10 +28,10 @@ from mmdefense.models import (ClassifierParams, DenoiserParams, accuracy,
                               denoiser_forward)
 from mmdefense.rng import Rng
 from mmdefense.tensor import GradTape, Tensor
-from mmdefense.theory import (DiscreteDomain, l1_divergence,
-                              l1_divergence_bruteforce, verify_theorem)
+from mmdefense.theory import DiscreteDomain, l1_divergence, verify_theorem
 
 from finite_diff import finite_diff_grad
+from subset_enumeration import l1_divergence_bruteforce
 
 
 def emit(capsys, number, name, ok, detail):
@@ -166,7 +166,7 @@ def test_criterion_2_gradient_fidelity(capsys):
     # full central-difference sweep stays cheap)
     d, hidden, alpha = 6, 8, 1e-2
     classifier = ClassifierParams.init(d, 3, rng.fork())
-    classifier.freeze()
+    T.freeze(classifier.params)
     for _ in range(20):
         kernel = raw_params(0.5, 1.0, 1.3)
         theta = DenoiserParams(

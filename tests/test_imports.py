@@ -1,13 +1,15 @@
-"""Every imported name in the package, its tests and the benchmark is used."""
+"""Every imported name in the package, its tests and the benchmark is used,
+and every function and class the package defines is used outside the tests."""
 import ast
 import pathlib
 
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-FILES = sorted([*(ROOT / "src" / "mmdefense").glob("*.py"),
-                *(ROOT / "tests").glob("*.py"),
-                *(ROOT / "perfbench").glob("*.py")])
+LIBRARY = sorted((ROOT / "src" / "mmdefense").glob("*.py"))
+BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
+FILES = sorted([*LIBRARY, *(ROOT / "tests").glob("*.py"), *BENCHMARK])
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,3 +36,40 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_definitions(library: dict[str, str], users: dict[str, str]) -> list[str]:
+    """Module-level functions and classes of `library` (name -> source) that
+    no source in `library` or `users` refers to outside their own definition.
+    A reference is a Name, an Attribute or an imported name."""
+    defined, used = [], set()
+    for path, source in {**library, **users}.items():
+        for stmt in ast.parse(source).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name)
+            if isinstance(stmt, DEFINITIONS):
+                names.discard(stmt.name)
+                if path in library:
+                    defined.append((path, stmt.name))
+            used |= names
+    return [f"{path}: {name}" for path, name in defined if name not in used]
+
+
+def test_scan_finds_an_unreferenced_definition():
+    library = {"a.py": "def f():\n    return f()\nclass C: pass\ndef g(): pass\n"
+                       "def h(): pass\nx = C\n"}
+    users = {"b.py": "from a import g\nimport a\na.h()\n"}
+    assert unreferenced_definitions(library, users) == ["a.py: f"]
+
+
+def test_every_library_definition_is_used_outside_the_tests():
+    def sources(paths):
+        return {f"{p.parent.name}/{p.name}": p.read_text() for p in paths}
+
+    assert unreferenced_definitions(sources(LIBRARY), sources(BENCHMARK)) == []

@@ -3,9 +3,10 @@ import pytest
 
 from mmdefense.rng import Rng
 from mmdefense.theory import (DiscreteDomain, hypothesis_from_index,
-                              l1_divergence, l1_divergence_bruteforce,
-                              max_excess_risk, risk,
+                              l1_divergence, max_excess_risk, risk,
                               tightness_probe, verify_theorem)
+
+from subset_enumeration import l1_divergence_bruteforce
 
 
 def random_mass(rng, n):
@@ -52,6 +53,13 @@ class TestL1Divergence:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
             l1_divergence([0.5, 0.6], [0.5, 0.5])
+
+    @pytest.mark.parametrize("c,a", [([np.nan, 0.5, 0.5], [0.2, 0.3, 0.5]),
+                                     ([0.2, 0.3, 0.5], [np.nan, 0.5, 0.5])],
+                             ids=["phi_c", "phi_a"])
+    def test_nan_mass_rejected(self, c, a):
+        with pytest.raises(ValueError, match="normalized"):
+            l1_divergence(c, a)
 
     def test_bruteforce_size_cap(self):
         m = np.full(17, 1 / 17)
@@ -135,6 +143,14 @@ class TestDomainValidation:
     def test_negative_mass_rejected(self):
         with pytest.raises(ValueError):
             DiscreteDomain([1.5, -0.5], [0.5, 0.5], [0, 1])
+
+    @pytest.mark.parametrize("name", ["phi_c", "phi_a"])
+    def test_nan_mass_rejected(self, name):
+        # NaN compares false to every bound, so it once passed as a mass
+        masses = {"phi_c": [0.2, 0.3, 0.5], "phi_a": [0.2, 0.3, 0.5]}
+        masses[name] = [np.nan, 0.5, 0.5]
+        with pytest.raises(ValueError, match=f"^{name} has non-finite mass$"):
+            DiscreteDomain(masses["phi_c"], masses["phi_a"], [0, 1, 1])
 
     def test_nonbinary_labels_rejected(self):
         with pytest.raises(ValueError):
