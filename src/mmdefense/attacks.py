@@ -157,11 +157,14 @@ def adaptive_pgd_eot(detector: DetectorModel, denoiser: DenoiserParams,
     next draw from `rng` are bitwise those of a serial loop.  The clean
     branch leaves the worker idle.  A worker exception is re-raised here
     with its type and message, and the worker is stopped before this
-    returns or raises.  Mismatched labels or reference rows are a
-    `ValueError` before anything forks.
+    returns or raises.  A batch of fewer than 2 rows, mismatched labels or
+    mismatched reference rows are a `ValueError` before anything forks.
     """
     if detector is None or denoiser is None or classifier is None:
         raise ValueError("adaptive attack needs detector, denoiser and classifier")
+    if len(clean_batch) < 2:
+        raise ValueError(f"adaptive attack needs a batch of >= 2 rows, got "
+                         f"{len(clean_batch)}")
     if len(labels) != len(clean_batch):
         raise ValueError(f"{len(labels)} labels for {len(clean_batch)} rows")
     if reference is not None and len(reference) != len(clean_batch):

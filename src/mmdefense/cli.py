@@ -11,6 +11,7 @@ import os
 import resource
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -96,16 +97,15 @@ def _split_images(cfg: RunConfig, rng: Rng):
     return images, split
 
 
-def _train_attack_cfg(cfg: RunConfig) -> AttackConfig:
-    return AttackConfig(norm=cfg.attack_norm, eps=cfg.attack_eps,
-                        step=cfg.attack_step, iters=cfg.train_attack_iters,
-                        eot=1, random_start=cfg.attack_random_start)
+def _calibration_pool(images: ImageBatch, split) -> np.ndarray:
+    """The clean rows the threshold is calibrated on: train + val_reference."""
+    return images.subset(np.concatenate([split.train, split.val_reference])).flat
 
 
-def _eval_attack_cfg(cfg: RunConfig) -> AttackConfig:
+def _attack_cfg(cfg: RunConfig, iters: int, eot: int) -> AttackConfig:
     return AttackConfig(norm=cfg.attack_norm, eps=cfg.attack_eps,
-                        step=cfg.attack_step, iters=cfg.attack_iters,
-                        eot=cfg.attack_eot, random_start=cfg.attack_random_start)
+                        step=cfg.attack_step, iters=iters, eot=eot,
+                        random_start=cfg.attack_random_start)
 
 
 def _load_classifier(out: str) -> ClassifierParams:
@@ -152,8 +152,7 @@ def _build_pipeline(out: str):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_train_classifier(cfg: RunConfig, out: str):
-    rng = Rng(cfg.seed)
+def cmd_train_classifier(cfg: RunConfig, out: str, rng: Rng):
     images, split = _split_images(cfg, rng)
     train = images.subset(split.train)
     params, acc = train_classifier(train, cfg.classifier_epochs,
@@ -169,8 +168,7 @@ def cmd_train_classifier(cfg: RunConfig, out: str):
     print(f"classifier trained: train acc {acc:.4f}, test acc {test_acc:.4f}")
 
 
-def cmd_train_kernel(cfg: RunConfig, out: str):
-    rng = Rng(cfg.seed)
+def cmd_train_kernel(cfg: RunConfig, out: str, rng: Rng):
     if cfg.dataset == "synth_blobs":
         clean, adv = synth_blobs(rng.fork(), cfg.blobs_n, cfg.blobs_dim,
                                  cfg.blobs_delta)
@@ -181,8 +179,8 @@ def cmd_train_kernel(cfg: RunConfig, out: str):
         featurizer = FeaturizerView(classifier)
         train = images.subset(split.train)
         clean = train.flat
-        adv = pgd(classifier, clean, train.labels, _train_attack_cfg(cfg),
-                  rng.fork())
+        adv = pgd(classifier, clean, train.labels,
+                  _attack_cfg(cfg, cfg.train_attack_iters, 1), rng.fork())
     kernel, trajectory = optimize_kernel(
         clean, adv, featurizer, epochs=cfg.kernel_epochs, lr=cfg.kernel_lr,
         batch_size=min(cfg.batch_size, len(clean) // 2),
@@ -196,20 +194,16 @@ def cmd_train_kernel(cfg: RunConfig, out: str):
           f"{max(trajectory):.4f}")
 
 
-def _clean_calibration_pool(cfg: RunConfig, rng: Rng):
-    if cfg.dataset == "synth_blobs":
-        clean, _ = synth_blobs(rng.fork(), cfg.blobs_n, cfg.blobs_dim,
-                               cfg.blobs_delta)
-        return clean, None, None
-    images, split = _split_images(cfg, rng)
-    pool = images.subset(np.concatenate([split.train, split.val_reference]))
-    return pool.flat, images, split
-
-
-def cmd_calibrate(cfg: RunConfig, out: str):
-    rng = Rng(cfg.seed)
+def cmd_calibrate(cfg: RunConfig, out: str, rng: Rng):
     kernel, _ = _load_kernel(out)
-    pool, images, split = _clean_calibration_pool(cfg, rng)
+    if cfg.dataset == "synth_blobs":
+        pool, _ = synth_blobs(rng.fork(), cfg.blobs_n, cfg.blobs_dim,
+                              cfg.blobs_delta)
+        reference = None  # no split: S_V is drawn from the pool below
+    else:
+        images, split = _split_images(cfg, rng)
+        pool = _calibration_pool(images, split)
+        reference = images.subset(split.val_reference).flat
     detector = calibrate_threshold(kernel, pool, cfg.batch_size,
                                    cfg.far_target, cfg.calibration_trials,
                                    rng.fork())
@@ -219,23 +213,21 @@ def cmd_calibrate(cfg: RunConfig, out: str):
                 "lambda": repr(cfg.kernel_lambda),
                 "far_target": repr(cfg.far_target), "seed": str(cfg.seed),
                 "uses_featurizer": str(kernel.featurizer is not None)})
-    if images is not None:
-        reference = images.subset(split.val_reference).flat
-    else:
+    if reference is None:
         reference = pool[rng.fork().choice(len(pool), cfg.batch_size)]
     np.save(os.path.join(out, "reference.npy"), reference)
     print(f"threshold calibrated: t = {detector.threshold:.6g} "
           f"(target FAR {cfg.far_target})")
 
 
-def cmd_train_denoiser(cfg: RunConfig, out: str):
-    rng = Rng(cfg.seed)
+def cmd_train_denoiser(cfg: RunConfig, out: str, rng: Rng):
     images, split = _split_images(cfg, rng)
     classifier = _load_classifier(out)
     kernel, _ = _load_kernel(out, classifier)
     train = images.subset(split.train)
     theta, trajectory = train_denoiser(
-        train.flat, train.labels, kernel, classifier, _train_attack_cfg(cfg),
+        train.flat, train.labels, kernel, classifier,
+        _attack_cfg(cfg, cfg.train_attack_iters, 1),
         NoiseConfig(0.0, cfg.noise_sigma), rng.fork(),
         alpha=cfg.alpha, epochs=cfg.denoiser_epochs, lr=cfg.denoiser_lr,
         decay_epochs=cfg.denoiser_decay_epochs, batch_size=cfg.batch_size)
@@ -248,12 +240,11 @@ def cmd_train_denoiser(cfg: RunConfig, out: str):
     print(f"denoiser trained: loss {trajectory[0]:.4f} -> {trajectory[-1]:.4f}")
 
 
-def cmd_attack(cfg: RunConfig, out: str):
-    rng = Rng(cfg.seed)
+def cmd_attack(cfg: RunConfig, out: str, rng: Rng):
     images, split = _split_images(cfg, rng)
     classifier = _load_classifier(out)
     test = images.subset(split.test)
-    atk = _eval_attack_cfg(cfg)
+    atk = _attack_cfg(cfg, cfg.attack_iters, cfg.attack_eot)
     adv = pgd(classifier, test.flat, test.labels, atk, rng.fork())
     clean_acc = accuracy(classifier, test.flat, test.labels)
     robust_acc = accuracy(classifier, adv, test.labels)
@@ -269,15 +260,17 @@ def cmd_attack(cfg: RunConfig, out: str):
           f"{robust_acc:.4f}")
 
 
-def cmd_defend(cfg: RunConfig, out: str):
-    rng = Rng(cfg.seed)
+def cmd_defend(cfg: RunConfig, out: str, rng: Rng):
     images, split = _split_images(cfg, rng)
     pipeline = _build_pipeline(out)
     test = images.subset(split.test)
     noise = NoiseConfig(0.0, cfg.noise_sigma)
-    atk = _eval_attack_cfg(cfg)
+    atk = _attack_cfg(cfg, cfg.attack_iters, cfg.attack_eot)
     b = pipeline.batch_size
     n_batches = len(test) // b
+    if n_batches == 0:
+        raise ValueError(f"defend needs a test split of at least one batch: "
+                         f"{len(test)} test rows, batch size {b}")
     rows = []
     clean_accs, robust_accs, verdicts = [], [], []
     atk_rng = rng.fork()
@@ -308,10 +301,9 @@ def cmd_defend(cfg: RunConfig, out: str):
 
 
 def _pipeline_attack(cfg: RunConfig, pipeline: DefensePipeline, rng: Rng,
-                     noise: NoiseConfig = None):
-    if noise is None:
-        noise = NoiseConfig(0.0, cfg.noise_sigma)
-    atk = _eval_attack_cfg(cfg)
+                     sigma: float):
+    noise = NoiseConfig(0.0, sigma)
+    atk = _attack_cfg(cfg, cfg.attack_iters, cfg.attack_eot)
 
     def attack(x, y):
         return adaptive_pgd_eot(pipeline.detector, pipeline.denoiser,
@@ -320,29 +312,26 @@ def _pipeline_attack(cfg: RunConfig, pipeline: DefensePipeline, rng: Rng,
     return attack
 
 
-def cmd_eval_mixed(cfg: RunConfig, out: str):
-    rng = Rng(cfg.seed)
+def cmd_eval_mixed(cfg: RunConfig, out: str, rng: Rng):
     images, split = _split_images(cfg, rng)
     pipeline = _build_pipeline(out)
     test = images.subset(split.test)
+    attack = _pipeline_attack(cfg, pipeline, rng.fork(), cfg.noise_sigma)
     rows = eval_mixed(pipeline, test.flat, test.labels, cfg.mixed_proportions,
-                      _pipeline_attack(cfg, pipeline, rng.fork()), cfg.trials,
-                      rng.fork())
+                      attack, cfg.trials, rng.fork())
     _write_csv(os.path.join(out, "mixed_curve.csv"),
                "proportion,accuracy,std", rows)
     print("eval-mixed: " + ", ".join(f"p={p:.1f}:{a:.3f}" for p, a, _ in rows))
 
 
-def cmd_eval_batch_size(cfg: RunConfig, out: str):
-    rng = Rng(cfg.seed)
+def cmd_eval_batch_size(cfg: RunConfig, out: str, rng: Rng):
     images, split = _split_images(cfg, rng)
     classifier = _load_classifier(out)
     kernel, _ = _load_kernel(out, classifier)
     denoiser = _load_denoiser(out)
     test = images.subset(split.test)
-    calib = images.subset(np.concatenate([split.train, split.val_reference]))
-    rows = eval_batch_size(kernel, denoiser, classifier, test.flat,
-                           test.labels, calib.flat, cfg.batch_sizes,
+    rows = eval_batch_size(kernel, denoiser, classifier, test.flat, test.labels,
+                           _calibration_pool(images, split), cfg.batch_sizes,
                            cfg.trials, rng.fork(), cfg.far_target,
                            cfg.calibration_trials)
     _write_csv(os.path.join(out, "batch_size_curve.csv"),
@@ -351,22 +340,20 @@ def cmd_eval_batch_size(cfg: RunConfig, out: str):
                                           for b, a, s in rows))
 
 
-def cmd_ablate(cfg: RunConfig, out: str):
-    rng = Rng(cfg.seed)
+def cmd_ablate(cfg: RunConfig, out: str, rng: Rng):
     images, split = _split_images(cfg, rng)
     pipeline = _build_pipeline(out)
     no_noise = None
     if os.path.exists(os.path.join(out, "denoiser_nonoise.model")):
-        no_noise = DefensePipeline(pipeline.detector,
-                                   _load_denoiser(out, "denoiser_nonoise.model"),
-                                   pipeline.classifier, pipeline.reference)
+        no_noise = replace(
+            pipeline, denoiser=_load_denoiser(out, "denoiser_nonoise.model"))
     test = images.subset(split.test)
     attack_rng = rng.fork()
 
     def factory(pipe):
         # the no-noise variant is deterministic; adapt its attack accordingly
-        noise = NoiseConfig(0.0, 0.0) if pipe is no_noise else None
-        return _pipeline_attack(cfg, pipe, attack_rng.fork(), noise)
+        sigma = 0.0 if pipe is no_noise else cfg.noise_sigma
+        return _pipeline_attack(cfg, pipe, attack_rng.fork(), sigma)
 
     table = ablate(pipeline, no_noise, test.flat, test.labels, factory,
                    cfg.trials, rng.fork())
@@ -378,8 +365,7 @@ def cmd_ablate(cfg: RunConfig, out: str):
               f"robust {row['robust_accuracy']:.4f}")
 
 
-def cmd_verify_bound(cfg: RunConfig, out: str):
-    rng = Rng(cfg.seed)
+def cmd_verify_bound(cfg: RunConfig, out: str, rng: Rng):
     total_checked = 0
     violations = 0
     min_slack = float("inf")
@@ -435,7 +421,7 @@ def main(argv=None) -> int:
         with open(os.path.join(args.out, "config_echo.txt"), "w") as fh:
             fh.write(config_echo(cfg))
         started = time.time()
-        COMMANDS[args.command](cfg, args.out)
+        COMMANDS[args.command](cfg, args.out, Rng(cfg.seed))
         _write_manifest(args.out, args.command, cfg, started)
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -54,8 +54,8 @@ class ImageBatch:
 
     @property
     def flat(self) -> np.ndarray:
-        """Row-per-image view [n, c*h*w]."""
-        return self.data.reshape(len(self.data), -1)
+        """Row-per-image view [n, c*h*w], also for n = 0."""
+        return self.data.reshape(len(self.data), int(np.prod(self.data.shape[1:])))
 
     def subset(self, idx) -> "ImageBatch":
         lab = None if self.labels is None else self.labels[idx]

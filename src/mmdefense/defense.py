@@ -2,7 +2,7 @@
 accumulation queue, and the ablation/evaluation harness."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -209,6 +209,27 @@ def build_mixed_batch(clean: np.ndarray, labels: np.ndarray, p: float,
     return x[perm], labels[perm]
 
 
+def trial_accuracies(pipe: DefensePipeline, clean_pool: np.ndarray,
+                     labels_pool: np.ndarray, trials: int, rng: Rng,
+                     transform: Optional[Callable] = None) -> list[float]:
+    """`defend_batch` accuracy on each of `trials` batches of B pool rows
+    drawn with `rng.choice`.  `transform(x, y)`, when given, returns the
+    (rows, labels) to defend in place of each drawn batch; its own draws
+    follow the batch's."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    pool = clean_pool.reshape(len(clean_pool), -1)
+    accs = []
+    for _ in range(trials):
+        idx = rng.choice(len(pool), pipe.batch_size)
+        xb, yb = pool[idx], labels_pool[idx]
+        if transform is not None:
+            xb, yb = transform(xb, yb)
+        pred, _ = defend_batch(pipe, xb)
+        accs.append(float((pred == yb).mean()))
+    return accs
+
+
 def eval_mixed(pipeline: DefensePipeline, clean_pool: np.ndarray,
                labels_pool: np.ndarray, proportions: Sequence[float],
                attack: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -220,18 +241,12 @@ def eval_mixed(pipeline: DefensePipeline, clean_pool: np.ndarray,
     """
     if any(p < 0 or p > 1 for p in proportions):
         raise ValueError("proportions must lie in [0,1]")
-    b = pipeline.batch_size
-    pool = clean_pool.reshape(len(clean_pool), -1)
     rows = []
     for p in proportions:
         trial_rng = rng.clone()  # same batch draws for every proportion
-        accs = []
-        for _ in range(trials):
-            idx = trial_rng.choice(len(pool), b)
-            xb, yb = build_mixed_batch(pool[idx], labels_pool[idx], p,
-                                       attack, trial_rng)
-            pred, _ = defend_batch(pipeline, xb)
-            accs.append(float((pred == yb).mean()))
+        accs = trial_accuracies(
+            pipeline, clean_pool, labels_pool, trials, trial_rng,
+            lambda x, y: build_mixed_batch(x, y, p, attack, trial_rng))
         rows.append((float(p), float(np.mean(accs)), float(np.std(accs))))
     return rows
 
@@ -243,7 +258,6 @@ def eval_batch_size(kernel: DeepKernelParams, denoiser: DenoiserParams,
                     far_target: float = 0.05, calib_trials: int = 200):
     """Clean accuracy mean/std per batch size, recalibrating the detector
     (and redrawing the reference) for every size."""
-    pool = clean_pool.reshape(len(clean_pool), -1)
     calib = calib_pool.reshape(len(calib_pool), -1)
     rows = []
     for b in sizes:
@@ -253,11 +267,7 @@ def eval_batch_size(kernel: DeepKernelParams, denoiser: DenoiserParams,
                                   rng.fork())
         ref_idx = rng.choice(len(calib), b)
         pipe = DefensePipeline(det, denoiser, classifier, calib[ref_idx])
-        accs = []
-        for _ in range(trials):
-            idx = rng.choice(len(pool), b)
-            pred, _ = defend_batch(pipe, pool[idx])
-            accs.append(float((pred == labels_pool[idx]).mean()))
+        accs = trial_accuracies(pipe, clean_pool, labels_pool, trials, rng)
         rows.append((int(b), float(np.mean(accs)), float(np.std(accs))))
     return rows
 
@@ -272,33 +282,16 @@ def ablate(pipeline: DefensePipeline, no_noise_pipeline: Optional[DefensePipelin
     variant faces an adversary adapted to its own components rather than a
     transfer attack.
     """
-    def measure(pipe: DefensePipeline, adversarial: bool, trial_rng: Rng) -> float:
-        b = pipe.batch_size
-        pool = clean_pool.reshape(len(clean_pool), -1)
-        attack = attack_factory(pipe)
-        accs = []
-        for _ in range(trials):
-            idx = trial_rng.choice(len(pool), b)
-            xb, yb = pool[idx], labels_pool[idx]
-            if adversarial:
-                xb = attack(xb, yb).reshape(b, -1)
-            pred, _ = defend_batch(pipe, xb)
-            accs.append(float((pred == yb).mean()))
+    def measure(pipe: DefensePipeline, adversarial: bool) -> float:
+        attack = attack_factory(pipe)  # on clean runs too: it may draw
+        accs = trial_accuracies(
+            pipe, clean_pool, labels_pool, trials, rng.clone(),
+            (lambda x, y: (attack(x, y), y)) if adversarial else None)
         return float(np.mean(accs))
 
-    no_gate = DefensePipeline(pipeline.detector, pipeline.denoiser,
-                              pipeline.classifier, pipeline.reference,
-                              gate_enabled=False)
-    table = [
-        {"config": "gated", "clean_accuracy": measure(pipeline, False, rng.clone()),
-         "robust_accuracy": measure(pipeline, True, rng.clone())},
-        {"config": "denoiser_only",
-         "clean_accuracy": measure(no_gate, False, rng.clone()),
-         "robust_accuracy": measure(no_gate, True, rng.clone())},
-    ]
+    variants = [("gated", pipeline),
+                ("denoiser_only", replace(pipeline, gate_enabled=False))]
     if no_noise_pipeline is not None:
-        table.append(
-            {"config": "no_noise",
-             "clean_accuracy": measure(no_noise_pipeline, False, rng.clone()),
-             "robust_accuracy": measure(no_noise_pipeline, True, rng.clone())})
-    return table
+        variants.append(("no_noise", no_noise_pipeline))
+    return [{"config": name, "clean_accuracy": measure(pipe, False),
+             "robust_accuracy": measure(pipe, True)} for name, pipe in variants]

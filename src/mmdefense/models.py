@@ -85,6 +85,8 @@ def classify(params: ClassifierParams, batch: np.ndarray):
 
 
 def accuracy(params: ClassifierParams, batch: np.ndarray, labels: np.ndarray) -> float:
+    if len(batch) == 0:
+        raise ValueError("accuracy of an empty batch")
     _, pred = classify(params, batch)
     return float((pred == labels).mean())
 

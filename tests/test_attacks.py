@@ -395,17 +395,19 @@ class TestAttackWorker:
         assert adv.shape == x.shape and np.abs(adv - x).max() <= 0.1 + 1e-12
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("missing, n_labels, ref_rows, match", [
-        (None, 40, None, "40 labels for 50 rows"),
-        (None, 50, 49, "reference has 49 rows, the batch 50"),
-        (0, 50, None, "needs detector, denoiser and classifier"),
-        (1, 50, None, "needs detector, denoiser and classifier"),
-        (2, 50, None, "needs detector, denoiser and classifier"),
+    @pytest.mark.parametrize("missing, n_rows, n_labels, ref_rows, match", [
+        (None, 50, 40, None, "40 labels for 50 rows"),
+        (None, 50, 50, 49, "reference has 49 rows, the batch 50"),
+        (0, 50, 50, None, "needs detector, denoiser and classifier"),
+        (1, 50, 50, None, "needs detector, denoiser and classifier"),
+        (2, 50, 50, None, "needs detector, denoiser and classifier"),
+        # the statistic needs 2 rows, and round(p * B) = 1 in a mixed batch
+        (None, 1, 1, None, "batch of >= 2 rows, got 1$"),
     ], ids=["labels-mismatch", "reference-mismatch", "no-detector",
-            "no-denoiser", "no-classifier"])
+            "no-denoiser", "no-classifier", "one-row"])
     def test_bad_input_rejected_before_the_fork(self, setup, monkeypatch,
-                                                missing, n_labels, ref_rows,
-                                                match):
+                                                missing, n_rows, n_labels,
+                                                ref_rows, match):
         def no_fork(*args):
             raise AssertionError("forked before validating")
 
@@ -413,7 +415,7 @@ class TestAttackWorker:
         args = list(self.args(setup))
         if missing is not None:
             args[missing] = None
-        args[4] = args[4][:n_labels]
+        args[3], args[4] = args[3][:n_rows], args[4][:n_labels]
         reference = None if ref_rows is None else setup[0].flat[:ref_rows]
         with pytest.raises(ValueError, match=match):
             adaptive_pgd_eot(*args, LINF_5, NoiseConfig(0.0, 0.25), Rng(0),

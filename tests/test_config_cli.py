@@ -277,6 +277,57 @@ class TestCliErrors:
         assert code == 1
         assert "far_target must lie in (0, 1)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, artifact", [
+        ("eval-mixed", "mixed_curve.csv"),
+        ("eval-batch-size", "batch_size_curve.csv"),
+        ("ablate", "ablation.jsonl")])
+    def test_zero_trials_is_exit_1(self, full_run, tmp_path, capsys, command,
+                                   artifact):
+        # an evaluation over no batch would write NaN accuracies
+        _, _, out, _ = full_run
+        copy = str(tmp_path / "runs")
+        shutil.copytree(out, copy)
+        os.remove(os.path.join(copy, artifact))
+        path = write_config(tmp_path, SMALL_DIGITS + "trials = 0\n")
+        code = main([command, "--config", path, "--out", copy])
+        assert code == 1
+        assert "trials must be >= 1, got 0" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(copy, artifact))
+
+    def test_defend_without_a_full_test_batch_is_exit_1(self, full_run,
+                                                        tmp_path, capsys):
+        _, _, out, _ = full_run
+        copy = str(tmp_path / "runs")
+        shutil.copytree(out, copy)
+        os.remove(os.path.join(copy, "defend_report.csv"))
+        # 570 of 600 rows train: the 30 test rows hold no batch of 50
+        path = write_config(tmp_path, SMALL_DIGITS + "train_fraction = 0.95\n")
+        code = main(["defend", "--config", path, "--out", copy])
+        assert code == 1
+        assert "30 test rows, batch size 50" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(copy, "defend_report.csv"))
+
+    def test_empty_test_split_is_exit_1(self, tmp_path, capsys):
+        # round(600 * 0.9995) = 600 rows train, none test
+        path = write_config(tmp_path, SMALL_DIGITS + "train_fraction = 0.9995\n")
+        out = str(tmp_path / "runs")
+        code = main(["train-classifier", "--config", path, "--out", out])
+        assert code == 1
+        assert "accuracy of an empty batch" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "classifier_report.csv"))
+
+    def test_one_row_adaptive_attack_is_exit_1(self, full_run, tmp_path,
+                                               capsys):
+        # round(0.02 * 50) = 1 adversarial row per mixed batch
+        _, _, out, _ = full_run
+        copy = str(tmp_path / "runs")
+        shutil.copytree(out, copy)
+        path = write_config(tmp_path,
+                            SMALL_DIGITS + "mixed_proportions = 0.02\n")
+        code = main(["eval-mixed", "--config", path, "--out", copy])
+        assert code == 1
+        assert "batch of >= 2 rows, got 1" in capsys.readouterr().err
+
     def test_non_finite_pgd_in_the_worker_is_exit_3(self, full_run, tmp_path,
                                                    capsys, monkeypatch):
         _, cfgpath, out, _ = full_run

@@ -7,12 +7,16 @@ import pytest
 from mmdefense import attacks, defense
 from mmdefense import tensor as T
 from mmdefense.attacks import AttackConfig, NoiseConfig, pgd
+from mmdefense.dataio import synth_digits
 from mmdefense.defense import (ADVERSARIAL, CLEAN, BatchGate, DefensePipeline,
-                               build_mixed_batch, defend_batch, eval_batch_size,
-                               eval_mixed, train_denoiser)
-from mmdefense.discrepancy import DetectorModel, mmd_u_squared
+                               ablate, build_mixed_batch, defend_batch,
+                               eval_batch_size, eval_mixed, train_denoiser,
+                               trial_accuracies)
+from mmdefense.discrepancy import (DeepKernelParams, DetectorModel,
+                                   calibrate_threshold, mmd_u_squared)
 from mmdefense.models import (DenoiserParams, accuracy, classifier_forward,
-                              classify, cross_entropy, denoiser_forward)
+                              classify, cross_entropy, denoiser_forward,
+                              train_classifier)
 from mmdefense.optim import AdamState, adam_step
 from mmdefense.rng import Rng
 from mmdefense.tensor import GradTape, NonFiniteError, Tensor
@@ -407,3 +411,145 @@ class TestBatchSizeSweep:
             eval_batch_size(s.kernel, s.denoiser, s.classifier, s.test.flat,
                             s.test.labels, s.train.flat, sizes=(1,),
                             trials=1, rng=Rng(0))
+
+
+# ---------------------------------------------------------------------------
+# the harness against inline copies of its three former loops
+# ---------------------------------------------------------------------------
+
+def reference_eval_mixed(pipeline, clean_pool, labels_pool, proportions,
+                         attack, trials, rng):
+    b = pipeline.batch_size
+    pool = clean_pool.reshape(len(clean_pool), -1)
+    rows = []
+    for p in proportions:
+        trial_rng = rng.clone()
+        accs = []
+        for _ in range(trials):
+            idx = trial_rng.choice(len(pool), b)
+            xb, yb = build_mixed_batch(pool[idx], labels_pool[idx], p,
+                                       attack, trial_rng)
+            pred, _ = defend_batch(pipeline, xb)
+            accs.append(float((pred == yb).mean()))
+        rows.append((float(p), float(np.mean(accs)), float(np.std(accs))))
+    return rows
+
+
+def reference_eval_batch_size(kernel, denoiser, classifier, clean_pool,
+                              labels_pool, calib_pool, sizes, trials, rng,
+                              far_target, calib_trials):
+    pool = clean_pool.reshape(len(clean_pool), -1)
+    calib = calib_pool.reshape(len(calib_pool), -1)
+    rows = []
+    for b in sizes:
+        det = calibrate_threshold(kernel, calib, b, far_target, calib_trials,
+                                  rng.fork())
+        ref_idx = rng.choice(len(calib), b)
+        pipe = DefensePipeline(det, denoiser, classifier, calib[ref_idx])
+        accs = []
+        for _ in range(trials):
+            idx = rng.choice(len(pool), b)
+            pred, _ = defend_batch(pipe, pool[idx])
+            accs.append(float((pred == labels_pool[idx]).mean()))
+        rows.append((int(b), float(np.mean(accs)), float(np.std(accs))))
+    return rows
+
+
+def reference_ablate(pipeline, no_noise_pipeline, clean_pool, labels_pool,
+                     attack_factory, trials, rng):
+    def measure(pipe, adversarial, trial_rng):
+        b = pipe.batch_size
+        pool = clean_pool.reshape(len(clean_pool), -1)
+        attack = attack_factory(pipe)
+        accs = []
+        for _ in range(trials):
+            idx = trial_rng.choice(len(pool), b)
+            xb, yb = pool[idx], labels_pool[idx]
+            if adversarial:
+                xb = attack(xb, yb).reshape(b, -1)
+            pred, _ = defend_batch(pipe, xb)
+            accs.append(float((pred == yb).mean()))
+        return float(np.mean(accs))
+
+    no_gate = DefensePipeline(pipeline.detector, pipeline.denoiser,
+                              pipeline.classifier, pipeline.reference,
+                              gate_enabled=False)
+    table = [
+        {"config": "gated", "clean_accuracy": measure(pipeline, False, rng.clone()),
+         "robust_accuracy": measure(pipeline, True, rng.clone())},
+        {"config": "denoiser_only",
+         "clean_accuracy": measure(no_gate, False, rng.clone()),
+         "robust_accuracy": measure(no_gate, True, rng.clone())},
+    ]
+    if no_noise_pipeline is not None:
+        table.append(
+            {"config": "no_noise",
+             "clean_accuracy": measure(no_noise_pipeline, False, rng.clone()),
+             "robust_accuracy": measure(no_noise_pipeline, True, rng.clone())})
+    return table
+
+
+@pytest.fixture(scope="module")
+def small_pipeline():
+    """A briefly trained 3-class pipeline on 4x4 digits, B = 10: batch
+    accuracies vary from draw to draw, and the threshold (the median clean
+    statistic) sends clean batches down both branches."""
+    rng = Rng(31)
+    images = synth_digits(rng.fork(), 120, 3, 4, 0.3)
+    classifier, _ = train_classifier(images, 3, 1e-2, rng.fork())
+    x, y = images.flat, images.labels
+    kernel = DeepKernelParams.init_median(x[:40])
+    detector = calibrate_threshold(kernel, x, 10, 0.5, 20, rng.fork())
+    pipes = [DefensePipeline(detector, DenoiserParams.init(16, rng.fork(), 0.5),
+                             classifier, x[:10]) for _ in range(2)]
+    return pipes, kernel, x, y
+
+
+def noisy_attack(rng):
+    """A stand-in attack with draws of its own, so that a change in how
+    often or in which order the harness calls it changes the rows."""
+    return lambda x, y: np.clip(x + rng.normal(x.shape, 0.0, 0.1), 0.0, 1.0)
+
+
+class TestHarnessMatchesReferenceLoops:
+    def test_eval_mixed(self, small_pipeline):
+        (pipe, _), _, x, y = small_pipeline
+        args = (pipe, x, y, [0.0, 0.3, 1.0])
+        got = eval_mixed(*args, noisy_attack(Rng(1)), 4, Rng(2))
+        want = reference_eval_mixed(*args, noisy_attack(Rng(1)), 4, Rng(2))
+        assert got == want
+        assert all(std > 0 for _, _, std in got)
+
+    def test_eval_batch_size(self, small_pipeline):
+        (pipe, _), kernel, x, y = small_pipeline
+        args = (kernel, pipe.denoiser, pipe.classifier, x, y, x, (5, 10), 4)
+        got = eval_batch_size(*args, Rng(3), 0.5, 20)
+        want = reference_eval_batch_size(*args, Rng(3), 0.5, 20)
+        assert got == want
+        assert all(std > 0 for _, _, std in got)
+
+    def test_ablate(self, small_pipeline):
+        (pipe, no_noise), _, x, y = small_pipeline
+
+        def factory_from(attack_rng):
+            # one fork per call, as the CLI's factory does
+            return lambda _pipe: noisy_attack(attack_rng.fork())
+
+        got = ablate(pipe, no_noise, x, y, factory_from(Rng(4)), 4, Rng(5))
+        want = reference_ablate(pipe, no_noise, x, y, factory_from(Rng(4)), 4,
+                                Rng(5))
+        assert got == want
+        assert len({row["robust_accuracy"] for row in got}) > 1
+
+    def test_zero_trials_rejected(self, small_pipeline):
+        (pipe, no_noise), kernel, x, y = small_pipeline
+        runs = [
+            lambda: trial_accuracies(pipe, x, y, 0, Rng(0)),
+            lambda: eval_mixed(pipe, x, y, [0.0], noisy_attack(Rng(1)), 0, Rng(0)),
+            lambda: eval_batch_size(kernel, pipe.denoiser, pipe.classifier,
+                                    x, y, x, (10,), 0, Rng(0), 0.5, 20),
+            lambda: ablate(pipe, no_noise, x, y,
+                           lambda _pipe: noisy_attack(Rng(1)), 0, Rng(0))]
+        for run in runs:
+            with pytest.raises(ValueError, match="trials must be >= 1, got 0"):
+                run()

@@ -1,9 +1,12 @@
 """Every imported name in the package, its tests and the benchmark is used,
-and every function and class the package defines is used outside the tests."""
+every function and class the package defines is used outside the tests, and
+every config key is read by the package outside `config.py`."""
 import ast
 import pathlib
 
 import pytest
+
+from mmdefense import config
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src" / "mmdefense").glob("*.py"))
@@ -73,3 +76,24 @@ def test_every_library_definition_is_used_outside_the_tests():
         return {f"{p.parent.name}/{p.name}": p.read_text() for p in paths}
 
     assert unreferenced_definitions(sources(LIBRARY), sources(BENCHMARK)) == []
+
+
+def config_reads(source: str) -> set[str]:
+    """Attributes read as `cfg.<name>` in `source`."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name) and node.value.id == "cfg"}
+
+
+def test_scan_finds_config_reads():
+    source = "cfg.seed = 1\nx = cfg.dataset\nf(other.trials, cfg.alpha)\n"
+    assert config_reads(source) == {"dataset", "alpha"}
+
+
+def test_every_config_key_is_read_outside_config():
+    # a key that parses but that no run reads is a setting that does nothing
+    read = set()
+    for path in LIBRARY:
+        if path.name != "config.py":
+            read |= config_reads(path.read_text())
+    assert sorted(set(config._FIELDS) - read) == []
