@@ -45,6 +45,11 @@ class NoiseConfig:
         if self.sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
 
+    @property
+    def zero(self) -> bool:
+        """No noise at all: `noise_draw` draws nothing."""
+        return self.sigma == 0 and self.mu == 0
+
 
 def _ce_input_grad(classifier: ClassifierParams, x: np.ndarray,
                    labels: np.ndarray) -> np.ndarray:
@@ -113,7 +118,7 @@ def pgd(classifier: ClassifierParams, batch: np.ndarray, labels: np.ndarray,
 def noise_draw(shape, noise: NoiseConfig, rng: Rng) -> Optional[np.ndarray]:
     """The IID Gaussian noise denoiser training adds, unclipped, to its
     adversarial examples; None, drawing nothing, when the noise is zero."""
-    if noise.sigma == 0 and noise.mu == 0:
+    if noise.zero:
         return None
     return rng.normal(shape, noise.mu, noise.sigma)
 

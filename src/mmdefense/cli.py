@@ -64,9 +64,10 @@ def _write_manifest(out: str, command: str, cfg: RunConfig, started: float):
         "python": sys.version.split()[0],
         "wall_time_s": round(time.time() - started, 3),
         # peak resident memory of this process, and of the largest child it
-        # has waited for so far (the PGD workers of train_denoiser and
-        # adaptive_pgd_eot); the latter is this command's own peak only when
-        # each command runs in its own process.  Linux gives ru_maxrss in KiB
+        # has waited for so far (the workers of optimize_kernel,
+        # calibrate_threshold, train_denoiser and adaptive_pgd_eot); the
+        # latter is this command's own peak only when each command runs in
+        # its own process.  Linux gives ru_maxrss in KiB
         "peak_rss_mb": _peak_rss_mb(resource.RUSAGE_SELF),
         "peak_rss_children_mb": _peak_rss_mb(resource.RUSAGE_CHILDREN),
     }

@@ -157,6 +157,9 @@ def make_split(n: int, train_fraction: float, val_batch: int, rng: Rng) -> Split
         raise ValueError(f"train_fraction must be in (0,1), got {train_fraction}")
     perm = rng.permutation(n)
     n_train = int(round(n * train_fraction))
+    if n_train >= n:
+        raise ValueError(f"train_fraction {train_fraction} of {n} rows "
+                         f"leaves no test rows")
     if val_batch >= n_train:
         raise ValueError(f"val_batch {val_batch} exhausts the training pool")
     return Split(train=perm[:n_train - val_batch],

@@ -100,22 +100,16 @@ class BatchGate:
 # denoiser training
 # ---------------------------------------------------------------------------
 
-def _minibatches(x: np.ndarray, labels: np.ndarray, attack_cfg: AttackConfig,
-                 noise: NoiseConfig, rng: Rng, epochs: int, batch_size: int):
-    """Yield (epoch, (clean rows, labels, PGD start), noise draw) per
-    minibatch, drawing from `rng` in the serial loop's order: the
-    permutation per epoch, then per minibatch the PGD start and the noise.
+def _minibatches(n: int, epochs: int, batch_size: int, rng: Rng):
+    """Yield (epoch, row indices) per minibatch, drawing each epoch's
+    permutation from `rng` when its first minibatch is asked for, so the
+    draws a consumer makes per minibatch follow in the serial loop's order.
     Every minibatch has at least 2 rows: a 1-row tail starts at n - 1,
     which the range leaves out, so it is skipped and draws nothing."""
-    n = len(x)
     for epoch in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n - 1, batch_size):
-            idx = order[start:start + batch_size]
-            xc = x[idx]
-            x_start = attacks.random_start(xc, attack_cfg, rng)
-            yield (epoch, (xc, labels[idx], x_start),
-                   noise_draw(xc.shape, noise, rng))
+            yield epoch, order[start:start + batch_size]
 
 
 def train_denoiser(clean: np.ndarray, labels: np.ndarray,
@@ -132,12 +126,17 @@ def train_denoiser(clean: np.ndarray, labels: np.ndarray,
     with Adam; lr is divided by 10 at each decay epoch.
     Returns (frozen DenoiserParams, per-epoch mean loss trajectory).
 
-    The adversarial examples attack the frozen classifier only, so PGD's
-    step loop runs in one forked worker process, one minibatch ahead of the
-    denoiser step.  Every random draw stays in this process, in the order
-    of a serial loop, so the result is bitwise that of a serial loop.  This
-    needs a POSIX `fork`; the worker is always stopped before this returns
-    or raises.
+    The adversarial examples attack the frozen classifier only, so PGD runs
+    in one forked worker process as a single job for the whole run, ahead
+    of the denoiser steps.  The worker inherits the rows, the labels and a
+    copy of `rng` where the caller's stands after the denoiser's
+    initialisation.  From its copy it draws each epoch's permutation and
+    each minibatch's PGD start and noise, and sends back each minibatch's
+    noised PGD result.  This process draws the same permutations from
+    `rng`, moves past each start by drawing it and past each noise with
+    `Rng.skip_normal`, so the result and the next draw from `rng` are
+    bitwise those of a serial loop.  This needs a POSIX `fork`; the worker
+    is always stopped before this returns or raises.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
@@ -161,20 +160,23 @@ def train_denoiser(clean: np.ndarray, labels: np.ndarray,
         lrs.append(cur_lr)
     losses = [[] for _ in range(epochs)]
 
-    def pgd_job(xc, yc, x_start):
-        yield attacks.pgd_steps(classifier, xc, x_start, yc, attack_cfg)
+    def pgd_job():
+        for _, idx in _minibatches(len(x), epochs, batch_size, rng):
+            xc = x[idx]
+            x_start = attacks.random_start(xc, attack_cfg, rng)
+            draw = noise_draw(xc.shape, noise, rng)
+            xa = attacks.pgd_steps(classifier, xc, x_start, labels[idx],
+                                   attack_cfg)
+            yield xa if draw is None else xa + draw
 
-    jobs = _minibatches(x, labels, attack_cfg, noise, rng, epochs, batch_size)
     with job_worker(pgd_job) as worker:
-        job = next(jobs)
-        worker.submit(*job[1])
-        while job is not None:
-            upcoming = next(jobs, None)  # drawn while the worker runs PGD
-            xa = worker.result()
-            if upcoming is not None:
-                worker.submit(*upcoming[1])
-            epoch, (xc, yc, _), draw = job
-            xn = xa if draw is None else xa + draw
+        worker.submit()
+        for epoch, idx in _minibatches(len(x), epochs, batch_size, rng):
+            xc, yc = x[idx], labels[idx]
+            # move past the worker's draws: PGD's start, then the noise
+            attacks.random_start(xc, attack_cfg, rng)
+            rng.skip_normal(xc.shape, 0 if noise.zero else 1)
+            xn = worker.result()
             with GradTape() as tape:
                 denoised = denoiser_forward(theta, Tensor(xn))
                 stat = mmd_u_squared(Tensor(xc), denoised, kernel)
@@ -184,7 +186,6 @@ def train_denoiser(clean: np.ndarray, labels: np.ndarray,
             grads = T.grad_of(tape, loss, theta.params)
             adam_step(theta.params, grads, state, lrs[epoch])
             losses[epoch].append(loss.item())
-            job = upcoming
     for p, orig in zip(classifier.params, frozen):
         if not np.array_equal(p.data, orig):
             raise RuntimeError("classifier parameters mutated during denoiser training")
@@ -237,10 +238,18 @@ def eval_mixed(pipeline: DefensePipeline, clean_pool: np.ndarray,
     """Accuracy over all rows (clean ground-truth labels) per AE proportion:
     round(p*B) rows of each batch come from `attack`, the rest stay clean.
 
-    Returns rows of (proportion, mean accuracy, std).
+    Returns rows of (proportion, mean accuracy, std).  Every proportion is
+    checked before the first trial: the adaptive attack needs 0 or at least
+    2 rows, so a proportion that gives 1 adversarial row is a `ValueError`.
     """
     if any(p < 0 or p > 1 for p in proportions):
         raise ValueError("proportions must lie in [0,1]")
+    b = pipeline.batch_size
+    for p in proportions:
+        if int(round(p * b)) == 1:
+            raise ValueError(
+                f"proportion {p} gives 1 adversarial row of {b}; the "
+                f"adaptive attack needs 0 or at least 2")
     rows = []
     for p in proportions:
         trial_rng = rng.clone()  # same batch draws for every proportion

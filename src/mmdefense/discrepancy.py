@@ -23,6 +23,7 @@ from .models import ClassifierParams, features_forward
 from .optim import AdamState, adam_step
 from .rng import Rng
 from .tensor import GradTape, Tensor
+from .worker import job_worker
 
 
 @dataclass
@@ -182,11 +183,20 @@ def optimize_kernel(clean_pool: np.ndarray, adv_pool: np.ndarray,
     One minibatch step per epoch; the leading 20% of each pool is a held-out
     monitoring split that selects the returned parameters.  Returns (frozen
     params, monitor trajectory).
+
+    The monitor runs in one forked worker process, one epoch behind: after
+    each step this process sends the three raw scalars and keeps a clone
+    for the best so far, while the worker, which inherits the monitoring
+    split and the featurizer, computes the monitor of the previous step.
+    The worker draws nothing, so the result and the next draw from `rng`
+    are bitwise those of a serial loop.  This needs a POSIX `fork`; the
+    worker is always stopped before this returns or raises, and bad input
+    is a `ValueError` before anything forks.
     """
+    if len(clean_pool) == 0 or len(adv_pool) == 0:
+        raise ValueError("empty training pool")
     clean = np.asarray(clean_pool, dtype=np.float64).reshape(len(clean_pool), -1)
     adv = np.asarray(adv_pool, dtype=np.float64).reshape(len(adv_pool), -1)
-    if len(clean) == 0 or len(adv) == 0:
-        raise ValueError("empty training pool")
     if batch_size < 2:
         raise ValueError(f"batch_size must be >= 2, got {batch_size}")
     n_mon_c = max(2, int(len(clean) * 0.2))
@@ -201,24 +211,34 @@ def optimize_kernel(clean_pool: np.ndarray, adv_pool: np.ndarray,
     params = DeepKernelParams.init_median(train_c[:max(b, 8)], featurizer)
     state = AdamState.init(params.raws)
 
-    def monitor_j(p: DeepKernelParams) -> float:
-        return j_hat(Tensor(mon_c[:m]), Tensor(mon_a[:m]), p, lam).item()
+    def monitor_job(*raws):
+        p = DeepKernelParams(*(Tensor(r) for r in raws), featurizer)
+        yield j_hat(Tensor(mon_c[:m]), Tensor(mon_a[:m]), p, lam).item()
 
-    best = params.clone()
-    best_j = monitor_j(params)
-    trajectory = [best_j]
-    for _ in range(epochs):
-        idx_c = rng.choice(len(train_c), b)
-        idx_a = rng.choice(len(train_a), b)
-        with GradTape() as tape:
-            obj = j_hat(Tensor(train_c[idx_c]), Tensor(train_a[idx_a]), params, lam)
-        grads = T.grad_of(tape, obj, params.raws)
-        adam_step(params.raws, grads, state, lr, maximize=True)
-        j_mon = monitor_j(params)
+    trajectory = []
+    best = best_j = None
+
+    def record(j_mon: float, monitored: DeepKernelParams):
+        nonlocal best, best_j
         trajectory.append(j_mon)
-        if j_mon > best_j:
-            best_j = j_mon
-            best = params.clone()
+        if best is None or j_mon > best_j:
+            best, best_j = monitored, j_mon
+
+    with job_worker(monitor_job) as worker:
+        worker.submit(*(p.data for p in params.raws))
+        monitored = params.clone()
+        for _ in range(epochs):
+            idx_c = rng.choice(len(train_c), b)
+            idx_a = rng.choice(len(train_a), b)
+            with GradTape() as tape:
+                obj = j_hat(Tensor(train_c[idx_c]), Tensor(train_a[idx_a]),
+                            params, lam)
+            grads = T.grad_of(tape, obj, params.raws)
+            adam_step(params.raws, grads, state, lr, maximize=True)
+            worker.submit(*(p.data for p in params.raws))
+            record(worker.result(), monitored)  # the previous step's monitor
+            monitored = params.clone()
+        record(worker.result(), monitored)
     T.freeze(best.raws)
     return best, trajectory
 
@@ -250,7 +270,16 @@ def calibrate_threshold(kernel: DeepKernelParams, clean_pool: np.ndarray,
                         batch_size: int, far_target: float, trials: int,
                         rng: Rng) -> DetectorModel:
     """Empirical (1 - FAR) quantile of the statistic between disjoint clean
-    batches, resampled `trials` times."""
+    batches, resampled `trials` times.
+
+    Every trial's rows are drawn from `rng` first, in trial order.  A forked
+    worker process, which inherits them and the kernel, then computes the
+    statistics of the first floor(trials / 2) trials while this process
+    computes the rest; the worker draws nothing, so the threshold and the
+    next draw from `rng` are bitwise those of a serial loop.  This needs a
+    POSIX `fork`; the worker is always stopped before this returns or
+    raises, and bad input is a `ValueError` before anything forks.
+    """
     pool = np.asarray(clean_pool, dtype=np.float64).reshape(len(clean_pool), -1)
     if len(pool) < 2 * batch_size:
         raise ValueError(
@@ -260,13 +289,22 @@ def calibrate_threshold(kernel: DeepKernelParams, clean_pool: np.ndarray,
         raise ValueError("need at least one calibration trial")
     if not 0 < far_target < 1:
         raise ValueError(f"far_target must lie in (0, 1), got {far_target}")
-    stats = np.empty(trials)
-    for i in range(trials):
-        idx = rng.choice(len(pool), 2 * batch_size)
-        a, b_ = pool[idx[:batch_size]], pool[idx[batch_size:]]
-        stats[i] = mmd_u_squared(Tensor(a), Tensor(b_), kernel).item()
+    draws = [rng.choice(len(pool), 2 * batch_size) for _ in range(trials)]
+
+    def trial_stats(first: int, stop: int) -> list[float]:
+        return [mmd_u_squared(Tensor(pool[idx[:batch_size]]),
+                              Tensor(pool[idx[batch_size:]]), kernel).item()
+                for idx in draws[first:stop]]
+
+    def stats_job(first, stop):
+        yield trial_stats(first, stop)
+
+    half = trials // 2
+    with job_worker(stats_job) as worker:
+        worker.submit(0, half)
+        ours = trial_stats(half, trials)
+        stats = np.array(worker.result() + ours)
     stats.sort()
     rank = min(trials - 1, max(0, int(np.ceil((1.0 - far_target) * trials)) - 1))
     return DetectorModel(kernel=kernel, threshold=float(stats[rank]),
                          batch_size=batch_size)
-

@@ -1,11 +1,16 @@
 """A job worker: one forked process that answers jobs sent over a pipe.
 
-`train_denoiser` runs PGD against the frozen classifier in it, one minibatch
-ahead of the denoiser step, and `adaptive_pgd_eot` draws each iteration's
-EOT noises and runs half of its replicas in it.  The child inherits its
-function and everything the function reads through `fork`, so no weights
-are pickled and monkeypatches made in the parent before the call reach the
-child; only the jobs' arguments and results cross the pipe.
+Four callers start one each.  `optimize_kernel` computes each epoch's
+monitor in it, one epoch behind the kernel step.  `calibrate_threshold`
+computes the first half of its trials' statistics in it.  `train_denoiser`
+submits one job for the whole run, which draws every PGD start and noise
+from the worker's copy of the generator and yields each minibatch's
+noised PGD result ahead of the denoiser step.  `adaptive_pgd_eot` draws
+each iteration's EOT noises and runs half of its replicas in it.  The
+child inherits its function and everything the function reads through
+`fork`, so no weights are pickled and monkeypatches made in the parent
+before the call reach the child; only the jobs' arguments and results
+cross the pipe.
 """
 from __future__ import annotations
 

@@ -5,7 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
-from mmdefense import attacks, cli
+from mmdefense import attacks, cli, defense
 from mmdefense.cli import main
 from mmdefense.config import ConfigError, config_echo, parse_config
 from mmdefense.dataio import load_model, save_model
@@ -307,26 +307,40 @@ class TestCliErrors:
         assert "30 test rows, batch size 50" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(copy, "defend_report.csv"))
 
-    def test_empty_test_split_is_exit_1(self, tmp_path, capsys):
-        # round(600 * 0.9995) = 600 rows train, none test
+    def test_empty_test_split_is_exit_1(self, tmp_path, capsys, monkeypatch):
+        # round(600 * 0.9995) = 600 rows train, none test: the split fails
+        # before the classifier trains
+        def no_training(*args):
+            raise AssertionError("trained before the split was checked")
+
+        monkeypatch.setattr(cli, "train_classifier", no_training)
         path = write_config(tmp_path, SMALL_DIGITS + "train_fraction = 0.9995\n")
         out = str(tmp_path / "runs")
         code = main(["train-classifier", "--config", path, "--out", out])
         assert code == 1
-        assert "accuracy of an empty batch" in capsys.readouterr().err
+        assert ("train_fraction 0.9995 of 600 rows leaves no test rows"
+                in capsys.readouterr().err)
         assert not os.path.exists(os.path.join(out, "classifier_report.csv"))
 
     def test_one_row_adaptive_attack_is_exit_1(self, full_run, tmp_path,
-                                               capsys):
-        # round(0.02 * 50) = 1 adversarial row per mixed batch
+                                               capsys, monkeypatch):
+        # round(0.02 * 50) = 1 adversarial row per mixed batch; the last
+        # proportion fails before the first trial of the other two
+        def no_trials(*args):
+            raise AssertionError("a trial ran before every proportion was checked")
+
+        monkeypatch.setattr(defense, "trial_accuracies", no_trials)
         _, _, out, _ = full_run
         copy = str(tmp_path / "runs")
         shutil.copytree(out, copy)
+        os.remove(os.path.join(copy, "mixed_curve.csv"))
         path = write_config(tmp_path,
-                            SMALL_DIGITS + "mixed_proportions = 0.02\n")
+                            SMALL_DIGITS + "mixed_proportions = 0.0,1.0,0.02\n")
         code = main(["eval-mixed", "--config", path, "--out", copy])
         assert code == 1
-        assert "batch of >= 2 rows, got 1" in capsys.readouterr().err
+        assert ("proportion 0.02 gives 1 adversarial row of 50"
+                in capsys.readouterr().err)
+        assert not os.path.exists(os.path.join(copy, "mixed_curve.csv"))
 
     def test_non_finite_pgd_in_the_worker_is_exit_3(self, full_run, tmp_path,
                                                    capsys, monkeypatch):

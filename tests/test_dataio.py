@@ -155,6 +155,11 @@ class TestSplits:
         with pytest.raises(ValueError):
             make_split(100, 0.5, 60, Rng(0))
 
+    def test_fraction_that_leaves_no_test_rows_rejected(self):
+        # round(600 * 0.9995) = 600
+        with pytest.raises(ValueError, match="leaves no test rows"):
+            make_split(600, 0.9995, 50, Rng(0))
+
 
 class TestModelContainer:
     def test_bit_exact_round_trip(self, tmp_path):

@@ -370,6 +370,18 @@ class TestMixedEval:
             eval_mixed(s.pipeline, s.test.flat, s.test.labels, [0.0, 1.2],
                        lambda x, y: x, trials=1, rng=Rng(15))
 
+    def test_one_adversarial_row_rejected_before_any_trial(self, digit_setup):
+        # round(0.01 * 100) = 1; the first two proportions never run
+        s = digit_setup
+
+        def no_attack(x, y):
+            raise AssertionError("attacked before every proportion was checked")
+
+        with pytest.raises(ValueError,
+                           match="proportion 0.01 gives 1 adversarial row of 100"):
+            eval_mixed(s.pipeline, s.test.flat, s.test.labels,
+                       [0.0, 1.0, 0.01], no_attack, trials=1, rng=Rng(15))
+
 
 class TestAblation:
     def test_rows_and_attack_routing(self, digit_setup):

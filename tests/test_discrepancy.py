@@ -1,15 +1,21 @@
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+from mmdefense import discrepancy
 from mmdefense import tensor as T
-from mmdefense.discrepancy import (DeepKernelParams, calibrate_threshold,
-                                   deep_kernel, gaussian_kernel, h_matrix,
-                                   j_hat, mmd_from_h, mmd_opt, mmd_u_squared,
+from mmdefense.discrepancy import (DeepKernelParams, FeaturizerView,
+                                   calibrate_threshold, deep_kernel,
+                                   gaussian_kernel, h_matrix, j_hat,
+                                   mmd_from_h, mmd_opt, mmd_u_squared,
                                    optimize_kernel, variance_hat)
+from mmdefense.models import ClassifierParams
+from mmdefense.optim import AdamState, adam_step
 from mmdefense.rng import Rng
-from mmdefense.tensor import GradTape, Tensor
+from mmdefense.tensor import GradTape, NonFiniteError, Tensor
 
 from finite_diff import finite_diff_grad
 
@@ -377,3 +383,233 @@ class TestOptimization:
         trainable = params.clone()
         assert all(p.requires_grad for p in trainable.raws)
         assert not any(p.requires_grad for p in params.raws)
+
+
+# ---------------------------------------------------------------------------
+# the kernel monitor and half the calibration trials run in a forked worker
+# ---------------------------------------------------------------------------
+
+def serial_optimize_kernel(clean_pool, adv_pool, featurizer, epochs, lr,
+                           batch_size, lam, rng):
+    """`optimize_kernel` as a serial loop in one process, as it was written
+    before its monitor moved to a worker."""
+    clean = np.asarray(clean_pool, dtype=np.float64).reshape(len(clean_pool), -1)
+    adv = np.asarray(adv_pool, dtype=np.float64).reshape(len(adv_pool), -1)
+    n_mon_c = max(2, int(len(clean) * 0.2))
+    n_mon_a = max(2, int(len(adv) * 0.2))
+    mon_c, train_c = clean[:n_mon_c], clean[n_mon_c:]
+    mon_a, train_a = adv[:n_mon_a], adv[n_mon_a:]
+    b = min(batch_size, len(train_c), len(train_a))
+    m = min(len(mon_c), len(mon_a), batch_size)
+    params = DeepKernelParams.init_median(train_c[:max(b, 8)], featurizer)
+    state = AdamState.init(params.raws)
+
+    def monitor_j(p):
+        return j_hat(Tensor(mon_c[:m]), Tensor(mon_a[:m]), p, lam).item()
+
+    best = params.clone()
+    best_j = monitor_j(params)
+    trajectory = [best_j]
+    for _ in range(epochs):
+        idx_c = rng.choice(len(train_c), b)
+        idx_a = rng.choice(len(train_a), b)
+        with GradTape() as tape:
+            obj = j_hat(Tensor(train_c[idx_c]), Tensor(train_a[idx_a]), params, lam)
+        grads = T.grad_of(tape, obj, params.raws)
+        adam_step(params.raws, grads, state, lr, maximize=True)
+        j_mon = monitor_j(params)
+        trajectory.append(j_mon)
+        if j_mon > best_j:
+            best_j = j_mon
+            best = params.clone()
+    T.freeze(best.raws)
+    return best, trajectory
+
+
+def serial_calibrate_threshold(kernel, clean_pool, batch_size, far_target,
+                               trials, rng):
+    """`calibrate_threshold`'s threshold as a serial loop in one process, as
+    it was written before half its trials moved to a worker."""
+    pool = np.asarray(clean_pool, dtype=np.float64).reshape(len(clean_pool), -1)
+    stats = np.empty(trials)
+    for i in range(trials):
+        idx = rng.choice(len(pool), 2 * batch_size)
+        a, b_ = pool[idx[:batch_size]], pool[idx[batch_size:]]
+        stats[i] = mmd_u_squared(Tensor(a), Tensor(b_), kernel).item()
+    stats.sort()
+    rank = min(trials - 1, max(0, int(np.ceil((1.0 - far_target) * trials)) - 1))
+    return float(stats[rank])
+
+
+def shifted_pools(seed, rows=200, dim=6):
+    rng = Rng(seed)
+    clean = rng.uniform((rows, dim))
+    adv = np.clip(clean + rng.normal((rows, dim), 0.1, 0.1), 0.0, 1.0)
+    return clean, adv
+
+
+def featurizer_view(dim=6):
+    return FeaturizerView(ClassifierParams.init(dim, 3, Rng(30)))
+
+
+def fails_in_the_worker(real, fail):
+    """`real`, except that a call in any process but this one runs `fail`."""
+    parent = os.getpid()
+
+    def patched(*args):
+        if os.getpid() != parent:
+            fail()
+        return real(*args)
+    return patched
+
+
+def raise_non_finite():
+    raise NonFiniteError("backward produced non-finite values")
+
+
+def no_fork(*args):
+    raise AssertionError("forked before validating")
+
+
+class TestKernelWorker:
+    """The monitor runs in a forked worker one epoch behind; the result must
+    be bitwise that of the serial loop, and no worker may outlive the call."""
+
+    @pytest.mark.parametrize("epochs", [0, 1, 7])
+    @pytest.mark.parametrize("featurized", [False, True],
+                             ids=["identity", "featurizer"])
+    def test_bitwise_equal_to_the_serial_loop(self, epochs, featurized):
+        clean, adv = shifted_pools(31)
+        featurizer = featurizer_view() if featurized else None
+        runs = []
+        for optimize in (optimize_kernel, serial_optimize_kernel):
+            rng = Rng(32)
+            params, traj = optimize(clean, adv, featurizer, epochs, 5e-2, 40,
+                                    1e-8, rng)
+            runs.append(([p.data.tobytes() for p in params.raws],
+                         np.array(traj).tobytes(), rng.uniform((4,)).tobytes()))
+            assert params.featurizer is featurizer
+            assert not any(p.requires_grad for p in params.raws)
+        assert len(runs[0][1]) == 8 * (epochs + 1)
+        assert runs[0] == runs[1]
+
+    def test_best_raws_are_not_the_last_when_the_monitor_falls(self):
+        # a step too large overshoots, so the best monitor is an early one
+        clean, adv = shifted_pools(33)
+        params, traj = optimize_kernel(clean, adv, None, 9, 1.0, 40, 1e-8,
+                                       Rng(34))
+        want, _ = serial_optimize_kernel(clean, adv, None, 9, 1.0, 40, 1e-8,
+                                         Rng(34))
+        assert int(np.argmax(traj)) < len(traj) - 1
+        assert all(a.data.tobytes() == b.data.tobytes()
+                   for a, b in zip(params.raws, want.raws))
+
+    def test_worker_exception_is_reraised_with_its_type_and_message(
+            self, monkeypatch):
+        clean, adv = shifted_pools(35)
+        monkeypatch.setattr(discrepancy, "j_hat", fails_in_the_worker(
+            discrepancy.j_hat, raise_non_finite))
+        with pytest.raises(NonFiniteError,
+                           match="^backward produced non-finite values$"):
+            optimize_kernel(clean, adv, None, 3, 1e-2, 40, 1e-8, Rng(0))
+        assert multiprocessing.active_children() == []
+
+    def test_worker_that_dies_is_a_runtime_error(self, monkeypatch):
+        clean, adv = shifted_pools(35)
+        monkeypatch.setattr(discrepancy, "j_hat", fails_in_the_worker(
+            discrepancy.j_hat, lambda: os._exit(7)))
+        with pytest.raises(RuntimeError, match="job worker exited with code 7"):
+            optimize_kernel(clean, adv, None, 3, 1e-2, 40, 1e-8, Rng(0))
+        assert multiprocessing.active_children() == []
+
+    def test_exception_in_the_parent_stops_the_worker(self, monkeypatch):
+        clean, adv = shifted_pools(35)
+
+        def failing_step(*args, **kwargs):
+            raise RuntimeError("adam failed")
+
+        monkeypatch.setattr(discrepancy, "adam_step", failing_step)
+        with pytest.raises(RuntimeError, match="^adam failed$"):
+            optimize_kernel(clean, adv, None, 3, 1e-2, 40, 1e-8, Rng(0))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("clean_rows, adv_rows, batch_size, match", [
+        (0, 200, 40, "empty training pool"),
+        (200, 200, 1, "batch_size must be >= 2"),
+        (3, 200, 40, "pools too small for a monitoring split"),
+    ], ids=["empty-pool", "batch-size-1", "no-room-to-train"])
+    def test_bad_input_rejected_before_the_fork(self, monkeypatch, clean_rows,
+                                                adv_rows, batch_size, match):
+        clean, adv = shifted_pools(35)
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        with pytest.raises(ValueError, match=match):
+            optimize_kernel(clean[:clean_rows], adv[:adv_rows], None, 3, 1e-2,
+                            batch_size, 1e-8, Rng(0))
+
+
+class TestCalibrationWorker:
+    """A forked worker computes the first floor(trials / 2) statistics; the
+    threshold must be bitwise that of the serial loop, and no worker may
+    outlive the call."""
+
+    @pytest.mark.parametrize("trials", [1, 2, 7, 40])
+    def test_bitwise_equal_to_the_serial_loop(self, trials):
+        clean, _ = shifted_pools(36)
+        kernel = DeepKernelParams.init_median(clean[:32], featurizer_view())
+        rngs = Rng(37), Rng(37)
+        got = calibrate_threshold(kernel, clean, 20, 0.2, trials, rngs[0])
+        want = serial_calibrate_threshold(kernel, clean, 20, 0.2, trials,
+                                          rngs[1])
+        assert got.kernel is kernel and got.batch_size == 20
+        assert np.float64(got.threshold).tobytes() == np.float64(want).tobytes()
+        assert rngs[0].uniform((4,)).tobytes() == rngs[1].uniform((4,)).tobytes()
+
+    def test_worker_exception_is_reraised_with_its_type_and_message(
+            self, monkeypatch):
+        clean, _ = shifted_pools(38)
+        kernel = DeepKernelParams.init_median(clean[:32])
+        monkeypatch.setattr(discrepancy, "mmd_u_squared", fails_in_the_worker(
+            discrepancy.mmd_u_squared, raise_non_finite))
+        with pytest.raises(NonFiniteError,
+                           match="^backward produced non-finite values$"):
+            calibrate_threshold(kernel, clean, 20, 0.05, 5, Rng(0))
+        assert multiprocessing.active_children() == []
+
+    def test_worker_that_dies_is_a_runtime_error(self, monkeypatch):
+        clean, _ = shifted_pools(38)
+        kernel = DeepKernelParams.init_median(clean[:32])
+        monkeypatch.setattr(discrepancy, "mmd_u_squared", fails_in_the_worker(
+            discrepancy.mmd_u_squared, lambda: os._exit(7)))
+        with pytest.raises(RuntimeError, match="job worker exited with code 7"):
+            calibrate_threshold(kernel, clean, 20, 0.05, 5, Rng(0))
+        assert multiprocessing.active_children() == []
+
+    def test_exception_in_the_parent_stops_the_worker(self, monkeypatch):
+        clean, _ = shifted_pools(38)
+        kernel = DeepKernelParams.init_median(clean[:32])
+        parent = os.getpid()
+        real = discrepancy.mmd_u_squared
+
+        def fails_here(*args):
+            if os.getpid() == parent:
+                raise RuntimeError("statistic failed")
+            return real(*args)
+
+        monkeypatch.setattr(discrepancy, "mmd_u_squared", fails_here)
+        with pytest.raises(RuntimeError, match="^statistic failed$"):
+            calibrate_threshold(kernel, clean, 20, 0.05, 5, Rng(0))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("rows, trials, far_target, match", [
+        (30, 5, 0.05, "cannot form two disjoint batches of 20"),
+        (200, 0, 0.05, "at least one calibration trial"),
+        (200, 5, 1.0, "far_target must lie in"),
+    ], ids=["pool-too-small", "zero-trials", "far-target-1"])
+    def test_bad_input_rejected_before_the_fork(self, monkeypatch, rows,
+                                                trials, far_target, match):
+        clean, _ = shifted_pools(38)
+        kernel = DeepKernelParams.init_median(clean[:32])
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        with pytest.raises(ValueError, match=match):
+            calibrate_threshold(kernel, clean[:rows], 20, far_target, trials,
+                                Rng(0))
