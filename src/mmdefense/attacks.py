@@ -45,11 +45,6 @@ class NoiseConfig:
         if self.sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
 
-    @property
-    def zero(self) -> bool:
-        """No noise at all: `noise_draw` draws nothing."""
-        return self.sigma == 0 and self.mu == 0
-
 
 def _ce_input_grad(classifier: ClassifierParams, x: np.ndarray,
                    labels: np.ndarray) -> np.ndarray:
@@ -94,9 +89,11 @@ def random_start(x0: np.ndarray, cfg: AttackConfig,
     return x0 + delta
 
 
-def pgd_steps(classifier: ClassifierParams, x0: np.ndarray, x: np.ndarray,
-              labels: np.ndarray, cfg: AttackConfig) -> np.ndarray:
-    """PGD's step loop from start `x` around flattened `x0`; draws nothing."""
+def pgd(classifier: ClassifierParams, batch: np.ndarray, labels: np.ndarray,
+        cfg: AttackConfig, rng: Optional[Rng] = None) -> np.ndarray:
+    """Iterated ascent on cross-entropy with ball projection and [0,1] clip."""
+    x0 = batch.reshape(len(batch), -1)
+    x = random_start(x0, cfg, rng)
     for _ in range(cfg.iters):
         # the gradient dies within its step: it is not held while the next
         # step's tape is built, one [n, d] array less at PGD's memory peak
@@ -104,21 +101,13 @@ def pgd_steps(classifier: ClassifierParams, x0: np.ndarray, x: np.ndarray,
             _ce_input_grad(classifier, x, labels), cfg)
         x = x0 + _project(x - x0, cfg)
         x = np.clip(x, 0.0, 1.0)
-    return x
-
-
-def pgd(classifier: ClassifierParams, batch: np.ndarray, labels: np.ndarray,
-        cfg: AttackConfig, rng: Optional[Rng] = None) -> np.ndarray:
-    """Iterated ascent on cross-entropy with ball projection and [0,1] clip."""
-    x0 = batch.reshape(len(batch), -1)
-    x = pgd_steps(classifier, x0, random_start(x0, cfg, rng), labels, cfg)
     return x.reshape(batch.shape)
 
 
 def noise_draw(shape, noise: NoiseConfig, rng: Rng) -> Optional[np.ndarray]:
     """The IID Gaussian noise denoiser training adds, unclipped, to its
     adversarial examples; None, drawing nothing, when the noise is zero."""
-    if noise.zero:
+    if noise.sigma == 0 and noise.mu == 0:
         return None
     return rng.normal(shape, noise.mu, noise.sigma)
 
@@ -154,16 +143,17 @@ def adaptive_pgd_eot(detector: DetectorModel, denoiser: DenoiserParams,
     where the caller's stands.  The worker draws every denoiser-branch
     iteration's `cfg.eot` noises from its copy, in replica order, one
     iteration ahead: on receiving `x` it sends the caller the last
-    floor(eot / 2), sends the gradients of the first ceil(eot / 2), then
-    draws the next iteration's noises while the caller computes the next
-    statistic.  This process computes the statistic's gradient and its own
-    replicas meanwhile, sums the replicas in replica order, and moves `rng`
-    past the worker's draws with `Rng.skip_normal`, so the result and the
-    next draw from `rng` are bitwise those of a serial loop.  The clean
-    branch leaves the worker idle.  A worker exception is re-raised here
-    with its type and message, and the worker is stopped before this
-    returns or raises.  A batch of fewer than 2 rows, mismatched labels or
-    mismatched reference rows are a `ValueError` before anything forks.
+    floor(eot / 2) with its generator's state after drawing them, sends the
+    gradients of the first ceil(eot / 2), then draws the next iteration's
+    noises while the caller computes the next statistic.  This process
+    takes that state as `rng`'s, computes the statistic's gradient and its
+    own replicas meanwhile and sums the replicas in replica order, so the
+    result and the next draw from `rng` are bitwise those of a serial loop.
+    The clean branch draws nothing and leaves the worker idle.  A worker
+    exception is re-raised here with its type and message, and the worker
+    is stopped before this returns or raises.  A batch of fewer than 2
+    rows, mismatched labels or mismatched reference rows are a `ValueError`
+    before anything forks.
     """
     if detector is None or denoiser is None or classifier is None:
         raise ValueError("adaptive attack needs detector, denoiser and classifier")
@@ -181,20 +171,21 @@ def adaptive_pgd_eot(detector: DetectorModel, denoiser: DenoiserParams,
     x = x0.copy()
 
     split = (cfg.eot + 1) // 2
-    drawn = None  # the worker's noises for its next job, drawn in advance
+    drawn = None  # the worker's next noises and the state after them
 
     def replicas(x, noises):
         return [_replica_ce_grad(denoiser, classifier, x, n, labels)
                 for n in noises]
 
     def draw():
-        return [rng.normal(x0.shape, noise.mu, noise.sigma)
-                for _k in range(cfg.eot)]
+        noises = [rng.normal(x0.shape, noise.mu, noise.sigma)
+                  for _k in range(cfg.eot)]
+        return noises, rng.state
 
     def eot_job(x):
         nonlocal drawn
-        noises = drawn or draw()
-        yield noises[split:]
+        noises, state = drawn or draw()
+        yield noises[split:], state
         yield replicas(x, noises[:split])
         drawn = draw()
 
@@ -215,8 +206,7 @@ def adaptive_pgd_eot(detector: DetectorModel, denoiser: DenoiserParams,
                     g_eot += g_clean
             else:
                 worker.submit(x)
-                rng.skip_normal(x.shape, cfg.eot)
-                noises = worker.result()
+                noises, rng.state = worker.result()
                 g_stat = T.grad_of(tape, stat, [xt])[0]
                 ours = replicas(x, noises)
                 for g_ce in worker.result() + ours:

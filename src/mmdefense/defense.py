@@ -100,18 +100,6 @@ class BatchGate:
 # denoiser training
 # ---------------------------------------------------------------------------
 
-def _minibatches(n: int, epochs: int, batch_size: int, rng: Rng):
-    """Yield (epoch, row indices) per minibatch, drawing each epoch's
-    permutation from `rng` when its first minibatch is asked for, so the
-    draws a consumer makes per minibatch follow in the serial loop's order.
-    Every minibatch has at least 2 rows: a 1-row tail starts at n - 1,
-    which the range leaves out, so it is skipped and draws nothing."""
-    for epoch in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n - 1, batch_size):
-            yield epoch, order[start:start + batch_size]
-
-
 def train_denoiser(clean: np.ndarray, labels: np.ndarray,
                    kernel: DeepKernelParams, classifier: ClassifierParams,
                    attack_cfg: AttackConfig, noise: NoiseConfig, rng: Rng,
@@ -132,11 +120,11 @@ def train_denoiser(clean: np.ndarray, labels: np.ndarray,
     copy of `rng` where the caller's stands after the denoiser's
     initialisation.  From its copy it draws each epoch's permutation and
     each minibatch's PGD start and noise, and sends back each minibatch's
-    noised PGD result.  This process draws the same permutations from
-    `rng`, moves past each start by drawing it and past each noise with
-    `Rng.skip_normal`, so the result and the next draw from `rng` are
-    bitwise those of a serial loop.  This needs a POSIX `fork`; the worker
-    is always stopped before this returns or raises.
+    row indices, noised PGD result and its generator's state after them.
+    This process takes that state as `rng`'s, so the result and the next
+    draw from `rng` are bitwise those of a serial loop.  This needs a POSIX
+    `fork`; the worker is always stopped before this returns or raises, and
+    bad input is a `ValueError` before anything forks.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
@@ -149,48 +137,51 @@ def train_denoiser(clean: np.ndarray, labels: np.ndarray,
         raise ValueError(f"{len(labels)} labels for {len(clean)} rows")
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
+    if lr <= 0:
+        raise ValueError(f"lr must be > 0, got {lr}")
     x = np.asarray(clean, dtype=np.float64).reshape(len(clean), -1)
     frozen = [p.data.copy() for p in classifier.params]
     theta = DenoiserParams.init(x.shape[1], rng, scale=1e-2)
     state = AdamState.init(theta.params)
-    lrs, cur_lr = [], lr
-    for epoch in range(1, epochs + 1):
-        if epoch in decay_epochs:
-            cur_lr /= 10.0
-        lrs.append(cur_lr)
-    losses = [[] for _ in range(epochs)]
+    # every minibatch has at least 2 rows: a 1-row tail starts at n - 1,
+    # which the range leaves out, so it is skipped and draws nothing
+    starts = range(0, len(x) - 1, batch_size)
 
     def pgd_job():
-        for _, idx in _minibatches(len(x), epochs, batch_size, rng):
-            xc = x[idx]
-            x_start = attacks.random_start(xc, attack_cfg, rng)
-            draw = noise_draw(xc.shape, noise, rng)
-            xa = attacks.pgd_steps(classifier, xc, x_start, labels[idx],
-                                   attack_cfg)
-            yield xa if draw is None else xa + draw
+        for _ in range(epochs):
+            order = rng.permutation(len(x))
+            for start in starts:
+                idx = order[start:start + batch_size]
+                xa = attacks.pgd(classifier, x[idx], labels[idx], attack_cfg,
+                                 rng)
+                draw = noise_draw(xa.shape, noise, rng)
+                yield idx, xa if draw is None else xa + draw, rng.state
 
     with job_worker(pgd_job) as worker:
         worker.submit()
-        for epoch, idx in _minibatches(len(x), epochs, batch_size, rng):
-            xc, yc = x[idx], labels[idx]
-            # move past the worker's draws: PGD's start, then the noise
-            attacks.random_start(xc, attack_cfg, rng)
-            rng.skip_normal(xc.shape, 0 if noise.zero else 1)
-            xn = worker.result()
-            with GradTape() as tape:
-                denoised = denoiser_forward(theta, Tensor(xn))
-                stat = mmd_u_squared(Tensor(xc), denoised, kernel)
-                ce = cross_entropy(
-                    classifier_forward(classifier, denoised), yc)
-                loss = stat + alpha * ce
-            grads = T.grad_of(tape, loss, theta.params)
-            adam_step(theta.params, grads, state, lrs[epoch])
-            losses[epoch].append(loss.item())
+        trajectory, cur_lr = [], lr
+        for epoch in range(1, epochs + 1):
+            if epoch in decay_epochs:
+                cur_lr /= 10.0
+            losses = []
+            for _ in starts:
+                idx, xn, rng.state = worker.result()
+                xc, yc = x[idx], labels[idx]
+                with GradTape() as tape:
+                    denoised = denoiser_forward(theta, Tensor(xn))
+                    stat = mmd_u_squared(Tensor(xc), denoised, kernel)
+                    ce = cross_entropy(
+                        classifier_forward(classifier, denoised), yc)
+                    loss = stat + alpha * ce
+                grads = T.grad_of(tape, loss, theta.params)
+                adam_step(theta.params, grads, state, cur_lr)
+                losses.append(loss.item())
+            trajectory.append(float(np.mean(losses)))
     for p, orig in zip(classifier.params, frozen):
         if not np.array_equal(p.data, orig):
             raise RuntimeError("classifier parameters mutated during denoiser training")
     T.freeze(theta.params)
-    return theta, [float(np.mean(epoch_losses)) for epoch_losses in losses]
+    return theta, trajectory
 
 
 # ---------------------------------------------------------------------------

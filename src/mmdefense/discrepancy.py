@@ -199,6 +199,10 @@ def optimize_kernel(clean_pool: np.ndarray, adv_pool: np.ndarray,
     adv = np.asarray(adv_pool, dtype=np.float64).reshape(len(adv_pool), -1)
     if batch_size < 2:
         raise ValueError(f"batch_size must be >= 2, got {batch_size}")
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
+    if lr <= 0 or lam <= 0:
+        raise ValueError(f"need lr > 0 and lam > 0, got lr {lr} and lam {lam}")
     n_mon_c = max(2, int(len(clean) * 0.2))
     n_mon_a = max(2, int(len(adv) * 0.2))
     mon_c, train_c = clean[:n_mon_c], clean[n_mon_c:]
@@ -281,6 +285,8 @@ def calibrate_threshold(kernel: DeepKernelParams, clean_pool: np.ndarray,
     raises, and bad input is a `ValueError` before anything forks.
     """
     pool = np.asarray(clean_pool, dtype=np.float64).reshape(len(clean_pool), -1)
+    if batch_size < 2:
+        raise ValueError(f"batch_size must be >= 2, got {batch_size}")
     if len(pool) < 2 * batch_size:
         raise ValueError(
             f"pool of {len(pool)} samples cannot form two disjoint "

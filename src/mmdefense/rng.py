@@ -7,8 +7,6 @@ generator (PCG64), which keeps the stream reproducible and vectorizable.
 """
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 
 
@@ -21,10 +19,22 @@ class Rng:
         self.seed = int(seed)
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
+    @property
+    def state(self) -> dict:
+        """Where the stream stands, the 32-bit half that `integers` or
+        `choice` may have buffered included: a generator assigned it
+        continues bitwise as this one does.  It pickles, so a forked worker
+        can hand its generator back to the caller."""
+        return self._gen.bit_generator.state
+
+    @state.setter
+    def state(self, value: dict) -> None:
+        self._gen.bit_generator.state = value
+
     def clone(self) -> "Rng":
         """Exact copy: the clone continues the same stream independently."""
         other = Rng(self.seed)
-        other._gen.bit_generator.state = copy.deepcopy(self._gen.bit_generator.state)
+        other.state = self.state
         return other
 
     def fork(self) -> "Rng":
@@ -48,20 +58,6 @@ class Rng:
         z = np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])[:n]
         out = mu + sigma * z
         return out.reshape(shape) if shape else float(out[0])
-
-    def skip_normal(self, shape=(), count: int = 1) -> None:
-        """Move past `count` calls of `normal(shape)` without computing them.
-
-        Each call takes 2 * ceil(size / 2) uniforms, one 64-bit output each,
-        so the next draw of any kind is bitwise the one those calls would
-        leave.  The 32-bit half that `integers` or `choice` may have
-        buffered stays buffered, as it does across `normal`
-        (`bit_generator.advance` would drop it)."""
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        n = int(np.prod(shape))
-        self._gen.bit_generator.random_raw(2 * ((n + 1) // 2) * count,
-                                           output=False)
 
     def integers(self, low: int, high: int, shape=None) -> np.ndarray:
         return self._gen.integers(low, high, size=shape)

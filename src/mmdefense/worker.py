@@ -3,11 +3,13 @@
 Four callers start one each.  `optimize_kernel` computes each epoch's
 monitor in it, one epoch behind the kernel step.  `calibrate_threshold`
 computes the first half of its trials' statistics in it.  `train_denoiser`
-submits one job for the whole run, which draws every PGD start and noise
-from the worker's copy of the generator and yields each minibatch's
-noised PGD result ahead of the denoiser step.  `adaptive_pgd_eot` draws
-each iteration's EOT noises and runs half of its replicas in it.  The
-child inherits its function and everything the function reads through
+submits one job for the whole run, which draws every permutation, PGD
+start and noise from the worker's copy of the generator and yields each
+minibatch's noised PGD result ahead of the denoiser step.
+`adaptive_pgd_eot` draws each iteration's EOT noises and runs half of its
+replicas in it.  The last two send the worker generator's `Rng.state`
+with each result that used draws, and the caller takes it as its own.
+The child inherits its function and everything the function reads through
 `fork`, so no weights are pickled and monkeypatches made in the parent
 before the call reach the child; only the jobs' arguments and results
 cross the pipe.
@@ -97,7 +99,8 @@ def job_worker(fn: Callable[..., Iterator]):
     result read reaches the caller at its next `result()` or when the block
     is left.  The child draws only from its own forked copies of the
     caller's generators; a caller that must end where a serial loop would
-    moves its generator past the child's draws itself (`Rng.skip_normal`).
+    has the child yield its generator's `Rng.state` with the draws and
+    assigns it to its own generator.
     """
     ctx = multiprocessing.get_context("fork")
     conn, child_end = ctx.Pipe()

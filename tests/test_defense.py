@@ -225,14 +225,16 @@ LINF_START = AttackConfig("linf", 0.1, 0.02, 3, 1, True)
 L2_START = AttackConfig("l2", 1.0, 0.2, 3, 1, True)
 NO_START = AttackConfig("linf", 0.1, 0.02, 3, 1, False)
 
-# (attack, noise, rows, epochs, decay epochs); B = 100 throughout
+# (attack, noise, rows, epochs, decay epochs, whether the generator holds a
+# buffered 32-bit half before the call); B = 100 throughout
 SERIAL_CASES = {
-    "linf-random-start": (LINF_START, NoiseConfig(0.0, 0.25), 300, 2, (45, 60)),
-    "l2-random-start": (L2_START, NoiseConfig(0.0, 0.25), 300, 2, (45, 60)),
-    "no-random-start-no-noise": (NO_START, NoiseConfig(0.0, 0.0), 300, 2, (45, 60)),
-    "ragged-tail": (LINF_START, NoiseConfig(0.0, 0.25), 250, 2, (45, 60)),
-    "skipped-1-row-tail": (LINF_START, NoiseConfig(0.0, 0.25), 301, 2, (45, 60)),
-    "decay-across-epochs": (LINF_START, NoiseConfig(0.0, 0.25), 200, 4, (2, 4)),
+    "linf-random-start": (LINF_START, NoiseConfig(0.0, 0.25), 300, 2, (45, 60), False),
+    "l2-random-start": (L2_START, NoiseConfig(0.0, 0.25), 300, 2, (45, 60), False),
+    "no-random-start-no-noise": (NO_START, NoiseConfig(0.0, 0.0), 300, 2, (45, 60), False),
+    "ragged-tail": (LINF_START, NoiseConfig(0.0, 0.25), 250, 2, (45, 60), False),
+    "skipped-1-row-tail": (LINF_START, NoiseConfig(0.0, 0.25), 301, 2, (45, 60), False),
+    "decay-across-epochs": (LINF_START, NoiseConfig(0.0, 0.25), 200, 4, (2, 4), False),
+    "buffered-half": (LINF_START, NoiseConfig(0.0, 0.25), 300, 2, (45, 60), True),
 }
 
 
@@ -243,16 +245,21 @@ class TestDenoiserWorker:
     @pytest.mark.parametrize("case", SERIAL_CASES)
     def test_bitwise_equal_to_the_serial_loop(self, digit_setup, case):
         s = digit_setup
-        cfg, noise, rows, epochs, decay = SERIAL_CASES[case]
+        cfg, noise, rows, epochs, decay, buffered_half = SERIAL_CASES[case]
         runs = []
         for train in (train_denoiser, serial_train_denoiser):
             rng = Rng(40)
+            if buffered_half:
+                rng.choice(10, 3)
+                assert rng.state["has_uint32"] == 1
             theta, traj = train(
                 s.train.flat[:rows], s.train.labels[:rows], s.kernel,
                 s.classifier, cfg, noise, rng, epochs=epochs,
                 decay_epochs=decay, batch_size=100)
             runs.append(([p.data.tobytes() for p in theta.params],
-                         np.array(traj).tobytes(), rng.uniform((4,)).tobytes()))
+                         np.array(traj).tobytes(),
+                         rng.integers(0, 10, (4,)).tobytes(),
+                         rng.uniform((4,)).tobytes()))
         assert len(runs[0][1]) == 8 * epochs
         assert runs[0] == runs[1]
 
@@ -285,7 +292,7 @@ class TestDenoiserWorker:
 
     def test_worker_that_dies_is_a_runtime_error(self, digit_setup, monkeypatch):
         s = digit_setup
-        monkeypatch.setattr(attacks, "pgd_steps", lambda *args: os._exit(7))
+        monkeypatch.setattr(attacks, "pgd", lambda *args: os._exit(7))
         with pytest.raises(RuntimeError, match="job worker exited with code 7"):
             train_denoiser(s.train.flat[:200], s.train.labels[:200], s.kernel,
                            s.classifier, s.train_attack, s.noise, Rng(0),
@@ -319,7 +326,9 @@ class TestDenoiserWorker:
         (300, 300, {"batch_size": 1}, "batch_size >= 2"),
         (300, 200, {}, "200 labels for 300 rows"),
         (300, 300, {"epochs": 0}, "epochs must be >= 1"),
-    ], ids=["one-row", "batch-size-1", "labels-mismatch", "zero-epochs"])
+        (300, 300, {"lr": 0.0}, "lr must be > 0, got 0.0"),
+    ], ids=["one-row", "batch-size-1", "labels-mismatch", "zero-epochs",
+            "zero-lr"])
     def test_bad_input_rejected_before_the_fork(self, digit_setup, monkeypatch,
                                                 rows, n_labels, kwargs, match):
         s = digit_setup

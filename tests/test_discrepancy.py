@@ -533,18 +533,24 @@ class TestKernelWorker:
             optimize_kernel(clean, adv, None, 3, 1e-2, 40, 1e-8, Rng(0))
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("clean_rows, adv_rows, batch_size, match", [
-        (0, 200, 40, "empty training pool"),
-        (200, 200, 1, "batch_size must be >= 2"),
-        (3, 200, 40, "pools too small for a monitoring split"),
-    ], ids=["empty-pool", "batch-size-1", "no-room-to-train"])
+    @pytest.mark.parametrize("clean_rows, adv_rows, kwargs, match", [
+        (0, 200, {}, "empty training pool"),
+        (200, 200, {"batch_size": 1}, "batch_size must be >= 2"),
+        (3, 200, {}, "pools too small for a monitoring split"),
+        (200, 200, {"lam": 0.0}, "got lr 0.01 and lam 0.0"),
+        (200, 200, {"lr": -1e-2}, "got lr -0.01 and lam 1e-08"),
+        (200, 200, {"epochs": -1}, "epochs must be >= 0, got -1"),
+    ], ids=["empty-pool", "batch-size-1", "no-room-to-train", "zero-lambda",
+            "negative-lr", "negative-epochs"])
     def test_bad_input_rejected_before_the_fork(self, monkeypatch, clean_rows,
-                                                adv_rows, batch_size, match):
+                                                adv_rows, kwargs, match):
         clean, adv = shifted_pools(35)
+        args = {"epochs": 3, "lr": 1e-2, "batch_size": 40, "lam": 1e-8,
+                **kwargs}
         monkeypatch.setattr(multiprocessing, "get_context", no_fork)
         with pytest.raises(ValueError, match=match):
-            optimize_kernel(clean[:clean_rows], adv[:adv_rows], None, 3, 1e-2,
-                            batch_size, 1e-8, Rng(0))
+            optimize_kernel(clean[:clean_rows], adv[:adv_rows], None,
+                            rng=Rng(0), **args)
 
 
 class TestCalibrationWorker:
@@ -600,16 +606,18 @@ class TestCalibrationWorker:
             calibrate_threshold(kernel, clean, 20, 0.05, 5, Rng(0))
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("rows, trials, far_target, match", [
-        (30, 5, 0.05, "cannot form two disjoint batches of 20"),
-        (200, 0, 0.05, "at least one calibration trial"),
-        (200, 5, 1.0, "far_target must lie in"),
-    ], ids=["pool-too-small", "zero-trials", "far-target-1"])
+    @pytest.mark.parametrize("rows, batch_size, trials, far_target, match", [
+        (30, 20, 5, 0.05, "cannot form two disjoint batches of 20"),
+        (200, 20, 0, 0.05, "at least one calibration trial"),
+        (200, 20, 5, 1.0, "far_target must lie in"),
+        (200, 1, 5, 0.05, "batch_size must be >= 2, got 1"),
+    ], ids=["pool-too-small", "zero-trials", "far-target-1", "batch-size-1"])
     def test_bad_input_rejected_before_the_fork(self, monkeypatch, rows,
-                                                trials, far_target, match):
+                                                batch_size, trials, far_target,
+                                                match):
         clean, _ = shifted_pools(38)
         kernel = DeepKernelParams.init_median(clean[:32])
         monkeypatch.setattr(multiprocessing, "get_context", no_fork)
         with pytest.raises(ValueError, match=match):
-            calibrate_threshold(kernel, clean[:rows], 20, far_target, trials,
-                                Rng(0))
+            calibrate_threshold(kernel, clean[:rows], batch_size, far_target,
+                                trials, Rng(0))

@@ -1,6 +1,7 @@
 """Every imported name in the package, its tests and the benchmark is used,
-every function and class the package defines is used outside the tests, and
-every config key is read by the package outside `config.py`."""
+every function, class, method and property the package defines is used
+outside the tests, and every config key is read by the package outside
+`config.py`."""
 import ast
 import pathlib
 
@@ -12,7 +13,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src" / "mmdefense").glob("*.py"))
 BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
 FILES = sorted([*LIBRARY, *(ROOT / "tests").glob("*.py"), *BENCHMARK])
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = (*FUNCTIONS, ast.ClassDef)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,27 +43,43 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def referenced_names(node: ast.AST) -> set[str]:
+    """Names, attributes and imported names that `node` refers to."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+    return names
+
+
 def unreferenced_definitions(library: dict[str, str], users: dict[str, str]) -> list[str]:
-    """Module-level functions and classes of `library` (name -> source) that
-    no source in `library` or `users` refers to outside their own definition.
-    A reference is a Name, an Attribute or an imported name."""
-    defined, used = [], set()
+    """Module-level functions and classes of `library` (name -> source), and
+    the non-dunder methods and properties of its classes, that no source in
+    `library` or `users` refers to outside their own definition.  A
+    reference is a Name, an Attribute or an imported name."""
+    defined, used = {}, set()
     for path, source in {**library, **users}.items():
         for stmt in ast.parse(source).body:
-            names = set()
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    names.add(node.name)
-            if isinstance(stmt, DEFINITIONS):
-                names.discard(stmt.name)
-                if path in library:
-                    defined.append((path, stmt.name))
-            used |= names
-    return [f"{path}: {name}" for path, name in defined if name not in used]
+            if not isinstance(stmt, DEFINITIONS):
+                used |= referenced_names(stmt)
+                continue
+            if path in library:
+                defined[f"{path}: {stmt.name}"] = stmt.name
+            members = [m for m in stmt.body if isinstance(stmt, ast.ClassDef)
+                       and isinstance(m, FUNCTIONS)
+                       and not m.name.startswith("__")]
+            for child in ast.iter_child_nodes(stmt):
+                if child in members:
+                    used |= referenced_names(child) - {stmt.name, child.name}
+                    if path in library:
+                        defined[f"{path}: {stmt.name}.{child.name}"] = child.name
+                else:
+                    used |= referenced_names(child) - {stmt.name}
+    return [key for key, name in defined.items() if name not in used]
 
 
 def test_scan_finds_an_unreferenced_definition():
@@ -69,6 +87,22 @@ def test_scan_finds_an_unreferenced_definition():
                        "def h(): pass\nx = C\n"}
     users = {"b.py": "from a import g\nimport a\na.h()\n"}
     assert unreferenced_definitions(library, users) == ["a.py: f"]
+
+
+def test_scan_finds_an_unreferenced_method():
+    library = {"a.py": (
+        "class C:\n"
+        "    def __init__(self): pass\n"
+        "    def m(self):\n        return self.m()\n"
+        "    def n(self): return C\n"
+        "    @property\n    def p(self): pass\n"
+        "    @p.setter\n    def p(self, v): pass\n"
+        "    @property\n    def q(self): pass\n"
+        "    @q.setter\n    def q(self, v): pass\n"
+        "    def used(self): return self.n()\n"
+        "def f():\n    def inner(): pass\n"  # not a method: not scanned
+        "x = C().used().q, f()\n")}
+    assert unreferenced_definitions(library, {}) == ["a.py: C.m", "a.py: C.p"]
 
 
 def test_every_library_definition_is_used_outside_the_tests():
