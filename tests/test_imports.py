@@ -1,7 +1,7 @@
 """Every imported name in the package, its tests and the benchmark is used,
-every function, class, method and property the package defines is used
-outside the tests, and every config key is read by the package outside
-`config.py`."""
+every function, class, method, property and module-level constant the
+package defines is used outside the tests, and every config key is read by
+the package outside `config.py`."""
 import ast
 import pathlib
 
@@ -56,16 +56,34 @@ def referenced_names(node: ast.AST) -> set[str]:
     return names
 
 
+def constant_name(stmt: ast.stmt):
+    """The name that a module-level `NAME = ...` or `NAME: type = ...` binds
+    when it is in upper case, else None."""
+    if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+        target = stmt.targets[0]
+    elif isinstance(stmt, ast.AnnAssign):
+        target = stmt.target
+    else:
+        return None
+    if isinstance(target, ast.Name) and target.id.isupper():
+        return target.id
+    return None
+
+
 def unreferenced_definitions(library: dict[str, str], users: dict[str, str]) -> list[str]:
-    """Module-level functions and classes of `library` (name -> source), and
-    the non-dunder methods and properties of its classes, that no source in
-    `library` or `users` refers to outside their own definition.  A
-    reference is a Name, an Attribute or an imported name."""
+    """Module-level functions, classes and upper-case constants of `library`
+    (name -> source), and the non-dunder methods and properties of its
+    classes, that no source in `library` or `users` refers to outside their
+    own definition.  A reference is a Name, an Attribute or an imported
+    name."""
     defined, used = {}, set()
     for path, source in {**library, **users}.items():
         for stmt in ast.parse(source).body:
             if not isinstance(stmt, DEFINITIONS):
-                used |= referenced_names(stmt)
+                constant = constant_name(stmt)
+                if constant is not None and path in library:
+                    defined[f"{path}: {constant}"] = constant
+                used |= referenced_names(stmt) - {constant}
                 continue
             if path in library:
                 defined[f"{path}: {stmt.name}"] = stmt.name
@@ -103,6 +121,14 @@ def test_scan_finds_an_unreferenced_method():
         "def f():\n    def inner(): pass\n"  # not a method: not scanned
         "x = C().used().q, f()\n")}
     assert unreferenced_definitions(library, {}) == ["a.py: C.m", "a.py: C.p"]
+
+
+def test_scan_finds_an_unreferenced_constant():
+    library = {"a.py": "A = 1\nB = A\nC_D: int = 2\nE = E + 1\nlower = 3\n"
+                       "X, Y = 1, 2\n__all__ = []\n"
+                       "def f():\n    return C_D\n"}
+    users = {"b.py": "from a import f\nF = 1\n"}
+    assert unreferenced_definitions(library, users) == ["a.py: B", "a.py: E"]
 
 
 def test_every_library_definition_is_used_outside_the_tests():
