@@ -41,7 +41,8 @@ class ImageBatch:
         self.data = np.asarray(self.data, dtype=np.float64)
         if self.data.ndim != 4:
             raise ValueError(f"expected [n,c,h,w], got shape {self.data.shape}")
-        if self.data.size and (self.data.min() < 0.0 or self.data.max() > 1.0):
+        # negated so that a NaN, for which every comparison is False, fails
+        if self.data.size and not (self.data.min() >= 0.0 and self.data.max() <= 1.0):
             raise ValueError("pixels must lie in [0,1]")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)

@@ -9,6 +9,12 @@ Conventions fixed here (and used consistently by the tests):
 Raw kernel parameters are unconstrained scalars (logistic map for b0,
 exponential map for the bandwidths), so plain gradient ascent keeps every
 constraint satisfied.
+
+`h_matrix` composes tape primitives while a GradTape records, and otherwise
+(the frozen detection statistic: `mmd_opt`, calibration, the kernel
+monitor) runs the same numpy operations in place, with the kernel scalars
+computed once per call; the two are bitwise equal and check the same
+intermediates.
 """
 from __future__ import annotations
 
@@ -117,15 +123,70 @@ def deep_kernel(params: DeepKernelParams, x: Tensor, z: Tensor) -> Tensor:
 
 
 def h_matrix(params: DeepKernelParams, x: Tensor, z: Tensor) -> Tensor:
-    """H_ij = K_xx[i,j] + K_zz[i,j] - K_xz[i,j] - K_xz[j,i] for equal sizes."""
+    """H_ij = K_xx[i,j] + K_zz[i,j] - K_xz[i,j] - K_xz[j,i] for equal sizes.
+
+    Taped while a GradTape records; otherwise `_untaped_h_matrix`, which is
+    bitwise equal.
+    """
     if x.shape[0] != z.shape[0]:
         raise ValueError(
             f"equal batch sizes required, got {x.shape[0]} and {z.shape[0]}; "
             "subsample the larger batch first")
+    if not T.recording():
+        return _untaped_h_matrix(params, x, z)
     kxx = deep_kernel(params, x, x)
     kzz = deep_kernel(params, z, z)
     kxz = deep_kernel(params, x, z)
     return kxx + kzz - kxz - T.transpose(kxz)
+
+
+def _untaped_h_matrix(params: DeepKernelParams, x: Tensor, z: Tensor) -> Tensor:
+    """The taped composition of `h_matrix` in plain numpy, for a constant H.
+
+    Each [n,n] step is the taped primitive's numpy operation on the same
+    operands in the same order, done in place, and its result is checked
+    under that primitive's name, so H and every error are those of the
+    taped path.  sigma_phi, sigma_q and beta0 are computed once, not once
+    per block; the featurizer still runs twice per block, so that no
+    feature block is one buffer (see `T.sqdist`).
+    """
+    denom_phi = (-2.0 * T.square(params.sigma_phi())).data
+    denom_q = (-2.0 * T.square(params.sigma_q())).data
+    b0 = params.beta0()
+    one_minus_b0 = (1.0 - b0).data
+
+    def gaussian(a: np.ndarray, b: np.ndarray, denom) -> np.ndarray:
+        k, _ = T.sqdist(a, b)
+        T.check_finite(k, "pairwise_sqdist")
+        k /= denom
+        T.check_finite(k, "div")
+        np.exp(k, out=k)
+        T.check_finite(k, "exp")
+        return k
+
+    def block(a: Tensor, b: Tensor) -> np.ndarray:
+        if params.featurizer is not None:
+            fa = params.featurizer.forward(a).data
+            fb = params.featurizer.forward(b).data
+        else:
+            fa, fb = a.data, b.data
+        k = gaussian(fa, fb, denom_phi)
+        k *= one_minus_b0
+        T.check_finite(k, "mul")
+        k += b0.data
+        T.check_finite(k, "add")
+        k *= gaussian(a.data, b.data, denom_q)
+        T.check_finite(k, "mul")
+        return k
+
+    h, kzz, kxz = block(x, x), block(z, z), block(x, z)
+    h += kzz
+    T.check_finite(h, "add")
+    h -= kxz
+    T.check_finite(h, "sub")
+    T.check_finite(kxz.T, "transpose")
+    h -= kxz.T
+    return T.constant(h, "sub")
 
 
 def mmd_from_h(h: Tensor) -> Tensor:

@@ -151,7 +151,7 @@ def _lift(x) -> Tensor:
     return out
 
 
-def _check_finite(arr: np.ndarray, op: str):
+def check_finite(arr: np.ndarray, op: str):
     # exact: a NaN or inf makes the sum of squares non-finite, so a finite
     # sum proves every element finite; a finite array whose squares overflow
     # takes the elementwise pass, also when the caller has made numpy's
@@ -177,7 +177,7 @@ def _make(op: str, data: np.ndarray, parents: tuple[Tensor, ...],
     that parent's adjoint contribution.  The output requires grad when a
     parent does.
     """
-    _check_finite(data, op)
+    check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
     if _TAPE_STACK:
@@ -185,6 +185,21 @@ def _make(op: str, data: np.ndarray, parents: tuple[Tensor, ...],
         _TAPE_STACK[-1].nodes.append(_Node(out, parents, grad_fns))
     else:
         out.requires_grad = False
+    return out
+
+
+def recording() -> bool:
+    """True while a GradTape is recording."""
+    return bool(_TAPE_STACK)
+
+
+def constant(data: np.ndarray, op: str) -> Tensor:
+    """Wrap `data`, computed by `op` outside the primitives, as a constant,
+    after the output check a primitive makes."""
+    check_finite(data, op)
+    out = Tensor.__new__(Tensor)
+    out.data = data
+    out.requires_grad = False
     return out
 
 
@@ -339,15 +354,29 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make("log_softmax", data, (a,), (bw,))
 
 
-def pairwise_sqdist(x: Tensor, z: Tensor) -> Tensor:
-    """Squared Euclidean distances between the rows of x [n,d] and z [m,d]."""
-    if x.data.ndim != 2 or z.data.ndim != 2 or x.shape[1] != z.shape[1]:
+def sqdist(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Forward of `pairwise_sqdist` on plain arrays: (distances, mask).
+
+    The mask marks the raw distances above 0; tiny negatives from
+    cancellation clamp to 0 (to -0.0: the raw value times False).  Passing
+    one buffer as both x and z lets numpy take `x @ x.T` to BLAS syrk, whose
+    rounding differs from gemm's on two buffers of equal value.
+    """
+    if x.ndim != 2 or z.ndim != 2 or x.shape[1] != z.shape[1]:
         raise ShapeError(f"pairwise_sqdist: incompatible shapes {x.shape} and {z.shape}")
-    xx = (x.data * x.data).sum(axis=1)[:, None]
-    zz = (z.data * z.data).sum(axis=1)[None, :]
-    raw = xx + zz - 2.0 * (x.data @ z.data.T)
-    mask = raw > 0  # tiny negatives from cancellation clamp to 0 with zero grad
-    data = raw * mask
+    data = (x * x).sum(axis=1)[:, None] + (z * z).sum(axis=1)[None, :]
+    cross = x @ z.T
+    cross *= 2.0
+    data -= cross
+    mask = data > 0
+    data *= mask
+    return data, mask
+
+
+def pairwise_sqdist(x: Tensor, z: Tensor) -> Tensor:
+    """Squared Euclidean distances between the rows of x [n,d] and z [m,d];
+    a clamped distance (see `sqdist`) has zero gradient."""
+    data, mask = sqdist(x.data, z.data)
 
     last = [None, None]  # (g, g * mask): both closures see the same g
 
@@ -411,7 +440,7 @@ def backward(tape: GradTape, output: Tensor) -> dict[int, np.ndarray]:
     # what is left in `adjoint` belongs to leaves (never produced on tape);
     # a non-finite adjoint stays non-finite on its way to a leaf
     for pg in adjoint.values():
-        _check_finite(pg, "backward")
+        check_finite(pg, "backward")
     return adjoint
 
 

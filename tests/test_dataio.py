@@ -263,6 +263,15 @@ class TestImageBatch:
         with pytest.raises(ValueError):
             ImageBatch(np.full((1, 1, 2, 2), 1.5))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixels_rejected(self, bad):
+        data = np.full((2, 1, 2, 2), 0.5)
+        data[1, 0, 1, 0] = bad
+        with pytest.raises(ValueError, match=r"pixels must lie in \[0,1\]"):
+            ImageBatch(data, np.array([0, 1]))
+        with pytest.raises(ValueError, match=r"pixels must lie in \[0,1\]"):
+            ImageBatch(np.full((2, 1, 2, 2), bad), np.array([0, 1]))
+
     def test_label_length_checked(self):
         with pytest.raises(ValueError):
             ImageBatch(np.zeros((3, 1, 2, 2)), np.zeros(5, dtype=int))

@@ -115,6 +115,107 @@ class TestKernelValues:
             assert p.sigma_q().item() > 0.0
 
 
+class TestUntapedHMatrix:
+    """With no tape recording, h_matrix evaluates H in plain numpy; it must
+    be bitwise the taped composition, which a recording GradTape forces."""
+
+    @staticmethod
+    def draw(rng, dim=6):
+        n = int(rng.choice(10, 1)[0]) + 2
+        x = Tensor(rng.uniform((n, dim)))
+        z = [Tensor(rng.uniform((n, dim))), x, Tensor(x.data.copy())][
+            int(rng.choice(3, 1)[0])]
+        params = DeepKernelParams(
+            *(Tensor(float(rng.normal((), 0.0, 1.0))) for _ in range(3)),
+            featurizer_view(dim) if rng.uniform(()) < 0.5 else None)
+        return params, x, z
+
+    def test_bitwise_equal_to_the_taped_path(self):
+        rng = Rng(40)
+        kinds = set()
+        for _ in range(150):
+            params, x, z = self.draw(rng)
+            untaped = h_matrix(params, x, z).data
+            with GradTape():
+                taped = h_matrix(params, x, z).data
+            np.testing.assert_array_equal(untaped, taped)
+            np.testing.assert_array_equal(np.signbit(untaped), np.signbit(taped))
+            kinds.add((params.featurizer is None, z is x))
+        assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_same_featurizer_calls_and_distance_buffers(self, monkeypatch):
+        """Six featurizer calls per H, and the same operand sharing in every
+        distance block: x against itself is one buffer, features never are."""
+        calls = []
+        real_forward, real_sqdist = discrepancy.features_forward, T.sqdist
+
+        def forward(*args):
+            calls.append("features")
+            return real_forward(*args)
+
+        def sqdist(a, b):
+            calls.append(a is b)
+            return real_sqdist(a, b)
+
+        monkeypatch.setattr(discrepancy, "features_forward", forward)
+        monkeypatch.setattr(T, "sqdist", sqdist)
+        rng = Rng(41)
+        params = DeepKernelParams(Tensor(0.2), Tensor(0.1), Tensor(-0.3),
+                                  featurizer_view())
+        x, z = Tensor(rng.uniform((8, 6))), Tensor(rng.uniform((8, 6)))
+        h_matrix(params, x, z)
+        untaped, calls[:] = calls[:], []
+        with GradTape():
+            h_matrix(params, x, z)
+        assert untaped == calls
+        assert calls.count("features") == 6
+        assert [c for c in calls if c != "features"] == [
+            False, True, False, True, False, False]
+
+    def test_mmd_opt_equals_the_taped_statistic(self):
+        rng = Rng(42)
+        for trial in range(20):
+            featurizer = featurizer_view() if trial % 2 else None
+            params = DeepKernelParams(
+                *(Tensor(float(rng.normal((), 0.0, 1.0))) for _ in range(3)),
+                featurizer)
+            model = discrepancy.DetectorModel(params, 0.0, 12)
+            a, b = rng.uniform((12, 6)), rng.uniform((12, 6))
+            with GradTape():
+                taped = mmd_u_squared(Tensor(a), Tensor(b), params).item()
+            assert mmd_opt(model, a, b) == taped
+
+    @pytest.mark.parametrize("featurizer", [None, "view"])
+    def test_non_finite_bandwidth_raises_on_both_paths(self, featurizer):
+        # sigma^2 underflows to 0, so d2 / (-2 sigma^2) is -inf or NaN
+        view = featurizer_view() if featurizer else None
+        x = Tensor(Rng(43).uniform((5, 6)))
+        for raws in ((0.0, -400.0, 0.0), (0.0, 0.0, -400.0)):
+            params = DeepKernelParams(*(Tensor(r) for r in raws), view)
+            with pytest.raises(NonFiniteError, match="div"):
+                h_matrix(params, x, Tensor(x.data + 0.1))
+            with pytest.raises(NonFiniteError, match="div"), GradTape():
+                h_matrix(params, x, Tensor(x.data + 0.1))
+
+    @pytest.mark.parametrize("featurizer", [None, "view"])
+    def test_non_finite_input_raises_on_both_paths(self, featurizer):
+        view = featurizer_view() if featurizer else None
+        params = DeepKernelParams(Tensor(0.0), Tensor(0.0), Tensor(0.0), view)
+        clean = Rng(44).uniform((5, 6))
+        model = discrepancy.DetectorModel(params, 0.0, 5)
+        bad = clean.copy()
+        bad[2, 3] = np.inf
+        with pytest.raises(NonFiniteError):
+            mmd_opt(model, clean, bad)
+        # past the constructor's check, the first primitive's check raises
+        x = Tensor.__new__(Tensor)
+        x.data, x.requires_grad = bad, False
+        with pytest.raises(NonFiniteError):
+            h_matrix(params, Tensor(clean), x)
+        with pytest.raises(NonFiniteError), GradTape():
+            h_matrix(params, Tensor(clean), x)
+
+
 class TestMmdEstimator:
     def test_hand_value_linear_kernel(self):
         # S_X = (0, 2), S_Z = (1, 1) under k(x,z) = x*z:

@@ -165,12 +165,12 @@ class TestFiniteCheck:
     def test_one_non_finite_element_anywhere_is_caught(self, bad, layout):
         for n in FINITE_CHECK_SIZES:
             values = Rng(n).normal((n,), 0.0, 1.0)
-            T._check_finite(_with_layout(values, layout), "probe")  # finite passes
+            T.check_finite(_with_layout(values, layout), "probe")  # finite passes
             for pos in sorted({0, n // 2, n - 1}):
                 flat = values.copy()
                 flat[pos] = bad
                 with pytest.raises(NonFiniteError, match="probe"):
-                    T._check_finite(_with_layout(flat, layout), "probe")
+                    T.check_finite(_with_layout(flat, layout), "probe")
 
     @pytest.mark.parametrize("big", [1e200, -1e308, 1.7e308])
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
@@ -181,7 +181,7 @@ class TestFiniteCheck:
         with np.errstate(over="ignore"):
             ravelled = arr.ravel(order="K")
             assert not math.isfinite(np.dot(ravelled, ravelled))  # the fallback runs
-            T._check_finite(arr, "probe")
+            T.check_finite(arr, "probe")
 
     @pytest.mark.parametrize("strict", ["warning-error", "errstate-raise"])
     def test_overflowing_squares_pass_when_overflow_is_made_an_error(self, strict):
@@ -189,11 +189,11 @@ class TestFiniteCheck:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(over="raise" if strict == "errstate-raise" else "warn"):
-                T._check_finite(arr, "probe")
+                T.check_finite(arr, "probe")
                 bad = arr.copy()
                 bad[1, 1] = np.nan
                 with pytest.raises(NonFiniteError, match="probe"):
-                    T._check_finite(bad, "probe")
+                    T.check_finite(bad, "probe")
 
 
 class TestBackward:
@@ -345,7 +345,7 @@ def test_backward_matches_finite_differences(name, build, shape):
 def _tape_everything(op, data, parents, grad_fns):
     """Reference taping: every op under a tape is recorded, and interior
     tensors are plain constants (no activity flag)."""
-    T._check_finite(data, op)
+    T.check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data, out.requires_grad = data, False
     if T._TAPE_STACK:
