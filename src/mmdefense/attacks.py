@@ -71,7 +71,7 @@ def _step_direction(grad: np.ndarray, cfg: AttackConfig) -> np.ndarray:
 
 def random_start(x0: np.ndarray, cfg: AttackConfig,
                  rng: Optional[Rng] = None) -> np.ndarray:
-    """PGD's start for flattened `x0`: a uniform draw from the eps-ball,
+    """PGD's start for rows `x0` [n, d]: a uniform draw from the eps-ball,
     clipped to [0,1], or `x0` itself (drawing nothing) without random start."""
     delta = np.zeros_like(x0)
     if cfg.random_start:
@@ -92,16 +92,15 @@ def random_start(x0: np.ndarray, cfg: AttackConfig,
 def pgd(classifier: ClassifierParams, batch: np.ndarray, labels: np.ndarray,
         cfg: AttackConfig, rng: Optional[Rng] = None) -> np.ndarray:
     """Iterated ascent on cross-entropy with ball projection and [0,1] clip."""
-    x0 = batch.reshape(len(batch), -1)
-    x = random_start(x0, cfg, rng)
+    x = random_start(batch, cfg, rng)
     for _ in range(cfg.iters):
         # the gradient dies within its step: it is not held while the next
         # step's tape is built, one [n, d] array less at PGD's memory peak
         x = x + cfg.step * _step_direction(
             _ce_input_grad(classifier, x, labels), cfg)
-        x = x0 + _project(x - x0, cfg)
+        x = batch + _project(x - batch, cfg)
         x = np.clip(x, 0.0, 1.0)
-    return x.reshape(batch.shape)
+    return x
 
 
 def noise_draw(shape, noise: NoiseConfig, rng: Rng) -> Optional[np.ndarray]:
@@ -165,10 +164,8 @@ def adaptive_pgd_eot(detector: DetectorModel, denoiser: DenoiserParams,
     if reference is not None and len(reference) != len(clean_batch):
         raise ValueError(f"reference has {len(reference)} rows, the batch "
                          f"{len(clean_batch)}")
-    shape = clean_batch.shape
-    x0 = clean_batch.reshape(len(clean_batch), -1)
-    ref = x0 if reference is None else reference.reshape(len(reference), -1)
-    x = x0.copy()
+    ref = clean_batch if reference is None else reference
+    x = clean_batch.copy()
 
     split = (cfg.eot + 1) // 2
     drawn = None  # the worker's next noises and the state after them
@@ -178,7 +175,7 @@ def adaptive_pgd_eot(detector: DetectorModel, denoiser: DenoiserParams,
                 for n in noises]
 
     def draw():
-        noises = [rng.normal(x0.shape, noise.mu, noise.sigma)
+        noises = [rng.normal(clean_batch.shape, noise.mu, noise.sigma)
                   for _k in range(cfg.eot)]
         return noises, rng.state
 
@@ -213,6 +210,6 @@ def adaptive_pgd_eot(detector: DetectorModel, denoiser: DenoiserParams,
                     g_eot += g_stat + alpha * g_ce
             g_eot /= cfg.eot
             x = x + cfg.step * _step_direction(g_eot, cfg)
-            x = x0 + _project(x - x0, cfg)
+            x = clean_batch + _project(x - clean_batch, cfg)
             x = np.clip(x, 0.0, 1.0)
-    return x.reshape(shape)
+    return x

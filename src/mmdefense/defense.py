@@ -42,15 +42,15 @@ class DefensePipeline:
     detector: DetectorModel
     denoiser: DenoiserParams
     classifier: ClassifierParams
-    reference: np.ndarray  # S_V, flattened [B, d]
+    reference: np.ndarray  # S_V, float64 rows [B, d]
 
     def __post_init__(self):
-        self.reference = np.asarray(self.reference, dtype=np.float64)
-        self.reference = self.reference.reshape(len(self.reference), -1)
-        if len(self.reference) != self.detector.batch_size:
+        # the one batch read from a file (`reference.npy`) is checked here
+        shape = self.reference.shape
+        if len(shape) != 2 or shape[0] != self.detector.batch_size:
             raise ValueError(
-                f"reference batch has {len(self.reference)} rows, detector "
-                f"expects {self.detector.batch_size}")
+                f"reference batch has shape {shape}, detector expects "
+                f"[{self.detector.batch_size}, d]")
 
     @property
     def batch_size(self) -> int:
@@ -63,12 +63,12 @@ def defend_batch(pipeline: DefensePipeline, batch: np.ndarray):
     Clean verdict feeds the batch straight to the classifier; adversarial
     verdict routes it through the denoiser first.  Equality at the threshold
     rules adversarial (the gate uses strict '<' for the clean branch).  The
-    batch must have exactly B rows; `mmd_opt` rejects any other size.
+    batch is float64 rows [B, d]: `mmd_opt` rejects any other row count,
+    and an image-shaped batch is a `ShapeError`.
     """
-    x = np.asarray(batch, dtype=np.float64).reshape(len(batch), -1)
-    stat = mmd_opt(pipeline.detector, pipeline.reference, x)
+    stat = mmd_opt(pipeline.detector, pipeline.reference, batch)
     t = pipeline.detector.threshold
-    xt = Tensor(x)
+    xt = Tensor(batch)
     if stat < t:
         verdict = Verdict(CLEAN, stat, t)
     else:
@@ -143,21 +143,20 @@ def train_denoiser(clean: np.ndarray, labels: np.ndarray,
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     if lr <= 0:
         raise ValueError(f"lr must be > 0, got {lr}")
-    x = np.asarray(clean, dtype=np.float64).reshape(len(clean), -1)
     frozen = [p.data.copy() for p in classifier.params]
-    theta = DenoiserParams.init(x.shape[1], rng, scale=1e-2)
+    theta = DenoiserParams.init(clean.shape[1], rng, scale=1e-2)
     state = AdamState.init(theta.params)
     # every minibatch has at least 2 rows: a 1-row tail starts at n - 1,
     # which the range leaves out, so it is skipped and draws nothing
-    starts = range(0, len(x) - 1, batch_size)
+    starts = range(0, len(clean) - 1, batch_size)
 
     def pgd_job():
         for _ in range(epochs):
-            order = rng.permutation(len(x))
+            order = rng.permutation(len(clean))
             for start in starts:
                 idx = order[start:start + batch_size]
-                xa = attacks.pgd(classifier, x[idx], labels[idx], attack_cfg,
-                                 rng)
+                xa = attacks.pgd(classifier, clean[idx], labels[idx],
+                                 attack_cfg, rng)
                 draw = noise_draw(xa.shape, noise, rng)
                 yield idx, xa if draw is None else xa + draw, rng.state
 
@@ -170,7 +169,7 @@ def train_denoiser(clean: np.ndarray, labels: np.ndarray,
             losses = []
             for _ in starts:
                 idx, xn, rng.state = worker.result()
-                xc, yc = x[idx], labels[idx]
+                xc, yc = clean[idx], labels[idx]
                 with GradTape() as tape:
                     denoised = denoiser_forward(theta, Tensor(xn))
                     stat = mmd_u_squared(Tensor(xc), denoised, kernel)
@@ -197,10 +196,9 @@ def build_mixed_batch(clean: np.ndarray, labels: np.ndarray, p: float,
     """round(p*B) adversarial rows, rest clean, positions shuffled."""
     b = len(clean)
     n_adv = int(round(p * b))
-    x = clean.reshape(b, -1).copy()
+    x = clean.copy()
     if n_adv > 0:
-        adv = attack(clean[:n_adv], labels[:n_adv])
-        x[:n_adv] = adv.reshape(n_adv, -1)
+        x[:n_adv] = attack(clean[:n_adv], labels[:n_adv])
     perm = rng.permutation(b)
     return x[perm], labels[perm]
 
@@ -214,11 +212,10 @@ def trial_accuracies(pipe: DefensePipeline, clean_pool: np.ndarray,
     follow the batch's."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    pool = clean_pool.reshape(len(clean_pool), -1)
     accs = []
     for _ in range(trials):
-        idx = rng.choice(len(pool), pipe.batch_size)
-        xb, yb = pool[idx], labels_pool[idx]
+        idx = rng.choice(len(clean_pool), pipe.batch_size)
+        xb, yb = clean_pool[idx], labels_pool[idx]
         if transform is not None:
             xb, yb = transform(xb, yb)
         pred, _ = defend_batch(pipe, xb)
@@ -262,15 +259,14 @@ def eval_batch_size(kernel: DeepKernelParams, denoiser: DenoiserParams,
                     far_target: float = 0.05, calib_trials: int = 200):
     """Clean accuracy mean/std per batch size, recalibrating the detector
     (and redrawing the reference) for every size."""
-    calib = calib_pool.reshape(len(calib_pool), -1)
     rows = []
     for b in sizes:
         if b < 2:
             raise ValueError(f"batch size {b} cannot form the estimator")
-        det = calibrate_threshold(kernel, calib, b, far_target, calib_trials,
-                                  rng.fork())
-        ref_idx = rng.choice(len(calib), b)
-        pipe = DefensePipeline(det, denoiser, classifier, calib[ref_idx])
+        det = calibrate_threshold(kernel, calib_pool, b, far_target,
+                                  calib_trials, rng.fork())
+        ref_idx = rng.choice(len(calib_pool), b)
+        pipe = DefensePipeline(det, denoiser, classifier, calib_pool[ref_idx])
         accs = trial_accuracies(pipe, clean_pool, labels_pool, trials, rng)
         rows.append((int(b), float(np.mean(accs)), float(np.std(accs))))
     return rows

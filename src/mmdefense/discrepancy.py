@@ -78,12 +78,11 @@ class DeepKernelParams:
     def init_median(cls, clean_batch: np.ndarray,
                     featurizer: Optional[FeaturizerView] = None) -> "DeepKernelParams":
         """Median pairwise-distance bandwidths, beta0 = 0.5."""
-        x = np.asarray(clean_batch, dtype=np.float64).reshape(len(clean_batch), -1)
-        sigma_q = _median_dist(x)
+        sigma_q = _median_dist(clean_batch)
         if featurizer is not None:
-            phi = featurizer.forward(Tensor(x)).data
+            phi = featurizer.forward(Tensor(clean_batch)).data
         else:
-            phi = x
+            phi = clean_batch
         sigma_phi = _median_dist(phi)
         return cls(Tensor(0.0, requires_grad=True),
                    Tensor(np.log(sigma_q), requires_grad=True),
@@ -92,6 +91,9 @@ class DeepKernelParams:
 
 
 def _median_dist(x: np.ndarray) -> float:
+    # not `T.sqdist`: `2.0 * x @ x.T` is `(2.0 * x) @ x.T`, which rounds
+    # differently from sqdist's `cross *= 2.0`, so sharing it would move
+    # the median, and with it every kernel's initial bandwidths
     d2 = (x * x).sum(1)[:, None] + (x * x).sum(1)[None, :] - 2.0 * x @ x.T
     d = np.sqrt(np.maximum(d2[np.triu_indices(len(x), k=1)], 0.0))
     med = float(np.median(d))
@@ -257,18 +259,16 @@ def optimize_kernel(clean_pool: np.ndarray, adv_pool: np.ndarray,
     """
     if len(clean_pool) == 0 or len(adv_pool) == 0:
         raise ValueError("empty training pool")
-    clean = np.asarray(clean_pool, dtype=np.float64).reshape(len(clean_pool), -1)
-    adv = np.asarray(adv_pool, dtype=np.float64).reshape(len(adv_pool), -1)
     if batch_size < 2:
         raise ValueError(f"batch_size must be >= 2, got {batch_size}")
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
     if lr <= 0 or lam <= 0:
         raise ValueError(f"need lr > 0 and lam > 0, got lr {lr} and lam {lam}")
-    n_mon_c = max(2, int(len(clean) * 0.2))
-    n_mon_a = max(2, int(len(adv) * 0.2))
-    mon_c, train_c = clean[:n_mon_c], clean[n_mon_c:]
-    mon_a, train_a = adv[:n_mon_a], adv[n_mon_a:]
+    n_mon_c = max(2, int(len(clean_pool) * 0.2))
+    n_mon_a = max(2, int(len(adv_pool) * 0.2))
+    mon_c, train_c = clean_pool[:n_mon_c], clean_pool[n_mon_c:]
+    mon_a, train_a = adv_pool[:n_mon_a], adv_pool[n_mon_a:]
     if len(train_c) < 2 or len(train_a) < 2:
         raise ValueError("pools too small for a monitoring split")
     b = min(batch_size, len(train_c), len(train_a))
@@ -315,13 +315,12 @@ class DetectorModel:
 
 
 def mmd_opt(model: DetectorModel, s_x: np.ndarray, s_z: np.ndarray) -> float:
-    """Detection statistic under the optimized kernel; B rows per side."""
-    x = np.asarray(s_x, dtype=np.float64).reshape(len(s_x), -1)
-    z = np.asarray(s_z, dtype=np.float64).reshape(len(s_z), -1)
-    if len(x) != model.batch_size or len(z) != model.batch_size:
-        raise ValueError(f"batches of {len(x)} and {len(z)} samples, detector "
-                         f"expects {model.batch_size}")
-    return mmd_u_squared(Tensor(x), Tensor(z), model.kernel).item()
+    """Detection statistic under the optimized kernel; float64 rows [B, d]
+    per side."""
+    if len(s_x) != model.batch_size or len(s_z) != model.batch_size:
+        raise ValueError(f"batches of {len(s_x)} and {len(s_z)} samples, "
+                         f"detector expects {model.batch_size}")
+    return mmd_u_squared(Tensor(s_x), Tensor(s_z), model.kernel).item()
 
 
 def calibrate_threshold(kernel: DeepKernelParams, clean_pool: np.ndarray,
@@ -338,22 +337,22 @@ def calibrate_threshold(kernel: DeepKernelParams, clean_pool: np.ndarray,
     POSIX `fork`; the worker is always stopped before this returns or
     raises, and bad input is a `ValueError` before anything forks.
     """
-    pool = np.asarray(clean_pool, dtype=np.float64).reshape(len(clean_pool), -1)
     if batch_size < 2:
         raise ValueError(f"batch_size must be >= 2, got {batch_size}")
-    if len(pool) < 2 * batch_size:
+    if len(clean_pool) < 2 * batch_size:
         raise ValueError(
-            f"pool of {len(pool)} samples cannot form two disjoint "
+            f"pool of {len(clean_pool)} samples cannot form two disjoint "
             f"batches of {batch_size}")
     if trials < 1:
         raise ValueError("need at least one calibration trial")
     if not 0 < far_target < 1:
         raise ValueError(f"far_target must lie in (0, 1), got {far_target}")
-    draws = [rng.choice(len(pool), 2 * batch_size) for _ in range(trials)]
+    draws = [rng.choice(len(clean_pool), 2 * batch_size) for _ in range(trials)]
 
     def trial_stats(first: int, stop: int) -> list[float]:
-        return [mmd_u_squared(Tensor(pool[idx[:batch_size]]),
-                              Tensor(pool[idx[batch_size:]]), kernel).item()
+        return [mmd_u_squared(Tensor(clean_pool[idx[:batch_size]]),
+                              Tensor(clean_pool[idx[batch_size:]]),
+                              kernel).item()
                 for idx in draws[first:stop]]
 
     def stats_job(first, stop):

@@ -28,7 +28,7 @@ def _affine_init(rng: Rng, fan_in: int, fan_out: int, scale: Optional[float] = N
 
 @dataclass
 class ClassifierParams:
-    """flatten -> affine(d,64) -> ReLU -> affine(64,32) -> ReLU -> affine(32,K)."""
+    """Rows [n, d] -> affine(d,64) -> ReLU -> affine(64,32) -> ReLU -> affine(32,K)."""
 
     PREFIX = "classifier"
     NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
@@ -59,7 +59,7 @@ class ClassifierParams:
 
 
 def features_forward(params: ClassifierParams, x: Tensor) -> Tensor:
-    """Penultimate activations [n, 32]; x is flattened [n, d]."""
+    """Penultimate activations [n, 32] of rows x [n, d]."""
     h1 = T.relu(T.affine(x, params.w1, params.b1))
     return T.relu(T.affine(h1, params.w2, params.b2))
 
@@ -79,8 +79,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 def classify(params: ClassifierParams, batch: np.ndarray):
     """Returns (logits, argmax labels) without taping."""
-    x = batch.reshape(len(batch), -1)
-    logits = classifier_forward(params, Tensor(x)).data
+    logits = classifier_forward(params, Tensor(batch)).data
     return logits, logits.argmax(axis=1)
 
 
@@ -120,7 +119,7 @@ def train_classifier(images: ImageBatch, epochs: int, lr: float, rng: Rng):
 
 @dataclass
 class DenoiserParams:
-    """Residual net: flatten -> affine(d,128) -> ReLU -> affine(128,d);
+    """Residual net: rows [n, d] -> affine(d,128) -> ReLU -> affine(128,d);
     output = clip(input + residual, 0, 1)."""
 
     PREFIX = "denoiser"
@@ -143,7 +142,7 @@ class DenoiserParams:
 
 
 def denoiser_forward(theta: DenoiserParams, x: Tensor) -> Tensor:
-    """x is flattened [n, d] (any finite values); output clipped to [0,1]."""
+    """Rows x [n, d] of finite values in, rows clipped to [0,1] out."""
     residual = T.affine(T.relu(T.affine(x, theta.w1, theta.b1)), theta.w2, theta.b2)
     return T.clip(x + residual, 0.0, 1.0)
 

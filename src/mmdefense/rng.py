@@ -41,23 +41,21 @@ class Rng:
         """Child generator seeded from the parent stream."""
         return Rng(int(self._gen.integers(0, 2**63 - 1)))
 
-    def uniform(self, shape=(), low: float = 0.0, high: float = 1.0) -> np.ndarray:
+    def uniform(self, shape: tuple, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         return self._gen.uniform(low, high, size=shape)
 
-    def normal(self, shape=(), mu: float = 0.0, sigma: float = 0.0) -> np.ndarray:
+    def normal(self, shape: tuple, mu: float, sigma: float) -> np.ndarray:
         """IID N(mu, sigma^2) via Box-Muller; sigma=0 returns all-mu."""
         if sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {sigma}")
-        shape = tuple(np.atleast_1d(shape).astype(int)) if shape != () else ()
-        n = int(np.prod(shape)) if shape else 1
+        n = int(np.prod(shape))
         m = (n + 1) // 2
         # u1 in (0, 1] so log is finite
         u1 = 1.0 - self._gen.random(m)
         u2 = self._gen.random(m)
         r = np.sqrt(-2.0 * np.log(u1))
         z = np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])[:n]
-        out = mu + sigma * z
-        return out.reshape(shape) if shape else float(out[0])
+        return (mu + sigma * z).reshape(shape)
 
     def integers(self, low: int, high: int, shape=None) -> np.ndarray:
         return self._gen.integers(low, high, size=shape)

@@ -304,11 +304,11 @@ def transpose(a: Tensor) -> Tensor:
     return _make("transpose", a.data.T.copy(), (a,), (lambda g: g.T,))
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+def tsum(a: Tensor, axis=None) -> Tensor:
+    data = a.data.sum(axis=axis)
 
     def bw(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return np.broadcast_to(g, a.shape).copy()
 

@@ -16,7 +16,7 @@ from mmdefense.models import (DenoiserParams, accuracy, classifier_forward,
                               cross_entropy, denoiser_forward,
                               train_classifier)
 from mmdefense.rng import Rng
-from mmdefense.tensor import GradTape, NonFiniteError, Tensor
+from mmdefense.tensor import GradTape, NonFiniteError, ShapeError, Tensor
 
 
 @pytest.fixture(scope="module")
@@ -68,10 +68,11 @@ class TestFgsm:
         adv = fgsm(classifier, x, y, 0.1)
         assert accuracy(classifier, adv, y) < accuracy(classifier, x, y)
 
-    def test_preserves_image_shape(self, setup):
+    def test_image_shaped_batch_is_a_shape_error(self, setup):
+        # PGD takes rows [n, d], as `ImageBatch.flat` gives them
         images, classifier, _, _ = setup
-        out = fgsm(classifier, images.data[:5], images.labels[:5], 0.1)
-        assert out.shape == images.data[:5].shape
+        with pytest.raises(ShapeError, match=r"\(5, 1, 8, 8\)"):
+            fgsm(classifier, images.data[:5], images.labels[:5], 0.1)
 
 
 class TestPgd:

@@ -9,7 +9,8 @@ from mmdefense import attacks, cli, defense
 from mmdefense.cli import main
 from mmdefense.config import ConfigError, config_echo, parse_config
 from mmdefense.dataio import load_model, save_model
-from mmdefense.tensor import NonFiniteError
+from mmdefense.discrepancy import mmd_opt
+from mmdefense.tensor import NonFiniteError, ShapeError
 
 SMALL_DIGITS = """
 # small but complete digit run
@@ -245,6 +246,29 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and named in err
+
+    def test_image_shaped_batch_is_rejected(self, digit_setup, full_run, tmp_path,
+                                            capsys):
+        # below `dataio` a batch is float64 rows [n, d]: nothing flattens it
+        s = digit_setup
+        images = s.test.data[:s.detector.batch_size]
+        with pytest.raises(ShapeError):
+            defense.defend_batch(s.pipeline, images)
+        with pytest.raises(ShapeError):
+            mmd_opt(s.detector, s.reference, images)
+        with pytest.raises(ValueError, match=r"\(100, 1, 8, 8\)"):
+            defense.DefensePipeline(s.detector, s.denoiser, s.classifier,
+                                    s.reference.reshape(images.shape))
+        _, cfgpath, out, _ = full_run
+        copy = str(tmp_path / "runs")
+        shutil.copytree(out, copy)
+        path = os.path.join(copy, "reference.npy")
+        reference = np.load(path)
+        np.save(path, reference.reshape(len(reference), 1, 1, -1))
+        code = main(["defend", "--config", cfgpath, "--out", copy])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "reference" in err
 
     def test_non_numeric_threshold_is_exit_1(self, full_run, tmp_path, capsys):
         _, cfgpath, out, _ = full_run

@@ -268,7 +268,7 @@ class TestDenoiserWorker:
                              ids=["linf", "l2", "no-random-start"])
     def test_split_pgd_equals_inline_pgd_bitwise(self, digit_setup, cfg):
         s = digit_setup
-        x, y = s.test.data[:50], s.test.labels[:50]
+        x, y = s.test.flat[:50], s.test.labels[:50]
         rngs = Rng(41), Rng(41)
         got = pgd(s.classifier, x, y, cfg, rngs[0])
         want = inline_pgd(s.classifier, x, y, cfg, rngs[1])

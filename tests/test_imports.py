@@ -1,6 +1,7 @@
 """Every imported name in the package, its tests and the benchmark is used,
 every function, class, method, property and module-level constant the
-package defines is used outside the tests, and every config key is read by
+package defines is used outside the tests, every defaulted parameter of its
+functions and methods is passed somewhere, and every config key is read by
 the package outside `config.py`."""
 import ast
 import pathlib
@@ -131,11 +132,79 @@ def test_scan_finds_an_unreferenced_constant():
     assert unreferenced_definitions(library, users) == ["a.py: B", "a.py: E"]
 
 
-def test_every_library_definition_is_used_outside_the_tests():
-    def sources(paths):
-        return {f"{p.parent.name}/{p.name}": p.read_text() for p in paths}
+def sources(paths) -> dict[str, str]:
+    return {f"{p.parent.name}/{p.name}": p.read_text() for p in paths}
 
+
+def test_every_library_definition_is_used_outside_the_tests():
     assert unreferenced_definitions(sources(LIBRARY), sources(BENCHMARK)) == []
+
+
+def unpassed_defaults(library: dict[str, str], users: dict[str, str]) -> list[str]:
+    """Defaulted parameters of the module-level functions and methods of
+    `library` (name -> source) that no call in `library` or `users` passes:
+    by keyword, by position at the parameter's index, or through `*args` /
+    `**kwargs`.  A call matches by the called name, and a call on a class
+    counts for its `__init__`.  Dataclass fields are not parameters here."""
+    wanted = []  # (label, called name, keyword, position or None)
+
+    def collect(label: str, called: str, args: ast.arguments, skip: int):
+        positional = [*args.posonlyargs, *args.args]
+        first = len(positional) - len(args.defaults)
+        for i, arg in enumerate(positional[first:], first):
+            wanted.append((f"{label}({arg.arg})", called, arg.arg, i - skip))
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                wanted.append((f"{label}({arg.arg})", called, arg.arg, None))
+
+    for path, source in library.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, FUNCTIONS):
+                collect(f"{path}: {stmt.name}", stmt.name, stmt.args, 0)
+            elif isinstance(stmt, ast.ClassDef):
+                for m in stmt.body:
+                    if isinstance(m, FUNCTIONS):
+                        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                     for d in m.decorator_list)
+                        called = stmt.name if m.name == "__init__" else m.name
+                        collect(f"{path}: {stmt.name}.{m.name}", called, m.args,
+                                0 if static else 1)
+    calls = {}  # called name -> [(keywords, positional count, splatted)]
+    for source in {**library, **users}.values():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            keywords = {k.arg for k in node.keywords}
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            calls.setdefault(name, []).append((keywords, len(node.args), starred))
+    return [label for label, called, keyword, position in wanted
+            if not any(keyword in keywords or None in keywords
+                       or (position is not None and (starred or count > position))
+                       for keywords, count, starred in calls.get(called, []))]
+
+
+def test_scan_finds_an_unpassed_default():
+    library = {"a.py": (
+        "def f(a, b=1, c=2, *, d=3, e=4): pass\n"
+        "def g(x=0): pass\n"
+        "def h(y=0): pass\n"
+        "def unused(u=0):\n    def inner(z=0): pass\n"  # not a method: not scanned
+        "class C:\n"
+        "    def __init__(self, p=0, q=0): pass\n"
+        "    def m(self, r=0, s=0): pass\n"
+        "    @staticmethod\n    def n(t=0): pass\n"
+        "f(0, 1, d=3)\nC(1)\n")}
+    users = {"b.py": "import a\na.g(*[])\nh(**{})\nobj.m(0)\nC.n(1)\n"}
+    assert unpassed_defaults(library, users) == [
+        "a.py: f(c)", "a.py: f(e)", "a.py: unused(u)", "a.py: C.__init__(q)",
+        "a.py: C.m(s)"]
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    # a default that no call overrides is a code path nothing takes
+    assert unpassed_defaults(sources(LIBRARY), sources(FILES)) == []
 
 
 def config_reads(source: str) -> set[str]:
