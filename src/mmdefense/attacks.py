@@ -18,6 +18,12 @@ from .worker import job_worker
 
 LINF = "linf"
 L2 = "l2"
+# rows per block of `pgd`'s step loop; at least every minibatch the CLI and
+# perfbench attack (100), so a minibatch is one block.  On a 2700-row,
+# 10-step pool (x86-64, one BLAS thread) 256 rows traced 0.9 MB above the
+# output and ran in 45 ms against 59 ms in one pass; 128 rows saved 0.4 MB
+# more for 18% more time
+PGD_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -72,34 +78,53 @@ def _step_direction(grad: np.ndarray, cfg: AttackConfig) -> np.ndarray:
 def random_start(x0: np.ndarray, cfg: AttackConfig,
                  rng: Optional[Rng] = None) -> np.ndarray:
     """PGD's start for rows `x0` [n, d]: a uniform draw from the eps-ball,
-    clipped to [0,1], or `x0` itself (drawing nothing) without random start."""
-    delta = np.zeros_like(x0)
-    if cfg.random_start:
-        if rng is None:
-            raise ValueError("random_start requires an rng")
-        if cfg.norm == LINF:
-            delta = rng.uniform(x0.shape, -cfg.eps, cfg.eps)
-        else:
-            direction = rng.normal(x0.shape, 0.0, 1.0)
-            direction /= np.maximum(
-                np.sqrt((direction * direction).sum(axis=1, keepdims=True)), 1e-30)
-            radius = cfg.eps * rng.uniform((len(x0), 1)) ** (1.0 / x0.shape[1])
-            delta = direction * radius
-        delta = np.clip(x0 + delta, 0.0, 1.0) - x0
-    return x0 + delta
+    clipped to [0,1], or a copy of `x0` (drawing nothing) without random
+    start.  The start is built in place in the drawn array, which the
+    caller owns; each value is bitwise `x0 + (clip(x0 + delta, 0, 1) - x0)`."""
+    if not cfg.random_start:
+        # a new array; adding 0.0 keeps the bits of x0 + zero delta (-0.0 -> 0.0)
+        return x0 + 0.0
+    if rng is None:
+        raise ValueError("random_start requires an rng")
+    if cfg.norm == LINF:
+        x = rng.uniform(x0.shape, -cfg.eps, cfg.eps)
+    else:
+        x = rng.normal(x0.shape, 0.0, 1.0)
+        x /= np.maximum(np.sqrt((x * x).sum(axis=1, keepdims=True)), 1e-30)
+        x *= cfg.eps * rng.uniform((len(x0), 1)) ** (1.0 / x0.shape[1])
+    x += x0
+    np.clip(x, 0.0, 1.0, out=x)
+    x -= x0
+    x += x0
+    return x
 
 
 def pgd(classifier: ClassifierParams, batch: np.ndarray, labels: np.ndarray,
         cfg: AttackConfig, rng: Optional[Rng] = None) -> np.ndarray:
-    """Iterated ascent on cross-entropy with ball projection and [0,1] clip."""
+    """Iterated ascent on cross-entropy with ball projection and [0,1] clip.
+
+    The start of every row is drawn at once, so the generator stream does
+    not depend on the blocking.  The steps then run on blocks of
+    `PGD_BLOCK_ROWS` rows, each written back into the start array, so the
+    tape and the step temporaries hold one block, not the whole batch.
+    Rows are independent, but each block's cross-entropy is a mean over its
+    own rows: under linf `sign()` absorbs the rounding that the divisor and
+    BLAS's row count leave, so the result is bitwise that of one pass over
+    all rows; under l2, `g / |g|` keeps it, and a batch of more than one
+    block differs from one pass by rounding (at most 5.6e-12 on a 2700-row
+    pool, eps 1.0, 10 steps)."""
     x = random_start(batch, cfg, rng)
-    for _ in range(cfg.iters):
-        # the gradient dies within its step: it is not held while the next
-        # step's tape is built, one [n, d] array less at PGD's memory peak
-        x = x + cfg.step * _step_direction(
-            _ce_input_grad(classifier, x, labels), cfg)
-        x = batch + _project(x - batch, cfg)
-        x = np.clip(x, 0.0, 1.0)
+    for lo in range(0, len(x), PGD_BLOCK_ROWS):
+        rows = slice(lo, lo + PGD_BLOCK_ROWS)
+        x0, xb, yb = batch[rows], x[rows], labels[rows]
+        for _ in range(cfg.iters):
+            # the gradient dies within its step: it is not held while the
+            # next step's tape is built, one [n, d] array less at the peak
+            xb = xb + cfg.step * _step_direction(
+                _ce_input_grad(classifier, xb, yb), cfg)
+            xb = x0 + _project(xb - x0, cfg)
+            xb = np.clip(xb, 0.0, 1.0)
+        x[rows] = xb
     return x
 
 

@@ -128,15 +128,16 @@ def _digit_templates(size: int = 8) -> np.ndarray:
 def synth_digits(rng: Rng, n: int, classes: int = 4, size: int = 8,
                  pixel_noise: float = 0.1) -> ImageBatch:
     """Template glyphs at `DIGIT_CONTRAST` amplitude plus clipped Gaussian
-    pixel noise; label = template id."""
+    pixel noise; label = template id.  The noise is added and the pixels
+    clipped in place in the gathered templates."""
     if not 1 <= classes <= 4:
         raise ValueError(f"classes must be in [1,4], got {classes}")
     templates = DIGIT_CONTRAST * _digit_templates(size)[:classes]
     labels = rng.integers(0, classes, n)
     data = templates[labels][:, None, :, :]
     if pixel_noise > 0:
-        data = data + rng.normal(data.shape, 0.0, pixel_noise)
-    return ImageBatch(np.clip(data, 0.0, 1.0), labels)
+        data += rng.normal(data.shape, 0.0, pixel_noise)
+    return ImageBatch(np.clip(data, 0.0, 1.0, out=data), labels)
 
 
 # ---------------------------------------------------------------------------

@@ -45,17 +45,37 @@ class Rng:
         return self._gen.uniform(low, high, size=shape)
 
     def normal(self, shape: tuple, mu: float, sigma: float) -> np.ndarray:
-        """IID N(mu, sigma^2) via Box-Muller; sigma=0 returns all-mu."""
+        """IID N(mu, sigma^2) via Box-Muller; sigma=0 returns all-mu.
+
+        In place: the radii and angles are drawn into the two halves of one
+        buffer of 2*ceil(n/2) values, and the cos half takes one temporary
+        of ceil(n/2), so a draw peaks at about 1.5 times its output.  These
+        are the IEEE operations of `r * cos(2 pi u2)`, `r * sin(2 pi u2)`
+        and `mu + sigma * z` on the same values, with only the operands of
+        products and sums swapped, so the stream is bitwise that of the
+        out-of-place expression."""
         if sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {sigma}")
         n = int(np.prod(shape))
         m = (n + 1) // 2
-        # u1 in (0, 1] so log is finite
-        u1 = 1.0 - self._gen.random(m)
-        u2 = self._gen.random(m)
-        r = np.sqrt(-2.0 * np.log(u1))
-        z = np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])[:n]
-        return (mu + sigma * z).reshape(shape)
+        z = np.empty(2 * m)
+        r, theta = z[:m], z[m:]
+        # u1 = 1 - U in (0, 1], so log is finite; r = sqrt(-2 log u1)
+        self._gen.random(out=r)
+        np.subtract(1.0, r, out=r)
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        self._gen.random(out=theta)
+        theta *= 2.0 * np.pi
+        cos = np.cos(theta)
+        np.sin(theta, out=theta)
+        theta *= r
+        r *= cos
+        z = z[:n]
+        z *= sigma
+        z += mu
+        return z.reshape(shape)
 
     def integers(self, low: int, high: int, shape=None) -> np.ndarray:
         return self._gen.integers(low, high, size=shape)

@@ -30,9 +30,8 @@ class DigitSetup:
         self.eval_attack = AttackConfig(norm="linf", eps=0.1, step=0.02,
                                         iters=40, eot=10, random_start=True)
         self.noise = NoiseConfig(0.0, 0.25)
-        adv_train = pgd(self.classifier, self.train.flat, self.train.labels,
-                        self.train_attack, rng.fork())
-        self.adv_train = adv_train.reshape(len(adv_train), -1)
+        self.adv_train = pgd(self.classifier, self.train.flat,
+                             self.train.labels, self.train_attack, rng.fork())
         self.kernel, self.kernel_trajectory = optimize_kernel(
             self.train.flat, self.adv_train, self.featurizer,
             epochs=200, lr=2e-4, batch_size=100, lam=1e-8, rng=rng.fork())

@@ -8,6 +8,7 @@ from mmdefense import attacks
 from mmdefense import tensor as T
 from mmdefense.attacks import (AttackConfig, NoiseConfig, adaptive_pgd_eot,
                                noise_draw, pgd)
+from mmdefense.config import RunConfig
 from mmdefense.dataio import synth_digits
 from mmdefense.defense import FLAG_EVERY_BATCH
 from mmdefense.discrepancy import (DeepKernelParams, DetectorModel,
@@ -128,6 +129,112 @@ class TestPgd:
         cfg = AttackConfig(random_start=True)
         with pytest.raises(ValueError):
             pgd(classifier, images.flat[:4], images.labels[:4], cfg, None)
+
+
+def reference_start(x0, cfg, rng):
+    """`random_start` as written before it built the start in place."""
+    delta = np.zeros_like(x0)
+    if cfg.random_start:
+        if cfg.norm == "linf":
+            delta = rng.uniform(x0.shape, -cfg.eps, cfg.eps)
+        else:
+            direction = rng.normal(x0.shape, 0.0, 1.0)
+            direction /= np.maximum(
+                np.sqrt((direction * direction).sum(axis=1, keepdims=True)),
+                1e-30)
+            radius = cfg.eps * rng.uniform((len(x0), 1)) ** (1.0 / x0.shape[1])
+            delta = direction * radius
+        delta = np.clip(x0 + delta, 0.0, 1.0) - x0
+    return x0 + delta
+
+
+def one_tape_pgd(classifier, batch, labels, cfg, rng):
+    """PGD with every row in one tape per step, as before the row blocks."""
+    x = reference_start(batch, cfg, rng)
+    for _ in range(cfg.iters):
+        xt = Tensor(x, requires_grad=True)
+        with GradTape() as tape:
+            loss = cross_entropy(classifier_forward(classifier, xt), labels)
+        grad = T.grad_of(tape, loss, [xt])[0]
+        if cfg.norm == "linf":
+            x = x + cfg.step * np.sign(grad)
+            x = batch + np.clip(x - batch, -cfg.eps, cfg.eps)
+        else:
+            norms = np.sqrt((grad * grad).sum(axis=1, keepdims=True))
+            x = x + cfg.step * (grad / np.maximum(norms, 1e-30))
+            delta = x - batch
+            norms = np.sqrt((delta * delta).sum(axis=1, keepdims=True))
+            x = batch + delta * np.minimum(1.0,
+                                           cfg.eps / np.maximum(norms, 1e-30))
+        x = np.clip(x, 0.0, 1.0)
+    return x
+
+
+START_CASES = {
+    "linf": AttackConfig("linf", 0.1, 0.02, 4, 1, True),
+    "l2": AttackConfig("l2", 1.0, 0.25, 4, 1, True),
+    "linf-no-start": AttackConfig("linf", 0.1, 0.02, 4, 1, False),
+    "l2-no-start": AttackConfig("l2", 1.0, 0.25, 4, 1, False),
+}
+# the l2 step divides by the gradient's norm, which carries the rounding a
+# block's row count leaves in it; measured at most 4.4e-16 here and 5.6e-12
+# on a 2700-row pool (eps 1.0, step 0.25, 10 steps)
+L2_BLOCK_TOLERANCE = 1e-9
+
+
+def pool_rows(images, n):
+    idx = np.arange(n) % len(images)
+    return images.flat[idx], images.labels[idx]
+
+
+class TestRowBlocks:
+    """`pgd` steps on blocks of `PGD_BLOCK_ROWS` rows; its start is drawn for
+    all rows at once, in place."""
+
+    @pytest.mark.parametrize("name", START_CASES)
+    def test_start_equals_the_out_of_place_expression(self, setup, name):
+        images = setup[0]
+        cfg = START_CASES[name]
+        x0 = images.flat[:300].copy()
+        x0[0, :2] = -0.0  # a negative zero pixel reads +0.0, as it did
+        for seed in range(5):
+            got_rng, want_rng = Rng(seed), Rng(seed)
+            got = attacks.random_start(x0, cfg, got_rng)
+            want = reference_start(x0, cfg, want_rng)
+            assert got.tobytes() == want.tobytes()
+            assert got_rng.uniform((4,)).tobytes() == want_rng.uniform((4,)).tobytes()
+
+    def test_start_is_a_new_array(self, setup):
+        x0 = setup[0].flat[:10]
+        for cfg in START_CASES.values():
+            assert not np.shares_memory(attacks.random_start(x0, cfg, Rng(0)), x0)
+
+    @pytest.mark.parametrize("name", ["linf", "linf-no-start"])
+    def test_linf_blocks_with_a_ragged_tail_equal_one_tape_bitwise(
+            self, setup, name):
+        images, classifier, _, _ = setup
+        cfg = START_CASES[name]
+        x, y = pool_rows(images, 2 * attacks.PGD_BLOCK_ROWS + 37)
+        got = pgd(classifier, x, y, cfg, Rng(9))
+        assert got.tobytes() == one_tape_pgd(classifier, x, y, cfg,
+                                             Rng(9)).tobytes()
+
+    @pytest.mark.parametrize("name", ["l2", "l2-no-start"])
+    def test_l2_blocks_with_a_ragged_tail_stay_within_rounding(self, setup,
+                                                               name):
+        images, classifier, _, _ = setup
+        cfg = START_CASES[name]
+        x, y = pool_rows(images, 2 * attacks.PGD_BLOCK_ROWS + 37)
+        got = pgd(classifier, x, y, cfg, Rng(9))
+        want = one_tape_pgd(classifier, x, y, cfg, Rng(9))
+        assert np.abs(got - want).max() <= L2_BLOCK_TOLERANCE
+        assert np.sqrt(((got - x) ** 2).sum(1)).max() <= cfg.eps + 1e-9
+        assert got.min() >= 0.0 and got.max() <= 1.0
+
+    def test_every_default_minibatch_is_one_block(self):
+        # so per-minibatch PGD (denoiser training, 100 rows) stays bitwise,
+        # as test_defense's `test_split_pgd_equals_inline_pgd_bitwise` checks
+        assert RunConfig().batch_size <= attacks.PGD_BLOCK_ROWS
 
 
 class TestInjectNoise:

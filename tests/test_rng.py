@@ -63,3 +63,30 @@ def test_state_is_a_snapshot():
     first = next_draws(rng)
     rng.state = state
     assert next_draws(rng) == first
+
+
+def out_of_place_normal(rng, shape, mu, sigma):
+    """`Rng.normal` as written before it ran in place: the reference."""
+    n = int(np.prod(shape))
+    m = (n + 1) // 2
+    u1 = 1.0 - rng._gen.random(m)
+    u2 = rng._gen.random(m)
+    r = np.sqrt(-2.0 * np.log(u1))
+    z = np.concatenate([r * np.cos(2.0 * np.pi * u2),
+                        r * np.sin(2.0 * np.pi * u2)])[:n]
+    return (mu + sigma * z).reshape(shape)
+
+
+@pytest.mark.parametrize("mu, sigma", [(0.0, 1.0), (0.3, 0.7), (-1.5, 0.0),
+                                       (0.0, 0.0)])
+@pytest.mark.parametrize("shape", [(), (1,), (2,), (7,), (8,), (3, 5),
+                                   (100, 64)],
+                         ids=["scalar", "1", "2", "7", "8", "3x5", "100x64"])
+def test_in_place_normal_equals_the_out_of_place_expression(shape, mu, sigma):
+    for seed in range(40):
+        got_rng, want_rng = Rng(seed), Rng(seed)
+        got = got_rng.normal(shape, mu, sigma)
+        want = out_of_place_normal(want_rng, shape, mu, sigma)
+        # bytes, so that the sign of a zero counts too
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert next_draws(got_rng) == next_draws(want_rng)
