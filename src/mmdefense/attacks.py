@@ -10,8 +10,8 @@ import numpy as np
 
 from . import tensor as T
 from .discrepancy import DetectorModel, mmd_u_squared
-from .models import (ClassifierParams, DenoiserParams, classifier_forward,
-                     cross_entropy, denoiser_forward)
+from .models import (ClassifierParams, DenoiserParams, cross_entropy,
+                     defended_forward)
 from .rng import Rng
 from .tensor import GradTape, Tensor
 from .worker import job_worker
@@ -53,26 +53,32 @@ class NoiseConfig:
 
 
 def _ce_input_grad(classifier: ClassifierParams, x: np.ndarray,
-                   labels: np.ndarray) -> np.ndarray:
+                   labels: np.ndarray,
+                   denoiser: Optional[DenoiserParams] = None) -> np.ndarray:
+    """Input gradient of CE(defended_forward(classifier, denoiser, x))."""
     xt = Tensor(x, requires_grad=True)
     with GradTape() as tape:
-        loss = cross_entropy(classifier_forward(classifier, xt), labels)
+        loss = cross_entropy(defended_forward(classifier, denoiser, xt), labels)
     return T.grad_of(tape, loss, [xt])[0]
 
 
-def _project(delta: np.ndarray, cfg: AttackConfig) -> np.ndarray:
-    if cfg.norm == LINF:
-        return np.clip(delta, -cfg.eps, cfg.eps)
-    norms = np.sqrt((delta * delta).sum(axis=1, keepdims=True))
-    factor = np.minimum(1.0, cfg.eps / np.maximum(norms, 1e-30))
-    return delta * factor
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    return np.maximum(np.sqrt((a * a).sum(axis=1, keepdims=True)), 1e-30)
 
 
-def _step_direction(grad: np.ndarray, cfg: AttackConfig) -> np.ndarray:
+def _pgd_step(x: np.ndarray, x0: np.ndarray, grad: np.ndarray,
+              cfg: AttackConfig) -> np.ndarray:
+    """One ascent step of `cfg.step` along `grad` (its sign under linf, its
+    row direction under l2), projected onto the eps-ball around rows `x0`
+    and clipped to [0,1]."""
     if cfg.norm == LINF:
-        return np.sign(grad)
-    norms = np.sqrt((grad * grad).sum(axis=1, keepdims=True))
-    return grad / np.maximum(norms, 1e-30)
+        x = x + cfg.step * np.sign(grad)
+        delta = np.clip(x - x0, -cfg.eps, cfg.eps)
+    else:
+        x = x + cfg.step * (grad / _row_norms(grad))
+        delta = x - x0
+        delta = delta * np.minimum(1.0, cfg.eps / _row_norms(delta))
+    return np.clip(x0 + delta, 0.0, 1.0)
 
 
 def random_start(x0: np.ndarray, cfg: AttackConfig,
@@ -90,7 +96,7 @@ def random_start(x0: np.ndarray, cfg: AttackConfig,
         x = rng.uniform(x0.shape, -cfg.eps, cfg.eps)
     else:
         x = rng.normal(x0.shape, 0.0, 1.0)
-        x /= np.maximum(np.sqrt((x * x).sum(axis=1, keepdims=True)), 1e-30)
+        x /= _row_norms(x)
         x *= cfg.eps * rng.uniform((len(x0), 1)) ** (1.0 / x0.shape[1])
     x += x0
     np.clip(x, 0.0, 1.0, out=x)
@@ -120,10 +126,7 @@ def pgd(classifier: ClassifierParams, batch: np.ndarray, labels: np.ndarray,
         for _ in range(cfg.iters):
             # the gradient dies within its step: it is not held while the
             # next step's tape is built, one [n, d] array less at the peak
-            xb = xb + cfg.step * _step_direction(
-                _ce_input_grad(classifier, xb, yb), cfg)
-            xb = x0 + _project(xb - x0, cfg)
-            xb = np.clip(xb, 0.0, 1.0)
+            xb = _pgd_step(xb, x0, _ce_input_grad(classifier, xb, yb), cfg)
         x[rows] = xb
     return x
 
@@ -134,17 +137,6 @@ def noise_draw(shape, noise: NoiseConfig, rng: Rng) -> Optional[np.ndarray]:
     if noise.sigma == 0 and noise.mu == 0:
         return None
     return rng.normal(shape, noise.mu, noise.sigma)
-
-
-def _replica_ce_grad(denoiser: DenoiserParams, classifier: ClassifierParams,
-                     x: np.ndarray, n: np.ndarray,
-                     labels: np.ndarray) -> np.ndarray:
-    """Input gradient of CE(classifier(denoiser(x + n))) for one EOT replica."""
-    xt = Tensor(x, requires_grad=True)
-    with GradTape() as tape:
-        denoised = denoiser_forward(denoiser, xt + Tensor(n))
-        loss = cross_entropy(classifier_forward(classifier, denoised), labels)
-    return T.grad_of(tape, loss, [xt])[0]
 
 
 def adaptive_pgd_eot(detector: DetectorModel, denoiser: DenoiserParams,
@@ -196,7 +188,7 @@ def adaptive_pgd_eot(detector: DetectorModel, denoiser: DenoiserParams,
     drawn = None  # the worker's next noises and the state after them
 
     def replicas(x, noises):
-        return [_replica_ce_grad(denoiser, classifier, x, n, labels)
+        return [_ce_input_grad(classifier, x + n, labels, denoiser)
                 for n in noises]
 
     def draw():
@@ -217,24 +209,21 @@ def adaptive_pgd_eot(detector: DetectorModel, denoiser: DenoiserParams,
             xt = Tensor(x, requires_grad=True)
             with GradTape() as tape:
                 stat = mmd_u_squared(Tensor(ref), xt, detector.kernel)
-            g_eot = np.zeros_like(x)
-            if stat.item() < detector.threshold:
-                # the clean branch draws no noise, so every replica has the
-                # same gradient; adding it `eot` times keeps the average
-                # bitwise equal
-                g_stat = T.grad_of(tape, stat, [xt])[0]
-                g_clean = g_stat + alpha * _ce_input_grad(classifier, x, labels)
-                for _k in range(cfg.eot):
-                    g_eot += g_clean
-            else:
+            if detector.flags(stat.item()):
                 worker.submit(x)
                 noises, rng.state = worker.result()
                 g_stat = T.grad_of(tape, stat, [xt])[0]
+                # ours before waiting for the worker's, so both run at once
                 ours = replicas(x, noises)
-                for g_ce in worker.result() + ours:
-                    g_eot += g_stat + alpha * g_ce
+                g_ces = worker.result() + ours
+            else:
+                # the clean branch draws no noise, so every replica has the
+                # same gradient
+                g_stat = T.grad_of(tape, stat, [xt])[0]
+                g_ces = [_ce_input_grad(classifier, x, labels)] * cfg.eot
+            g_eot = np.zeros_like(x)
+            for g_ce in g_ces:
+                g_eot += g_stat + alpha * g_ce
             g_eot /= cfg.eot
-            x = x + cfg.step * _step_direction(g_eot, cfg)
-            x = clean_batch + _project(x - clean_batch, cfg)
-            x = np.clip(x, 0.0, 1.0)
+            x = _pgd_step(x, clean_batch, g_eot, cfg)
     return x

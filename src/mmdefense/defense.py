@@ -13,7 +13,7 @@ from .attacks import AttackConfig, NoiseConfig, noise_draw
 from .discrepancy import (DeepKernelParams, DetectorModel, calibrate_threshold,
                           mmd_opt, mmd_u_squared)
 from .models import (ClassifierParams, DenoiserParams, classifier_forward,
-                     cross_entropy, denoiser_forward)
+                     cross_entropy, defended_forward, denoiser_forward)
 from .optim import AdamState, adam_step
 from .rng import Rng
 from .tensor import GradTape, Tensor
@@ -36,7 +36,7 @@ class Verdict:
 class DefensePipeline:
     """Detector + denoiser + frozen classifier + fixed clean reference batch.
 
-    The detector's threshold alone chooses the branch, in `defend_batch` and
+    The detector's `flags` alone chooses the branch, in `defend_batch` and
     in the adaptive attack alike."""
 
     detector: DetectorModel
@@ -61,20 +61,18 @@ def defend_batch(pipeline: DefensePipeline, batch: np.ndarray):
     """Gate on the detection statistic; returns (predicted labels, Verdict).
 
     Clean verdict feeds the batch straight to the classifier; adversarial
-    verdict routes it through the denoiser first.  Equality at the threshold
-    rules adversarial (the gate uses strict '<' for the clean branch).  The
-    batch is float64 rows [B, d]: `mmd_opt` rejects any other row count,
-    and an image-shaped batch is a `ShapeError`.
+    verdict routes it through the denoiser first (`DetectorModel.flags`,
+    `defended_forward`).  The batch is float64 rows [B, d]: `mmd_opt`
+    rejects any other row count, and an image-shaped batch is a
+    `ShapeError`.
     """
     stat = mmd_opt(pipeline.detector, pipeline.reference, batch)
-    t = pipeline.detector.threshold
-    xt = Tensor(batch)
-    if stat < t:
-        verdict = Verdict(CLEAN, stat, t)
-    else:
-        verdict = Verdict(ADVERSARIAL, stat, t)
-        xt = denoiser_forward(pipeline.denoiser, xt)
-    logits = classifier_forward(pipeline.classifier, xt).data
+    flagged = pipeline.detector.flags(stat)
+    verdict = Verdict(ADVERSARIAL if flagged else CLEAN, stat,
+                      pipeline.detector.threshold)
+    logits = defended_forward(pipeline.classifier,
+                              pipeline.denoiser if flagged else None,
+                              Tensor(batch)).data
     return logits.argmax(axis=1), verdict
 
 

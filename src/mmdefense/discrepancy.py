@@ -313,6 +313,11 @@ class DetectorModel:
         if not np.isfinite(self.threshold):
             raise ValueError("threshold must be finite")
 
+    def flags(self, statistic: float) -> bool:
+        """The gate: a batch is adversarial unless its statistic lies
+        strictly below the threshold, so equality rules adversarial."""
+        return not statistic < self.threshold
+
 
 def mmd_opt(model: DetectorModel, s_x: np.ndarray, s_z: np.ndarray) -> float:
     """Detection statistic under the optimized kernel; float64 rows [B, d]

@@ -146,3 +146,12 @@ def denoiser_forward(theta: DenoiserParams, x: Tensor) -> Tensor:
     residual = T.affine(T.relu(T.affine(x, theta.w1, theta.b1)), theta.w2, theta.b2)
     return T.clip(x + residual, 0.0, 1.0)
 
+
+def defended_forward(classifier: ClassifierParams,
+                     denoiser: Optional[DenoiserParams], x: Tensor) -> Tensor:
+    """Logits of the deployed defense's branch: the classifier on rows x,
+    after the denoiser when one is given (a flagged batch)."""
+    if denoiser is not None:
+        x = denoiser_forward(denoiser, x)
+    return classifier_forward(classifier, x)
+

@@ -131,9 +131,6 @@ class Tensor:
     def __neg__(self):
         return neg(self)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 _REAL = (int, float, np.integer, np.floating)
 
@@ -277,15 +274,9 @@ def neg(a: Tensor) -> Tensor:
     return _make("neg", -a.data, (a,), (lambda g: -g,))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    return _make("matmul", a.data @ b.data, (a, b),
-                 (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
-
-
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b as one node, bitwise equal to matmul followed by add."""
+    """x @ w + b as one node, bitwise equal to the product and the bias add
+    taped as two nodes."""
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ShapeError(f"affine: incompatible shapes {x.shape} and {w.shape}")
     data = x.data @ w.data

@@ -77,7 +77,7 @@ def hypothesis_from_index(index: int, n: int) -> np.ndarray:
     return np.array([(index >> i) & 1 for i in range(n)], dtype=np.int64)
 
 
-def verify_theorem(domain: DiscreteDomain, tol: float = _TOL) -> dict:
+def verify_theorem(domain: DiscreteDomain) -> dict:
     """Check R_A <= R_C + d1 for every one of the 2^N hypotheses (N <= 12).
 
     Returns {"hypotheses_checked", "violations", "min_slack", "max_slack"}.
@@ -92,7 +92,7 @@ def verify_theorem(domain: DiscreteDomain, tol: float = _TOL) -> dict:
     for idx in range(1 << n):
         h = hypothesis_from_index(idx, n)
         slack = risk(h, domain.f, domain.phi_c) + d1 - risk(h, domain.f, domain.phi_a)
-        if slack < -tol:
+        if slack < -_TOL:
             violations += 1
         min_slack = min(min_slack, slack)
         max_slack = max(max_slack, slack)

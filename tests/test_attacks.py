@@ -376,9 +376,7 @@ def serial_adaptive_pgd_eot(detector, denoiser, classifier, clean_batch,
                 g_ce = T.grad_of(tape, loss, [xt])[0]
                 g_eot += g_stat + alpha * g_ce
         g_eot /= cfg.eot
-        x = x + cfg.step * attacks._step_direction(g_eot, cfg)
-        x = x0 + attacks._project(x - x0, cfg)
-        x = np.clip(x, 0.0, 1.0)
+        x = attacks._pgd_step(x, x0, g_eot, cfg)
     return x.reshape(shape)
 
 
@@ -451,7 +449,7 @@ class TestAttackWorker:
 
     def test_worker_exception_is_reraised_with_its_type_and_message(
             self, setup, monkeypatch):
-        parent, real = os.getpid(), attacks._replica_ce_grad
+        parent, real = os.getpid(), attacks._ce_input_grad
 
         def non_finite_in_the_worker(*args):
             if os.getpid() != parent:
@@ -459,7 +457,7 @@ class TestAttackWorker:
             return real(*args)
 
         # patched in the parent before the fork, so the worker raises it
-        monkeypatch.setattr(attacks, "_replica_ce_grad",
+        monkeypatch.setattr(attacks, "_ce_input_grad",
                             non_finite_in_the_worker)
         with pytest.raises(NonFiniteError,
                            match="^backward produced non-finite values$"):
@@ -467,28 +465,28 @@ class TestAttackWorker:
                              NoiseConfig(0.0, 0.25), Rng(0))
 
     def test_worker_that_dies_is_a_runtime_error(self, setup, monkeypatch):
-        parent, real = os.getpid(), attacks._replica_ce_grad
+        parent, real = os.getpid(), attacks._ce_input_grad
 
         def exit_in_the_worker(*args):
             if os.getpid() != parent:
                 os._exit(7)
             return real(*args)
 
-        monkeypatch.setattr(attacks, "_replica_ce_grad", exit_in_the_worker)
+        monkeypatch.setattr(attacks, "_ce_input_grad", exit_in_the_worker)
         with pytest.raises(RuntimeError, match="job worker exited with code 7"):
             adaptive_pgd_eot(*self.args(setup, ALWAYS_DENOISE), LINF_5,
                              NoiseConfig(0.0, 0.25), Rng(0))
 
     def test_exception_in_the_caller_stops_the_worker(self, setup,
                                                       monkeypatch):
-        parent, real = os.getpid(), attacks._replica_ce_grad
+        parent, real = os.getpid(), attacks._ce_input_grad
 
         def fails_in_the_caller(*args):
             if os.getpid() == parent:
                 raise RuntimeError("caller replica failed")
             return real(*args)
 
-        monkeypatch.setattr(attacks, "_replica_ce_grad", fails_in_the_caller)
+        monkeypatch.setattr(attacks, "_ce_input_grad", fails_in_the_caller)
         with pytest.raises(RuntimeError, match="^caller replica failed$"):
             adaptive_pgd_eot(*self.args(setup, ALWAYS_DENOISE), LINF_5,
                              NoiseConfig(0.0, 0.25), Rng(0))

@@ -212,6 +212,31 @@ class TestCliChain:
         assert lines[0] == "proportion,accuracy,std"
         assert [ln.split(",")[0] for ln in lines[1:]] == ["0.0", "1.0"]
 
+    def test_zero_noise_denoiser_joins_the_ablation(self, full_run, tmp_path,
+                                                    monkeypatch):
+        # noise_sigma = 0 trains the no-noise variant; `ablate` then attacks
+        # it with no noise, and the other variants with the config's sigma
+        _, cfgpath, out, _ = full_run
+        copy = str(tmp_path / "runs")
+        shutil.copytree(out, copy)
+        path = write_config(tmp_path, SMALL_DIGITS + "noise_sigma = 0\n")
+        assert main(["train-denoiser", "--config", path, "--out", copy]) == 0
+        assert os.path.exists(os.path.join(copy, "denoiser_nonoise.model"))
+        sigmas, attack = [], cli.adaptive_pgd_eot
+
+        def recorded(*args):
+            sigmas.append(args[6].sigma)  # the NoiseConfig
+            return attack(*args)
+
+        monkeypatch.setattr(cli, "adaptive_pgd_eot", recorded)
+        assert main(["ablate", "--config", cfgpath, "--out", copy]) == 0
+        with open(os.path.join(copy, "ablation.jsonl")) as fh:
+            rows = [json.loads(line)["config"] for line in fh]
+        assert rows == ["gated", "denoiser_only", "no_noise"]
+        sigma = parse_config(cfgpath).noise_sigma
+        # one attack per trial, 2 trials per variant
+        assert sigma > 0 and sigmas == [sigma] * 4 + [0.0] * 2
+
 
 class TestCliErrors:
     def test_config_error_is_exit_1(self, tmp_path, capsys):

@@ -178,8 +178,14 @@ def inline_pgd(classifier, batch, labels, cfg, rng=None):
     x = x0 + delta
     for _ in range(cfg.iters):
         grad = attacks._ce_input_grad(classifier, x, labels)
-        x = x + cfg.step * attacks._step_direction(grad, cfg)
-        x = x0 + attacks._project(x - x0, cfg)
+        if cfg.norm == attacks.LINF:
+            x = x + cfg.step * np.sign(grad)
+            x = x0 + np.clip(x - x0, -cfg.eps, cfg.eps)
+        else:
+            norms = np.sqrt((grad * grad).sum(axis=1, keepdims=True))
+            delta = x + cfg.step * (grad / np.maximum(norms, 1e-30)) - x0
+            norms = np.sqrt((delta * delta).sum(axis=1, keepdims=True))
+            x = x0 + delta * np.minimum(1.0, cfg.eps / np.maximum(norms, 1e-30))
         x = np.clip(x, 0.0, 1.0)
     return x.reshape(shape)
 
@@ -415,15 +421,15 @@ class TestAblation:
     def test_each_attack_built_once_and_adapted_to_its_variant(
             self, digit_setup, monkeypatch):
         # the denoiser-only variant's attack must follow that variant's
-        # branch on every iteration: `_ce_input_grad` is the clean branch's
-        # gradient, taken in this process
+        # branch on every iteration: `_ce_input_grad` without a denoiser is
+        # the clean branch's gradient, taken in this process
         s = digit_setup
         cfg = AttackConfig("linf", 0.1, 0.02, 3, 2, False)
         ce_input_grad, calls = attacks._ce_input_grad, [0]
 
-        def counted(*args):
-            calls[0] += 1
-            return ce_input_grad(*args)
+        def counted(classifier, x, labels, denoiser=None):
+            calls[0] += denoiser is None
+            return ce_input_grad(classifier, x, labels, denoiser)
 
         monkeypatch.setattr(attacks, "_ce_input_grad", counted)
         built, clean_steps = [], []

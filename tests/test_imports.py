@@ -207,6 +207,20 @@ def test_every_defaulted_parameter_is_passed_somewhere():
     assert unpassed_defaults(sources(LIBRARY), sources(FILES)) == []
 
 
+# Defaults that only the tests pass, each with the reason it is kept; a new
+# knob that only a test turns joins this list or fails here
+TEST_ONLY_DEFAULTS = {
+    "mmdefense/attacks.py: adaptive_pgd_eot(alpha)": "the attack portfolio's alpha sweep",
+    "mmdefense/attacks.py: adaptive_pgd_eot(reference)": "attacking against the S_V reference",
+    "mmdefense/cli.py: main(argv)": "the CLI's entry point for tests",
+}
+
+
+def test_only_the_listed_defaults_are_passed_by_tests_alone():
+    assert (unpassed_defaults(sources(LIBRARY), sources(BENCHMARK))
+            == sorted(TEST_ONLY_DEFAULTS))
+
+
 def config_reads(source: str) -> set[str]:
     """Attributes read as `cfg.<name>` in `source`."""
     return {node.attr for node in ast.walk(ast.parse(source))

@@ -64,7 +64,7 @@ class TestFeaturizer:
         x = Tensor(images.flat[:16])
         feats = features_forward(params, x)
         logits = classifier_forward(params, x)
-        recomposed = (feats @ params.w3 + params.b3).data
+        recomposed = feats.data @ params.w3.data + params.b3.data
         assert np.array_equal(logits.data, recomposed)
 
     def test_zero_image_finite(self, trained):
