@@ -150,15 +150,28 @@ def _untaped_h_matrix(params: DeepKernelParams, x: Tensor, z: Tensor) -> Tensor:
     under that primitive's name, so H and every error are those of the
     taped path.  sigma_phi, sigma_q and beta0 are computed once, not once
     per block; the featurizer still runs twice per block, so that no
-    feature block is one buffer (see `T.sqdist`).
+    feature block is one buffer (see `T.sqdist`).  Each operand's row norms
+    are computed once per space, from its first pass, and serve all of its
+    blocks: every featurizer pass of one operand is equal in value, and
+    with no featurizer the two spaces are one.
     """
     denom_phi = (-2.0 * T.square(params.sigma_phi())).data
     denom_q = (-2.0 * T.square(params.sigma_q())).data
     b0 = params.beta0()
     one_minus_b0 = (1.0 - b0).data
+    featurizer = params.featurizer
 
-    def gaussian(a: np.ndarray, b: np.ndarray, denom) -> np.ndarray:
-        k, _ = T.sqdist(a, b)
+    def features(a: Tensor) -> np.ndarray:
+        return a.data if featurizer is None else featurizer.forward(a).data
+
+    def first_pass(a: Tensor):
+        """a's features, and a's row norms in feature and input space."""
+        fa = features(a)
+        norms = T.row_norms(fa)
+        return fa, (norms, norms if featurizer is None else T.row_norms(a.data))
+
+    def gaussian(a: np.ndarray, b: np.ndarray, norms_a, norms_b, denom) -> np.ndarray:
+        k, _ = T.sqdist(a, b, norms_a, norms_b)
         T.check_finite(k, "pairwise_sqdist")
         k /= denom
         T.check_finite(k, "div")
@@ -166,22 +179,22 @@ def _untaped_h_matrix(params: DeepKernelParams, x: Tensor, z: Tensor) -> Tensor:
         T.check_finite(k, "exp")
         return k
 
-    def block(a: Tensor, b: Tensor) -> np.ndarray:
-        if params.featurizer is not None:
-            fa = params.featurizer.forward(a).data
-            fb = params.featurizer.forward(b).data
-        else:
-            fa, fb = a.data, b.data
-        k = gaussian(fa, fb, denom_phi)
+    def block(a: Tensor, b: Tensor, fa: np.ndarray, fb: np.ndarray,
+              norms_a, norms_b) -> np.ndarray:
+        k = gaussian(fa, fb, norms_a[0], norms_b[0], denom_phi)
         k *= one_minus_b0
         T.check_finite(k, "mul")
         k += b0.data
         T.check_finite(k, "add")
-        k *= gaussian(a.data, b.data, denom_q)
+        k *= gaussian(a.data, b.data, norms_a[1], norms_b[1], denom_q)
         T.check_finite(k, "mul")
         return k
 
-    h, kzz, kxz = block(x, x), block(z, z), block(x, z)
+    fx, norms_x = first_pass(x)
+    h = block(x, x, fx, features(x), norms_x, norms_x)
+    fz, norms_z = first_pass(z)
+    kzz = block(z, z, fz, features(z), norms_z, norms_z)
+    kxz = block(x, z, features(x), features(z), norms_x, norms_z)
     h += kzz
     T.check_finite(h, "add")
     h -= kxz

@@ -60,8 +60,8 @@ class ClassifierParams:
 
 def features_forward(params: ClassifierParams, x: Tensor) -> Tensor:
     """Penultimate activations [n, 32] of rows x [n, d]."""
-    h1 = T.relu(T.affine(x, params.w1, params.b1))
-    return T.relu(T.affine(h1, params.w2, params.b2))
+    h1 = T.affine_relu(x, params.w1, params.b1)
+    return T.affine_relu(h1, params.w2, params.b2)
 
 
 def classifier_forward(params: ClassifierParams, x: Tensor) -> Tensor:
@@ -143,7 +143,7 @@ class DenoiserParams:
 
 def denoiser_forward(theta: DenoiserParams, x: Tensor) -> Tensor:
     """Rows x [n, d] of finite values in, rows clipped to [0,1] out."""
-    residual = T.affine(T.relu(T.affine(x, theta.w1, theta.b1)), theta.w2, theta.b2)
+    residual = T.affine(T.affine_relu(x, theta.w1, theta.b1), theta.w2, theta.b2)
     return T.clip(x + residual, 0.0, 1.0)
 
 

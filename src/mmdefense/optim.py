@@ -33,7 +33,10 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray],
 
     `maximize=True` ascends the objective (gradient sign flip); the caller
     picks the convention.  Raises before mutating anything if a gradient is
-    non-finite or misshapen.
+    non-finite or misshapen.  The moments are updated in their own buffers
+    and each parameter gets a new array; every value is bitwise that of the
+    textbook expressions `m = b1 * m + (1 - b1) * g`, `v = b2 * v +
+    (1 - b2) * g * g` and `p - lr * (m / bc1) / (sqrt(v / bc2) + eps)`.
     """
     if lr <= 0:
         raise ValueError(f"lr must be > 0, got {lr}")
@@ -50,10 +53,18 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray],
     for i, (p, g) in enumerate(zip(params, grads)):
         if maximize:
             g = -g
-        state.m[i] = BETA1 * state.m[i] + (1.0 - BETA1) * g
-        state.v[i] = BETA2 * state.v[i] + (1.0 - BETA2) * g * g
-        mhat = state.m[i] / bc1
-        vhat = state.v[i] / bc2
-        p.data = p.data - lr * mhat / (np.sqrt(vhat) + EPS)
+        m, v = state.m[i], state.v[i]
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        # `out=`: on 0-d arrays `m / bc1` would be a numpy scalar
+        step = np.divide(m, bc1, out=np.empty_like(m))
+        step *= lr
+        denom = np.divide(v, bc2, out=np.empty_like(v))
+        np.sqrt(denom, out=denom)
+        denom += EPS
+        step /= denom
+        p.data = np.subtract(p.data, step, out=step)
     return state
 

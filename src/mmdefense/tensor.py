@@ -12,6 +12,10 @@ trainable leaf".  Every operation under a tape is recorded, but
 weights, inputs, and whole blocks computed from them cost no reverse work.
 Outputs made with no active tape are always constants.
 
+Primitives: add, sub, mul, div, neg, affine (x @ w + b), affine_relu
+(relu(x @ w + b), the hidden layers), transpose, tsum, exp, square, sqrt,
+clip, log_softmax and pairwise_sqdist; sigmoid is composed from them.
+
 Conventions fixed here for reproducibility of gradient checks:
   * ReLU subgradient at exactly 0 is 0.
   * clip passes gradient only where the input lies strictly inside [lo, hi].
@@ -24,8 +28,12 @@ output is checked with one BLAS dot of the array with itself instead (about
 that sum of squares non-finite, and only a finite array whose squares
 overflow pays the exact `np.isfinite(...).all()` pass as well.  No primitive
 enters an `np.errstate` block: the output check raises on every inf or NaN,
-so div / sqrt let numpy warn as usual on their way to that error.
-Measured with numpy 2.4 on a 2-CPU x86-64 Xeon, BLAS on one thread.
+so div / sqrt let numpy warn as usual on their way to that error.  A hidden
+layer is one `affine_relu` node: one output buffer, masked in place, and one
+check.  `sqdist` takes the rows' squared norms from its caller, so the
+untaped statistic computes each operand's norms once per call, not once per
+distance block.  Measured with numpy 2.4 on a 2-CPU x86-64 Xeon, BLAS on
+one thread.
 """
 from __future__ import annotations
 
@@ -219,6 +227,19 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _masker(mask: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """g -> g * mask, computed once for the adjoint g that all of one
+    node's closures receive."""
+    last = [None, None]  # (g, g * mask)
+
+    def masked(g):
+        if last[0] is not g:
+            last[:] = g, g * mask
+        return last[1]
+
+    return masked
+
+
 def _shape_error(op: str, a: Tensor, b: Tensor) -> ShapeError:
     return ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
 
@@ -274,9 +295,7 @@ def neg(a: Tensor) -> Tensor:
     return _make("neg", -a.data, (a,), (lambda g: -g,))
 
 
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b as one node, bitwise equal to the product and the bias add
-    taped as two nodes."""
+def _affine_data(x: Tensor, w: Tensor, b: Tensor) -> np.ndarray:
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ShapeError(f"affine: incompatible shapes {x.shape} and {w.shape}")
     data = x.data @ w.data
@@ -284,9 +303,34 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         data += b.data
     except ValueError:
         raise ShapeError(f"affine: incompatible shapes {data.shape} and {b.shape}") from None
-    return _make("affine", data, (x, w, b),
+    return data
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as one node, bitwise equal to the product and the bias add
+    taped as two nodes."""
+    return _make("affine", _affine_data(x, w, b), (x, w, b),
                  (lambda g: g @ w.data.T, lambda g: x.data.T @ g,
                   lambda g: _unbroadcast(g, b.shape)))
+
+
+def affine_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """relu(x @ w + b) as one node, bitwise equal to `affine` followed by a
+    ReLU node, in value and in every gradient; subgradient 0 at exactly 0.
+
+    One check, `affine`'s, covers both: it runs on the affine output, and
+    the mask multiplies that buffer in place only afterwards, which keeps a
+    finite value finite (a ReLU output is non-finite exactly where its
+    input is), so numpy never warns about `inf * 0` on the way to the error.
+    """
+    data = _affine_data(x, w, b)
+    mask = data > 0
+    masked = _masker(mask)
+    out = _make("affine", data, (x, w, b),
+                (lambda g: masked(g) @ w.data.T, lambda g: x.data.T @ masked(g),
+                 lambda g: _unbroadcast(masked(g), b.shape)))
+    data *= mask
+    return out
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -320,11 +364,6 @@ def sqrt(a: Tensor) -> Tensor:
     return _make("sqrt", data, (a,), (lambda g: g * 0.5 / data,))
 
 
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0  # subgradient 0 at exactly 0
-    return _make("relu", a.data * mask, (a,), (lambda g: g * mask,))
-
-
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     data = np.clip(a.data, lo, hi)
     mask = (a.data > lo) & (a.data < hi)
@@ -345,17 +384,28 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make("log_softmax", data, (a,), (bw,))
 
 
-def sqdist(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norms of the rows of a matrix x, as `sqdist` takes
+    them."""
+    if x.ndim != 2:
+        raise ShapeError(f"pairwise_sqdist: expects rows [n, d], got shape {x.shape}")
+    return (x * x).sum(axis=1)
+
+
+def sqdist(x: np.ndarray, z: np.ndarray, x_norms: np.ndarray,
+           z_norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Forward of `pairwise_sqdist` on plain arrays: (distances, mask).
 
-    The mask marks the raw distances above 0; tiny negatives from
+    `x_norms` / `z_norms` are `row_norms` of x and z, or of arrays equal to
+    them in value, so a caller computes an operand's norms once for all its
+    blocks.  The mask marks the raw distances above 0; tiny negatives from
     cancellation clamp to 0 (to -0.0: the raw value times False).  Passing
     one buffer as both x and z lets numpy take `x @ x.T` to BLAS syrk, whose
     rounding differs from gemm's on two buffers of equal value.
     """
     if x.ndim != 2 or z.ndim != 2 or x.shape[1] != z.shape[1]:
         raise ShapeError(f"pairwise_sqdist: incompatible shapes {x.shape} and {z.shape}")
-    data = (x * x).sum(axis=1)[:, None] + (z * z).sum(axis=1)[None, :]
+    data = x_norms[:, None] + z_norms[None, :]
     cross = x @ z.T
     cross *= 2.0
     data -= cross
@@ -367,14 +417,10 @@ def sqdist(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def pairwise_sqdist(x: Tensor, z: Tensor) -> Tensor:
     """Squared Euclidean distances between the rows of x [n,d] and z [m,d];
     a clamped distance (see `sqdist`) has zero gradient."""
-    data, mask = sqdist(x.data, z.data)
-
-    last = [None, None]  # (g, g * mask): both closures see the same g
-
-    def masked(g):
-        if last[0] is not g:
-            last[:] = g, g * mask
-        return last[1]
+    x_norms = row_norms(x.data)
+    z_norms = x_norms if z.data is x.data else row_norms(z.data)
+    data, mask = sqdist(x.data, z.data, x_norms, z_norms)
+    masked = _masker(mask)
 
     def bw_x(g):
         gm = masked(g)

@@ -145,32 +145,45 @@ class TestUntapedHMatrix:
 
     def test_same_featurizer_calls_and_distance_buffers(self, monkeypatch):
         """Six featurizer calls per H, and the same operand sharing in every
-        distance block: x against itself is one buffer, features never are."""
-        calls = []
-        real_forward, real_sqdist = discrepancy.features_forward, T.sqdist
+        distance block: x against itself is one buffer, features never are.
+        The untaped path computes each operand's row norms once per space."""
+        calls, norms = [], []
+        real_forward, real_sqdist, real_norms = (
+            discrepancy.features_forward, T.sqdist, T.row_norms)
 
         def forward(*args):
             calls.append("features")
             return real_forward(*args)
 
-        def sqdist(a, b):
+        def sqdist(a, b, norms_a, norms_b):
             calls.append(a is b)
-            return real_sqdist(a, b)
+            return real_sqdist(a, b, norms_a, norms_b)
+
+        def row_norms(a):
+            norms.append(a)
+            return real_norms(a)
 
         monkeypatch.setattr(discrepancy, "features_forward", forward)
         monkeypatch.setattr(T, "sqdist", sqdist)
+        monkeypatch.setattr(T, "row_norms", row_norms)
         rng = Rng(41)
         params = DeepKernelParams(Tensor(0.2), Tensor(0.1), Tensor(-0.3),
                                   featurizer_view())
         x, z = Tensor(rng.uniform((8, 6))), Tensor(rng.uniform((8, 6)))
         h_matrix(params, x, z)
         untaped, calls[:] = calls[:], []
+        untaped_norms, norms[:] = norms[:], []
         with GradTape():
             h_matrix(params, x, z)
         assert untaped == calls
         assert calls.count("features") == 6
         assert [c for c in calls if c != "features"] == [
             False, True, False, True, False, False]
+        # features of x, x itself, features of z, z itself
+        assert [a is x.data for a in untaped_norms] == [False, True, False, False]
+        assert [a is z.data for a in untaped_norms] == [False, False, False, True]
+        # per block on the taped path: 2 per pair of buffers, 1 for x against x
+        assert len(norms) == 10
 
     def test_mmd_opt_equals_the_taped_statistic(self):
         rng = Rng(42)

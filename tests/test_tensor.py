@@ -83,7 +83,7 @@ class TestForwardOps:
         a, b = rng.normal((4, 5), 0, 1), rng.normal((5, 3), 0, 1)
 
         def run():
-            return T.relu(T.affine(Tensor(a), Tensor(b), Tensor(np.zeros(3)))).data
+            return T.affine_relu(Tensor(a), Tensor(b), Tensor(np.zeros(3))).data
 
         untaped = run()
         with GradTape():
@@ -113,6 +113,11 @@ NON_FINITE_CASES = [
     ("div", lambda: T.div(Tensor([1.0, 2.0]), Tensor([1.0, 0.0])), "div", True),
     ("affine", lambda: T.affine(Tensor([[1e308]]), Tensor([[1.0]]), Tensor([1e308])), "affine",
      False),
+    # one check covers the fused ReLU: it runs on the affine output, before the mask
+    ("affine_relu_inf", lambda: T.affine_relu(Tensor([[1e308]]), Tensor([[1.0]]),
+                                              Tensor([1e308])), "affine", False),
+    ("affine_relu_-inf", lambda: T.affine_relu(Tensor([[1e308]]), Tensor([[-1.0]]),
+                                               Tensor([-1e308])), "affine", False),
     ("tsum", lambda: T.tsum(Tensor([1e308, 1e308])), "sum", True),
     ("exp", lambda: T.exp(Tensor([1.0, 1000.0])), "exp", True),
     ("square", lambda: T.square(Tensor([BIG])), "square", True),
@@ -197,17 +202,27 @@ class TestBackward:
             y = x * x
         assert T.grad_of(tape, y, [x])[0] == pytest.approx(6.0)
 
-    def test_relu_inactive(self):
-        x = Tensor(-1.0, requires_grad=True)
+    @staticmethod
+    def relu_grads(pre):
+        """Value and (x, w, b) gradients of affine_relu at 1x1 operands whose
+        pre-activation x * w + b is `pre`."""
+        x, w, b = (Tensor(v, requires_grad=True) for v in ([[1.0]], [[pre]], [0.0]))
         with GradTape() as tape:
-            y = T.relu(x)
-        assert T.grad_of(tape, y, [x])[0] == 0.0
+            y = T.affine_relu(x, w, b)
+        return y.item(), T.grad_of(tape, y, [x, w, b])
+
+    def test_relu_inactive(self):
+        value, grads = self.relu_grads(-1.0)
+        assert value == 0.0 and all(not g.any() for g in grads)
 
     def test_relu_subgradient_zero_at_zero(self):
-        x = Tensor(0.0, requires_grad=True)
-        with GradTape() as tape:
-            y = T.relu(x)
-        assert T.grad_of(tape, y, [x])[0] == 0.0
+        value, grads = self.relu_grads(0.0)
+        assert value == 0.0 and all(not g.any() for g in grads)
+
+    def test_relu_active(self):
+        value, (gx, gw, gb) = self.relu_grads(3.0)
+        assert value == 3.0
+        assert gx.tolist() == [[3.0]] and gw.tolist() == [[1.0]] and gb.tolist() == [1.0]
 
     def test_non_scalar_output_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -307,7 +322,11 @@ PRIMITIVE_CASES = [
     ("exp", lambda x: T.tsum(T.exp(x)), (3, 4)),
     ("square", lambda x: T.tsum(T.square(x)), (3, 4)),
     ("sqrt", lambda x: T.tsum(T.sqrt(x * x + 0.5)), (3, 4)),
-    ("relu", lambda x: T.tsum(T.relu(x)), (3, 4)),
+    # the ReLU half of affine_relu, through an identity affine map
+    ("relu", lambda x: T.tsum(T.affine_relu(x, Tensor(np.eye(4)), Tensor(np.zeros(4)))),
+     (3, 4)),
+    ("affine_relu", lambda x: T.tsum(T.square(T.affine_relu(x, T.transpose(x),
+                                                            T.tsum(x, axis=1)))), (3, 4)),
     ("log_softmax", lambda x: T.tsum(T.log_softmax(x, axis=1) *
                                      Tensor(np.linspace(0, 1, 12).reshape(3, 4))), (3, 4)),
     ("pairwise_sqdist", lambda x: T.tsum(T.exp(-T.pairwise_sqdist(
@@ -463,13 +482,21 @@ def _unfused_affine(x, w, b):
     return product + b
 
 
+def _unfused_affine_relu(x, w, b):
+    """affine_relu as written before the ReLU joined the affine node: a
+    ReLU node of its own over the unfused affine."""
+    a = _unfused_affine(x, w, b)
+    mask = a.data > 0
+    return T._make("relu", a.data * mask, (a,), (lambda g: g * mask,))
+
+
 def _affine_case():
     rng, clf, _, xa, _, _ = _frozen_world()
     x = Tensor(xa, requires_grad=True)
     w = Tensor(clf.w1.data, requires_grad=True)
     b = Tensor(rng.normal(clf.b1.shape, 0.0, 1.0), requires_grad=True)
     weights = Tensor(rng.normal((N, w.shape[1]), 0.0, 1.0))
-    return lambda: T.tsum(T.relu(T.affine(x, w, b)) * weights), [x, w, b]
+    return lambda: T.tsum(T.affine_relu(x, w, b) * weights), [x, w, b]
 
 
 def _classifier_params_case():
@@ -492,6 +519,7 @@ def test_affine_equals_matmul_then_add_bitwise(case, monkeypatch):
 
     fused_nodes, fused = value_and_grads()
     monkeypatch.setattr(T, "affine", _unfused_affine)
+    monkeypatch.setattr(T, "affine_relu", _unfused_affine_relu)
     unfused_nodes, unfused = value_and_grads()
     assert fused_nodes < unfused_nodes
     assert any(np.any(g != 0) for g in fused[1:])
@@ -627,6 +655,33 @@ class TestAdam:
         adam_step([p1], [g], s1, lr=0.05)
         adam_step([p2], [g], s2, lr=0.05)
         assert np.array_equal(p1.data, p2.data)
+
+    @pytest.mark.parametrize("maximize", [False, True])
+    def test_in_place_update_is_bitwise_the_textbook_expressions(self, maximize):
+        rng = Rng(17)
+        shapes = [(), (3, 2), (4,), ()]  # 0-d raws as the kernel has them
+        params = [Tensor(rng.normal(s, 0.0, 1.0), requires_grad=True) for s in shapes]
+        ref_p = [p.data.copy() for p in params]
+        ref_m = [np.zeros(s) for s in shapes]
+        ref_v = [np.zeros(s) for s in shapes]
+        state = AdamState.init(params)
+        for t in range(1, 301):
+            grads = [rng.normal(s, 0.0, 10.0 ** float(rng.uniform((), -3, 2)))
+                     for s in shapes]
+            adam_step(params, grads, state, lr=0.01, maximize=maximize)
+            bc1, bc2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+            for i, g in enumerate(grads):
+                g = -g if maximize else g
+                ref_m[i] = 0.9 * ref_m[i] + (1.0 - 0.9) * g
+                ref_v[i] = 0.999 * ref_v[i] + (1.0 - 0.999) * g * g
+                ref_p[i] = ref_p[i] - 0.01 * (ref_m[i] / bc1) / (
+                    np.sqrt(ref_v[i] / bc2) + 1e-8)
+        assert state.t == 300
+        for p, m, v, want_p, want_m, want_v in zip(params, state.m, state.v,
+                                                   ref_p, ref_m, ref_v):
+            assert p.data.shape == want_p.shape
+            assert np.array_equal(p.data, want_p)
+            assert np.array_equal(m, want_m) and np.array_equal(v, want_v)
 
     def test_nan_grad_rejected_before_mutation(self):
         p = Tensor(np.ones(2), requires_grad=True)
