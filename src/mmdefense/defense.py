@@ -11,7 +11,7 @@ from . import attacks
 from . import tensor as T
 from .attacks import AttackConfig, NoiseConfig, noise_draw
 from .discrepancy import (DeepKernelParams, DetectorModel, calibrate_threshold,
-                          mmd_opt, mmd_u_squared)
+                          hold, mmd_opt, mmd_u_squared)
 from .models import (ClassifierParams, DenoiserParams, classifier_forward,
                      cross_entropy, defended_forward, denoiser_forward)
 from .optim import AdamState, adam_step
@@ -32,12 +32,14 @@ class Verdict:
     threshold: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class DefensePipeline:
     """Detector + denoiser + frozen classifier + fixed clean reference batch.
 
     The detector's `flags` alone chooses the branch, in `defend_batch` and
-    in the adaptive attack alike."""
+    in the adaptive attack alike.  `reference` becomes a read-only copy of
+    the batch given, and the parts of the statistic that depend on it and
+    the kernel alone are computed once, here (`discrepancy.hold`)."""
 
     detector: DetectorModel
     denoiser: DenoiserParams
@@ -45,12 +47,18 @@ class DefensePipeline:
     reference: np.ndarray  # S_V, float64 rows [B, d]
 
     def __post_init__(self):
-        # the one batch read from a file (`reference.npy`) is checked here
+        # the one batch read from a file (`reference.npy`) is checked here:
+        # its shape, and by `Tensor` that every value is finite
         shape = self.reference.shape
         if len(shape) != 2 or shape[0] != self.detector.batch_size:
             raise ValueError(
                 f"reference batch has shape {shape}, detector expects "
                 f"[{self.detector.batch_size}, d]")
+        reference = np.array(self.reference, dtype=np.float64)
+        reference.setflags(write=False)
+        object.__setattr__(self, "reference", reference)
+        object.__setattr__(self, "_held",
+                           hold(self.detector.kernel, Tensor(reference)))
 
     @property
     def batch_size(self) -> int:
@@ -66,7 +74,7 @@ def defend_batch(pipeline: DefensePipeline, batch: np.ndarray):
     rejects any other row count, and an image-shaped batch is a
     `ShapeError`.
     """
-    stat = mmd_opt(pipeline.detector, pipeline.reference, batch)
+    stat = mmd_opt(pipeline.detector, pipeline._held, batch)
     flagged = pipeline.detector.flags(stat)
     verdict = Verdict(ADVERSARIAL if flagged else CLEAN, stat,
                       pipeline.detector.threshold)

@@ -12,9 +12,13 @@ constraint satisfied.
 
 `h_matrix` composes tape primitives while a GradTape records, and otherwise
 (the frozen detection statistic: `mmd_opt`, calibration, the kernel
-monitor) runs the same numpy operations in place, with the kernel scalars
-computed once per call; the two are bitwise equal and check the same
-intermediates.
+monitor) runs the same numpy operations in place; the two are bitwise
+equal.  The untaped pass takes the kernel scalars, x's input-space row
+norms and q(x, x) from a `HeldSide`: a `DefensePipeline` builds one for
+its S_V once, and every other caller one per call, with `hold`.  It checks
+only the intermediates that can become non-finite (the distances and
+their division by -2 sigma^2), so every inf or NaN still raises, under
+the name of the primitive that made it.
 """
 from __future__ import annotations
 
@@ -124,84 +128,128 @@ def deep_kernel(params: DeepKernelParams, x: Tensor, z: Tensor) -> Tensor:
     return ((1.0 - b0) * s + b0) * q
 
 
-def h_matrix(params: DeepKernelParams, x: Tensor, z: Tensor) -> Tensor:
+def h_matrix(params: DeepKernelParams, x: Tensor | HeldSide, z: Tensor) -> Tensor:
     """H_ij = K_xx[i,j] + K_zz[i,j] - K_xz[i,j] - K_xz[j,i] for equal sizes.
 
     Taped while a GradTape records; otherwise `_untaped_h_matrix`, which is
-    bitwise equal.
+    bitwise equal.  x is a Tensor, or `hold(params, x)` for an x that stays
+    fixed across calls (a pipeline's S_V), whose parts the untaped path
+    reuses instead of recomputing them.
     """
+    held = x if isinstance(x, HeldSide) else None
+    if held is not None:
+        x = held.x
     if x.shape[0] != z.shape[0]:
         raise ValueError(
             f"equal batch sizes required, got {x.shape[0]} and {z.shape[0]}; "
             "subsample the larger batch first")
     if not T.recording():
-        return _untaped_h_matrix(params, x, z)
+        if held is None or held.kernel is not params:
+            held = hold(params, x)
+        return _untaped_h_matrix(held, z)
     kxx = deep_kernel(params, x, x)
     kzz = deep_kernel(params, z, z)
     kxz = deep_kernel(params, x, z)
     return kxx + kzz - kxz - T.transpose(kxz)
 
 
-def _untaped_h_matrix(params: DeepKernelParams, x: Tensor, z: Tensor) -> Tensor:
-    """The taped composition of `h_matrix` in plain numpy, for a constant H.
+@dataclass(frozen=True, eq=False)
+class HeldSide:
+    """The parts of the untaped H that do not depend on z, for one kernel
+    and rows x: the kernel's scalars, x's input-space row norms and the
+    read-only block q(x, x).  x's features and s(x, x) are not held: the
+    featurizer still runs six times per H."""
 
-    Each [n,n] step is the taped primitive's numpy operation on the same
-    operands in the same order, done in place, and its result is checked
-    under that primitive's name, so H and every error are those of the
-    taped path.  sigma_phi, sigma_q and beta0 are computed once, not once
-    per block; the featurizer still runs twice per block, so that no
-    feature block is one buffer (see `T.sqdist`).  Each operand's row norms
-    are computed once per space, from its first pass, and serve all of its
-    blocks: every featurizer pass of one operand is equal in value, and
-    with no featurizer the two spaces are one.
-    """
+    kernel: DeepKernelParams
+    x: Tensor
+    denom_phi: np.ndarray     # -2 sigma_phi^2
+    denom_q: np.ndarray       # -2 sigma_q^2
+    b0: np.ndarray
+    one_minus_b0: np.ndarray
+    norms_q: np.ndarray       # row norms of x
+    q_xx: np.ndarray
+
+    def __len__(self) -> int:
+        return self.x.shape[0]
+
+
+def hold(params: DeepKernelParams, x: Tensor) -> HeldSide:
+    """The parts of the untaped H that depend on the kernel and on x only,
+    computed with the numpy operations and checks of the rest of that
+    pass; q(x, x) is `T.sqdist` on one buffer, as the taped path's is."""
     denom_phi = (-2.0 * T.square(params.sigma_phi())).data
     denom_q = (-2.0 * T.square(params.sigma_q())).data
     b0 = params.beta0()
     one_minus_b0 = (1.0 - b0).data
-    featurizer = params.featurizer
+    norms = T.row_norms(x.data)
+    q_xx = _gaussian(x.data, x.data, norms, norms, denom_q)
+    q_xx.setflags(write=False)
+    return HeldSide(params, x, denom_phi, denom_q, b0.data, one_minus_b0,
+                    norms, q_xx)
+
+
+def _gaussian(a: np.ndarray, b: np.ndarray, norms_a: np.ndarray,
+              norms_b: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """`gaussian_kernel`'s forward, checked as there wherever a value can
+    become non-finite."""
+    k, _ = T.sqdist(a, b, norms_a, norms_b)
+    T.check_finite(k, "pairwise_sqdist")
+    k /= denom
+    T.check_finite(k, "div")
+    # past the div check k is finite and <= 0 (a distance >= 0 over
+    # -2 sigma^2 <= 0), so its exp lies in [0, 1]: that check cannot fire
+    np.exp(k, out=k)
+    return k
+
+
+def _untaped_h_matrix(held: HeldSide, z: Tensor) -> Tensor:
+    """The taped composition of `h_matrix` in plain numpy, for a constant H.
+
+    Each [n,n] step is the taped primitive's numpy operation on the same
+    operands in the same order, done in place, so H is that of the taped
+    path.  The kernel scalars, x's input-space row norms and q(x, x) come
+    from `held`.  A step is checked under its primitive's name wherever a
+    value can become non-finite (the distances and their division by
+    -2 sigma^2); every later step is bounded by then, as noted where it
+    stands.  The featurizer still runs twice per block, so that no feature
+    block is one buffer (see `T.sqdist`).  Each operand's row norms are
+    computed once per space, from its first pass, and serve all of its
+    blocks: every featurizer pass of one operand is equal in value, and
+    with no featurizer the two spaces are one.
+    """
+    x = held.x
+    featurizer = held.kernel.featurizer
 
     def features(a: Tensor) -> np.ndarray:
         return a.data if featurizer is None else featurizer.forward(a).data
 
-    def first_pass(a: Tensor):
-        """a's features, and a's row norms in feature and input space."""
-        fa = features(a)
-        norms = T.row_norms(fa)
-        return fa, (norms, norms if featurizer is None else T.row_norms(a.data))
-
-    def gaussian(a: np.ndarray, b: np.ndarray, norms_a, norms_b, denom) -> np.ndarray:
-        k, _ = T.sqdist(a, b, norms_a, norms_b)
-        T.check_finite(k, "pairwise_sqdist")
-        k /= denom
-        T.check_finite(k, "div")
-        np.exp(k, out=k)
-        T.check_finite(k, "exp")
+    def block(fa: np.ndarray, fb: np.ndarray, norms_a, norms_b) -> np.ndarray:
+        """(1 - b0) s(a, b) + b0, to be multiplied by q(a, b) in place."""
+        k = _gaussian(fa, fb, norms_a, norms_b, held.denom_phi)
+        # s and 1 - b0 lie in [0, 1], and b0 in [0, 1]: no check can fire
+        # on the product (in [0, 1]), the sum (in [0, 2]) or, with q in
+        # [0, 1], the block (in [0, 2])
+        k *= held.one_minus_b0
+        k += held.b0
         return k
 
-    def block(a: Tensor, b: Tensor, fa: np.ndarray, fb: np.ndarray,
-              norms_a, norms_b) -> np.ndarray:
-        k = gaussian(fa, fb, norms_a[0], norms_b[0], denom_phi)
-        k *= one_minus_b0
-        T.check_finite(k, "mul")
-        k += b0.data
-        T.check_finite(k, "add")
-        k *= gaussian(a.data, b.data, norms_a[1], norms_b[1], denom_q)
-        T.check_finite(k, "mul")
-        return k
-
-    fx, norms_x = first_pass(x)
-    h = block(x, x, fx, features(x), norms_x, norms_x)
-    fz, norms_z = first_pass(z)
-    kzz = block(z, z, fz, features(z), norms_z, norms_z)
-    kxz = block(x, z, features(x), features(z), norms_x, norms_z)
+    fx = features(x)
+    norms_fx = held.norms_q if featurizer is None else T.row_norms(fx)
+    h = block(fx, features(x), norms_fx, norms_fx)
+    h *= held.q_xx
+    fz = features(z)
+    norms_fz = T.row_norms(fz)
+    norms_z = norms_fz if featurizer is None else T.row_norms(z.data)
+    kzz = block(fz, features(z), norms_fz, norms_fz)
+    kzz *= _gaussian(z.data, z.data, norms_z, norms_z, held.denom_q)
+    kxz = block(features(x), features(z), norms_fx, norms_fz)
+    kxz *= _gaussian(x.data, z.data, held.norms_q, norms_z, held.denom_q)
+    # blocks in [0, 2]: H = kxx + kzz - kxz - kxz^T lies in [-4, 4], so
+    # neither its steps nor the transpose can be non-finite
     h += kzz
-    T.check_finite(h, "add")
     h -= kxz
-    T.check_finite(h, "sub")
-    T.check_finite(kxz.T, "transpose")
     h -= kxz.T
-    return T.constant(h, "sub")
+    return T.constant(h)
 
 
 def mmd_from_h(h: Tensor) -> Tensor:
@@ -220,7 +268,8 @@ def _offdiag(n: int) -> Tensor:
     return Tensor(mask)
 
 
-def mmd_u_squared(x: Tensor, z: Tensor, params: DeepKernelParams) -> Tensor:
+def mmd_u_squared(x: Tensor | HeldSide, z: Tensor,
+                  params: DeepKernelParams) -> Tensor:
     return mmd_from_h(h_matrix(params, x, z))
 
 
@@ -332,13 +381,16 @@ class DetectorModel:
         return not statistic < self.threshold
 
 
-def mmd_opt(model: DetectorModel, s_x: np.ndarray, s_z: np.ndarray) -> float:
+def mmd_opt(model: DetectorModel, s_x: np.ndarray | HeldSide,
+            s_z: np.ndarray) -> float:
     """Detection statistic under the optimized kernel; float64 rows [B, d]
-    per side."""
+    per side.  s_x may instead be `hold(model.kernel, x)`, as a
+    `DefensePipeline` passes its S_V."""
     if len(s_x) != model.batch_size or len(s_z) != model.batch_size:
         raise ValueError(f"batches of {len(s_x)} and {len(s_z)} samples, "
                          f"detector expects {model.batch_size}")
-    return mmd_u_squared(Tensor(s_x), Tensor(s_z), model.kernel).item()
+    x = s_x if isinstance(s_x, HeldSide) else Tensor(s_x)
+    return mmd_u_squared(x, Tensor(s_z), model.kernel).item()
 
 
 def calibrate_threshold(kernel: DeepKernelParams, clean_pool: np.ndarray,

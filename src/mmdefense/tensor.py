@@ -198,10 +198,9 @@ def recording() -> bool:
     return bool(_TAPE_STACK)
 
 
-def constant(data: np.ndarray, op: str) -> Tensor:
-    """Wrap `data`, computed by `op` outside the primitives, as a constant,
-    after the output check a primitive makes."""
-    check_finite(data, op)
+def constant(data: np.ndarray) -> Tensor:
+    """Wrap `data`, computed outside the primitives, as a constant.  Unlike
+    a primitive's output it is not checked: its caller shows it finite."""
     out = Tensor.__new__(Tensor)
     out.data = data
     out.requires_grad = False

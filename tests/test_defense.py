@@ -1,6 +1,6 @@
 import multiprocessing
 import os
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -85,6 +85,28 @@ class TestGate:
         with pytest.raises(ValueError, match="reference"):
             DefensePipeline(digit_setup.detector, digit_setup.denoiser,
                             digit_setup.classifier, digit_setup.reference[:50])
+
+    def test_non_finite_reference_rejected_when_built(self, digit_setup):
+        bad = digit_setup.reference.copy()
+        bad[3, 5] = np.nan
+        with pytest.raises(NonFiniteError):
+            DefensePipeline(digit_setup.detector, digit_setup.denoiser,
+                            digit_setup.classifier, bad)
+
+    def test_reference_is_a_read_only_copy(self, digit_setup):
+        # the pipeline holds q(S_V, S_V): S_V must not change under it
+        ref = digit_setup.reference.copy()
+        pipe = DefensePipeline(digit_setup.detector, digit_setup.denoiser,
+                               digit_setup.classifier, ref)
+        x, _ = clean_test_batch(digit_setup, Rng(6))
+        before = defend_batch(pipe, x)[1].statistic
+        ref[0, 0] += 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            pipe.reference[0, 0] = 0.5
+        with pytest.raises(FrozenInstanceError):
+            pipe.reference = ref
+        assert defend_batch(pipe, x)[1].statistic == before
+        assert np.array_equal(pipe.reference, digit_setup.reference)
 
 
 class TestBatchGate:

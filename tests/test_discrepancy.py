@@ -136,17 +136,20 @@ class TestUntapedHMatrix:
         for _ in range(150):
             params, x, z = self.draw(rng)
             untaped = h_matrix(params, x, z).data
+            held = h_matrix(params, discrepancy.hold(params, x), z).data
             with GradTape():
                 taped = h_matrix(params, x, z).data
-            np.testing.assert_array_equal(untaped, taped)
-            np.testing.assert_array_equal(np.signbit(untaped), np.signbit(taped))
+            for got in (untaped, held):
+                np.testing.assert_array_equal(got, taped)
+                np.testing.assert_array_equal(np.signbit(got), np.signbit(taped))
             kinds.add((params.featurizer is None, z is x))
         assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 
     def test_same_featurizer_calls_and_distance_buffers(self, monkeypatch):
         """Six featurizer calls per H, and the same operand sharing in every
         distance block: x against itself is one buffer, features never are.
-        The untaped path computes each operand's row norms once per space."""
+        The untaped path computes q(x, x) in `hold`, first, and each
+        operand's row norms once per space."""
         calls, norms = [], []
         real_forward, real_sqdist, real_norms = (
             discrepancy.features_forward, T.sqdist, T.row_norms)
@@ -173,17 +176,58 @@ class TestUntapedHMatrix:
         h_matrix(params, x, z)
         untaped, calls[:] = calls[:], []
         untaped_norms, norms[:] = norms[:], []
+        held = discrepancy.hold(params, x)
+        calls[:], norms[:] = [], []
+        h_matrix(params, held, z)
+        # the held path is the untaped one after its q(x, x) and x's norms
+        assert calls == untaped[1:]
+        assert [a is z.data for a in norms] == [False, False, True]
+        assert not any(a is x.data for a in norms)
+        calls[:], norms[:] = [], []
         with GradTape():
             h_matrix(params, x, z)
-        assert untaped == calls
-        assert calls.count("features") == 6
-        assert [c for c in calls if c != "features"] == [
-            False, True, False, True, False, False]
-        # features of x, x itself, features of z, z itself
-        assert [a is x.data for a in untaped_norms] == [False, True, False, False]
+        f = "features"
+        # per block: the features of both sides, then s, then q
+        assert calls == [f, f, False, True, f, f, False, True, f, f, False, False]
+        assert untaped == [True, f, f, False, f, f, False, True, f, f, False, False]
+        assert untaped.count(f) == 6
+        # x itself, features of x, features of z, z itself
+        assert [a is x.data for a in untaped_norms] == [True, False, False, False]
         assert [a is z.data for a in untaped_norms] == [False, False, False, True]
         # per block on the taped path: 2 per pair of buffers, 1 for x against x
         assert len(norms) == 10
+
+    def test_only_the_checks_that_can_fire_remain(self, monkeypatch):
+        """Each distance block and its division by -2 sigma^2 are checked,
+        and no later step: past those two checks every value is bounded
+        (see `_untaped_h_matrix`)."""
+        checked = []
+        real = T.check_finite
+
+        def spy(arr, op):
+            checked.append((op, arr.shape))
+            return real(arr, op)
+
+        monkeypatch.setattr(T, "check_finite", spy)
+        rng = Rng(45)
+        params = DeepKernelParams(Tensor(0.2), Tensor(0.1), Tensor(-0.3),
+                                  featurizer_view())
+        x, z = Tensor(rng.uniform((8, 6))), Tensor(rng.uniform((8, 6)))
+        held = discrepancy.hold(params, x)
+        built, checked[:] = checked[:], []
+        h_matrix(params, held, z)
+        per_call, checked[:] = checked[:], []
+        h_matrix(params, x, z)
+        distances = ["pairwise_sqdist", "div"]
+        # the kernel's 11 scalar checks (0-d), then q(x, x)'s two
+        assert [op for op, shape in built if shape] == distances
+        assert len(built) == 13
+        # s(x, x), then s and q of (z, z) and of (x, z); the rest are the
+        # featurizer's own checks
+        assert [op for op, shape in per_call if shape == (8, 8)] == distances * 5
+        assert {op for op, shape in per_call if shape != (8, 8)} == {"affine"}
+        # with no held side, one untaped H makes exactly both lists
+        assert checked == built + per_call
 
     def test_mmd_opt_equals_the_taped_statistic(self):
         rng = Rng(42)
@@ -197,18 +241,23 @@ class TestUntapedHMatrix:
             with GradTape():
                 taped = mmd_u_squared(Tensor(a), Tensor(b), params).item()
             assert mmd_opt(model, a, b) == taped
+            assert mmd_opt(model, discrepancy.hold(params, Tensor(a)), b) == taped
 
     @pytest.mark.parametrize("featurizer", [None, "view"])
     def test_non_finite_bandwidth_raises_on_both_paths(self, featurizer):
         # sigma^2 underflows to 0, so d2 / (-2 sigma^2) is -inf or NaN
         view = featurizer_view() if featurizer else None
         x = Tensor(Rng(43).uniform((5, 6)))
+        z = Tensor(x.data + 0.1)
         for raws in ((0.0, -400.0, 0.0), (0.0, 0.0, -400.0)):
             params = DeepKernelParams(*(Tensor(r) for r in raws), view)
             with pytest.raises(NonFiniteError, match="div"):
-                h_matrix(params, x, Tensor(x.data + 0.1))
+                h_matrix(params, x, z)
+            # a bad sigma_q raises in `hold` (q(x, x)), a bad sigma_phi in H
+            with pytest.raises(NonFiniteError, match="div"):
+                h_matrix(params, discrepancy.hold(params, x), z)
             with pytest.raises(NonFiniteError, match="div"), GradTape():
-                h_matrix(params, x, Tensor(x.data + 0.1))
+                h_matrix(params, x, z)
 
     @pytest.mark.parametrize("featurizer", [None, "view"])
     def test_non_finite_input_raises_on_both_paths(self, featurizer):
@@ -223,8 +272,15 @@ class TestUntapedHMatrix:
         # past the constructor's check, the first primitive's check raises
         x = Tensor.__new__(Tensor)
         x.data, x.requires_grad = bad, False
+        held = discrepancy.hold(params, Tensor(clean))
+        with pytest.raises(NonFiniteError):
+            mmd_opt(model, held, bad)
         with pytest.raises(NonFiniteError):
             h_matrix(params, Tensor(clean), x)
+        with pytest.raises(NonFiniteError):
+            h_matrix(params, held, x)
+        with pytest.raises(NonFiniteError):
+            discrepancy.hold(params, x)
         with pytest.raises(NonFiniteError), GradTape():
             h_matrix(params, Tensor(clean), x)
 
