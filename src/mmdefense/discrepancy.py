@@ -83,15 +83,16 @@ class DeepKernelParams:
                     featurizer: Optional[FeaturizerView] = None) -> "DeepKernelParams":
         """Median pairwise-distance bandwidths, beta0 = 0.5."""
         sigma_q = _median_dist(clean_batch)
-        if featurizer is not None:
-            phi = featurizer.forward(Tensor(clean_batch)).data
-        else:
-            phi = clean_batch
-        sigma_phi = _median_dist(phi)
+        sigma_phi = _median_dist(_features(featurizer, Tensor(clean_batch)).data)
         return cls(Tensor(0.0, requires_grad=True),
                    Tensor(np.log(sigma_q), requires_grad=True),
                    Tensor(np.log(sigma_phi), requires_grad=True),
                    featurizer)
+
+
+def _features(featurizer: Optional[FeaturizerView], x: Tensor) -> Tensor:
+    """The kernel's features of rows x: x itself with no featurizer."""
+    return x if featurizer is None else featurizer.forward(x)
 
 
 def _median_dist(x: np.ndarray) -> float:
@@ -117,12 +118,8 @@ def gaussian_kernel(x: Tensor, z: Tensor, sigma: Tensor) -> Tensor:
 
 def deep_kernel(params: DeepKernelParams, x: Tensor, z: Tensor) -> Tensor:
     """[(1-b0) s(x,z) + b0] q(x,z); differentiable w.r.t. raws and inputs."""
-    if params.featurizer is not None:
-        fx = params.featurizer.forward(x)
-        fz = params.featurizer.forward(z)
-    else:
-        fx, fz = x, z
-    s = gaussian_kernel(fx, fz, params.sigma_phi())
+    fx = _features(params.featurizer, x)
+    s = gaussian_kernel(fx, _features(params.featurizer, z), params.sigma_phi())
     q = gaussian_kernel(x, z, params.sigma_q())
     b0 = params.beta0()
     return ((1.0 - b0) * s + b0) * q
@@ -213,15 +210,13 @@ def _untaped_h_matrix(held: HeldSide, z: Tensor) -> Tensor:
     -2 sigma^2); every later step is bounded by then, as noted where it
     stands.  The featurizer still runs twice per block, so that no feature
     block is one buffer (see `T.sqdist`).  Each operand's row norms are
-    computed once per space, from its first pass, and serve all of its
-    blocks: every featurizer pass of one operand is equal in value, and
-    with no featurizer the two spaces are one.
+    computed once per space and serve all of its blocks: all featurizer
+    passes of one operand are equal in value.
     """
     x = held.x
-    featurizer = held.kernel.featurizer
 
     def features(a: Tensor) -> np.ndarray:
-        return a.data if featurizer is None else featurizer.forward(a).data
+        return _features(held.kernel.featurizer, a).data
 
     def block(fa: np.ndarray, fb: np.ndarray, norms_a, norms_b) -> np.ndarray:
         """(1 - b0) s(a, b) + b0, to be multiplied by q(a, b) in place."""
@@ -234,12 +229,12 @@ def _untaped_h_matrix(held: HeldSide, z: Tensor) -> Tensor:
         return k
 
     fx = features(x)
-    norms_fx = held.norms_q if featurizer is None else T.row_norms(fx)
+    norms_fx = T.row_norms(fx)
     h = block(fx, features(x), norms_fx, norms_fx)
     h *= held.q_xx
     fz = features(z)
     norms_fz = T.row_norms(fz)
-    norms_z = norms_fz if featurizer is None else T.row_norms(z.data)
+    norms_z = T.row_norms(z.data)
     kzz = block(fz, features(z), norms_fz, norms_fz)
     kzz *= _gaussian(z.data, z.data, norms_z, norms_z, held.denom_q)
     kxz = block(features(x), features(z), norms_fx, norms_fz)

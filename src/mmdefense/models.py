@@ -104,10 +104,8 @@ def train_classifier(images: ImageBatch, epochs: int, lr: float, rng: Rng):
     n = len(x)
     for _ in range(epochs):
         order = rng.permutation(n)
-        for start in range(0, n, CLASSIFIER_BATCH):
+        for start in range(0, n - 1, CLASSIFIER_BATCH):  # no 1-row tail
             idx = order[start:start + CLASSIFIER_BATCH]
-            if len(idx) < 2:
-                continue
             with GradTape() as tape:
                 logits = classifier_forward(params, Tensor(x[idx]))
                 loss = cross_entropy(logits, y[idx])

@@ -239,55 +239,42 @@ def _masker(mask: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return masked
 
 
-def _shape_error(op: str, a: Tensor, b: Tensor) -> ShapeError:
-    return ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
-
-
 # ---------------------------------------------------------------------------
 # primitives
 # ---------------------------------------------------------------------------
 
-# The binary ops let numpy check broadcasting: its ValueError becomes a
-# ShapeError naming both shapes.
+def _binary(op: str, fn, a: Tensor, b: Tensor, grad_a, grad_b) -> Tensor:
+    """Tape `fn(a.data, b.data)` as `op`; numpy's broadcast ValueError becomes
+    a ShapeError naming both shapes.  `grad_a` / `grad_b` map the output's
+    adjoint to each operand's, then summed down to that operand's shape."""
+    try:
+        data = fn(a.data, b.data)
+    except ValueError:
+        raise ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}") from None
+    return _make(op, data, (a, b),
+                 (lambda g: _unbroadcast(grad_a(g), a.shape),
+                  lambda g: _unbroadcast(grad_b(g), b.shape)))
+
+
+def _identity(g):
+    return g
+
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        data = a.data + b.data
-    except ValueError:
-        raise _shape_error("add", a, b) from None
-    return _make("add", data, (a, b),
-                 (lambda g: _unbroadcast(g, a.shape),
-                  lambda g: _unbroadcast(g, b.shape)))
+    return _binary("add", np.add, a, b, _identity, _identity)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        data = a.data - b.data
-    except ValueError:
-        raise _shape_error("sub", a, b) from None
-    return _make("sub", data, (a, b),
-                 (lambda g: _unbroadcast(g, a.shape),
-                  lambda g: _unbroadcast(-g, b.shape)))
+    return _binary("sub", np.subtract, a, b, _identity, np.negative)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        data = a.data * b.data
-    except ValueError:
-        raise _shape_error("mul", a, b) from None
-    return _make("mul", data, (a, b),
-                 (lambda g: _unbroadcast(g * b.data, a.shape),
-                  lambda g: _unbroadcast(g * a.data, b.shape)))
+    return _binary("mul", np.multiply, a, b, lambda g: g * b.data, lambda g: g * a.data)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        data = a.data / b.data
-    except ValueError:
-        raise _shape_error("div", a, b) from None
-    return _make("div", data, (a, b),
-                 (lambda g: _unbroadcast(g / b.data, a.shape),
-                  lambda g: _unbroadcast(-g * a.data / (b.data * b.data), b.shape)))
+    return _binary("div", np.true_divide, a, b, lambda g: g / b.data,
+                   lambda g: -g * a.data / (b.data * b.data))
 
 
 def neg(a: Tensor) -> Tensor:
@@ -305,12 +292,19 @@ def _affine_data(x: Tensor, w: Tensor, b: Tensor) -> np.ndarray:
     return data
 
 
+def _affine_node(x: Tensor, w: Tensor, b: Tensor, data: np.ndarray,
+                 masked: Callable[[np.ndarray], np.ndarray]) -> Tensor:
+    """Tape `data`, the affine output x @ w + b, as one node; `masked` maps
+    the node's adjoint to that of the affine output."""
+    return _make("affine", data, (x, w, b),
+                 (lambda g: masked(g) @ w.data.T, lambda g: x.data.T @ masked(g),
+                  lambda g: _unbroadcast(masked(g), b.shape)))
+
+
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b as one node, bitwise equal to the product and the bias add
     taped as two nodes."""
-    return _make("affine", _affine_data(x, w, b), (x, w, b),
-                 (lambda g: g @ w.data.T, lambda g: x.data.T @ g,
-                  lambda g: _unbroadcast(g, b.shape)))
+    return _affine_node(x, w, b, _affine_data(x, w, b), _identity)
 
 
 def affine_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -324,10 +318,7 @@ def affine_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """
     data = _affine_data(x, w, b)
     mask = data > 0
-    masked = _masker(mask)
-    out = _make("affine", data, (x, w, b),
-                (lambda g: masked(g) @ w.data.T, lambda g: x.data.T @ masked(g),
-                 lambda g: _unbroadcast(masked(g), b.shape)))
+    out = _affine_node(x, w, b, data, _masker(mask))
     data *= mask
     return out
 

@@ -149,7 +149,7 @@ class TestUntapedHMatrix:
         """Six featurizer calls per H, and the same operand sharing in every
         distance block: x against itself is one buffer, features never are.
         The untaped path computes q(x, x) in `hold`, first, and each
-        operand's row norms once per space."""
+        operand's row norms once per space, also with no featurizer."""
         calls, norms = [], []
         real_forward, real_sqdist, real_norms = (
             discrepancy.features_forward, T.sqdist, T.row_norms)
@@ -196,6 +196,15 @@ class TestUntapedHMatrix:
         assert [a is z.data for a in untaped_norms] == [False, False, False, True]
         # per block on the taped path: 2 per pair of buffers, 1 for x against x
         assert len(norms) == 10
+        # no featurizer: the features are the operands themselves, and a held
+        # call still makes 3 norm passes, x and z as features, then z
+        params = DeepKernelParams(*params.raws, None)
+        held = discrepancy.hold(params, x)
+        calls[:], norms[:] = [], []
+        h_matrix(params, held, z)
+        assert calls == [True, True, True, False, False]
+        assert [a is x.data for a in norms] == [True, False, False]
+        assert [a is z.data for a in norms] == [False, True, True]
 
     def test_only_the_checks_that_can_fire_remain(self, monkeypatch):
         """Each distance block and its division by -2 sigma^2 are checked,

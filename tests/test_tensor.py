@@ -308,11 +308,22 @@ class TestGradientContract:
             x.grad = np.ones(1)
 
 
+def _widen(x):
+    """A (3, 4) function of a (3, 1) x, so that a binary op of the two
+    broadcasts x along its size-1 axis and both adjoints reach x."""
+    return T.affine(x, Tensor(np.linspace(-1, 1, 4).reshape(1, 4)), Tensor(np.linspace(0, 1, 4)))
+
+
 PRIMITIVE_CASES = [
     ("add", lambda x: T.tsum(x + Tensor(np.linspace(1, 2, 12).reshape(3, 4))), (3, 4)),
     ("sub", lambda x: T.tsum(Tensor(np.ones((3, 4))) - x * 2.0), (3, 4)),
     ("mul_broadcast", lambda x: T.tsum(x * Tensor(np.linspace(-1, 1, 4))), (3, 4)),
     ("div", lambda x: T.tsum(x / Tensor(np.linspace(1, 3, 4))), (3, 4)),
+    # a (3, 1) operand against a (3, 4) one: its adjoint sums over the size-1 axis
+    ("add_column_left", lambda x: T.tsum(T.square(x + _widen(x))), (3, 1)),
+    ("mul_column_left", lambda x: T.tsum(x * _widen(x)), (3, 1)),
+    ("sub_column_right", lambda x: T.tsum(T.square(_widen(x) - x)), (3, 1)),
+    ("div_column_right", lambda x: T.tsum(_widen(x) / (x * x + 0.5)), (3, 1)),
     ("affine_zero_bias", lambda x: T.tsum(T.affine(x, Tensor(np.linspace(0, 1, 12).reshape(4, 3)),
                                                    Tensor(np.zeros(3)))), (3, 4)),
     # x as the input, the weight and a broadcast bias at once

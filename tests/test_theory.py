@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from mmdefense.rng import Rng
-from mmdefense.theory import (DiscreteDomain, hypothesis_from_index,
-                              l1_divergence, max_excess_risk, risk,
-                              tightness_probe, verify_theorem)
+from mmdefense.theory import (DiscreteDomain, l1_divergence, max_excess_risk,
+                              risk, tightness_probe, verify_theorem)
 
 from subset_enumeration import l1_divergence_bruteforce
 
@@ -74,7 +73,7 @@ class TestRisk:
 
     def test_complement_risks_sum_to_one(self):
         dom = DiscreteDomain.random(7, Rng(4))
-        h = hypothesis_from_index(37, 7)
+        h = (37 >> np.arange(7)) & 1
         assert (risk(h, dom.f, dom.phi_c)
                 + risk(1 - h, dom.f, dom.phi_c)) == pytest.approx(1.0)
 
@@ -89,7 +88,7 @@ class TestRisk:
             dom = DiscreteDomain.random(8, Rng(seed))
             best = risk(dom.f, dom.f, dom.phi_c)
             for idx in range(1 << dom.size):
-                h = hypothesis_from_index(idx, dom.size)
+                h = (idx >> np.arange(dom.size)) & 1
                 assert risk(h, dom.f, dom.phi_c) >= best - 1e-15
 
 
