@@ -10,8 +10,8 @@ import numpy as np
 
 from . import tensor as T
 from .discrepancy import DetectorModel, mmd_u_squared
-from .models import (ClassifierParams, DenoiserParams, cross_entropy,
-                     defended_forward)
+from .models import (ClassifierParams, DenoiserParams,
+                     classifier_cross_entropy, denoiser_forward)
 from .rng import Rng
 from .tensor import GradTape, Tensor
 from .worker import job_worker
@@ -55,10 +55,12 @@ class NoiseConfig:
 def _ce_input_grad(classifier: ClassifierParams, x: np.ndarray,
                    labels: np.ndarray,
                    denoiser: Optional[DenoiserParams] = None) -> np.ndarray:
-    """Input gradient of CE(defended_forward(classifier, denoiser, x))."""
+    """Input gradient of CE(defended_forward(classifier, denoiser, x)); the
+    frozen classifier's CE is one node (`classifier_cross_entropy`)."""
     xt = Tensor(x, requires_grad=True)
     with GradTape() as tape:
-        loss = cross_entropy(defended_forward(classifier, denoiser, xt), labels)
+        z = xt if denoiser is None else denoiser_forward(denoiser, xt)
+        loss = classifier_cross_entropy(classifier, z, labels)
     return T.grad_of(tape, loss, [xt])[0]
 
 

@@ -12,8 +12,9 @@ from . import tensor as T
 from .attacks import AttackConfig, NoiseConfig, noise_draw
 from .discrepancy import (DeepKernelParams, DetectorModel, calibrate_threshold,
                           hold, mmd_opt, mmd_u_squared)
-from .models import (ClassifierParams, DenoiserParams, classifier_forward,
-                     cross_entropy, defended_forward, denoiser_forward)
+from .models import (ClassifierParams, DenoiserParams,
+                     classifier_cross_entropy, defended_forward,
+                     denoiser_forward)
 from .optim import AdamState, adam_step
 from .rng import Rng
 from .tensor import GradTape, Tensor
@@ -179,8 +180,7 @@ def train_denoiser(clean: np.ndarray, labels: np.ndarray,
                 with GradTape() as tape:
                     denoised = denoiser_forward(theta, Tensor(xn))
                     stat = mmd_u_squared(Tensor(xc), denoised, kernel)
-                    ce = cross_entropy(
-                        classifier_forward(classifier, denoised), yc)
+                    ce = classifier_cross_entropy(classifier, denoised, yc)
                     loss = stat + alpha * ce
                 grads = T.grad_of(tape, loss, theta.params)
                 adam_step(theta.params, grads, state, cur_lr)

@@ -10,15 +10,23 @@ Raw kernel parameters are unconstrained scalars (logistic map for b0,
 exponential map for the bandwidths), so plain gradient ascent keeps every
 constraint satisfied.
 
-`h_matrix` composes tape primitives while a GradTape records, and otherwise
-(the frozen detection statistic: `mmd_opt`, calibration, the kernel
-monitor) runs the same numpy operations in place; the two are bitwise
-equal.  The untaped pass takes the kernel scalars, x's input-space row
-norms and q(x, x) from a `HeldSide`: a `DefensePipeline` builds one for
-its S_V once, and every other caller one per call, with `hold`.  It checks
-only the intermediates that can become non-finite (the distances and
-their division by -2 sigma^2), so every inf or NaN still raises, under
-the name of the primitive that made it.
+`h_matrix` evaluates H in one of three ways, all bitwise equal in value:
+  * fully taped, while a GradTape records and a gradient can reach the
+    kernel or x (kernel training);
+  * held and taped, while a GradTape records and only z can carry a
+    gradient (denoiser training, the adaptive attack's statistic): the
+    parts that do not depend on z, K(x, x) among them, are computed
+    untaped and enter as constants, and only K(z, z) and K(x, z) are
+    taped, bitwise the fully taped z-gradient;
+  * untaped, with no tape recording or no gradient anywhere (the frozen
+    detection statistic: `mmd_opt`, calibration, the kernel monitor): the
+    same numpy operations in place.
+The last two take the kernel scalars, x's input-space row norms and q(x, x)
+from a `HeldSide`: a `DefensePipeline` builds one for its S_V once, and
+every other caller one per call, with `hold`.  The untaped steps check only
+the intermediates that can become non-finite (the distances and their
+division by -2 sigma^2), so every inf or NaN still raises, under the name
+of the primitive that made it.
 """
 from __future__ import annotations
 
@@ -63,6 +71,12 @@ class DeepKernelParams:
     @property
     def raws(self) -> list[Tensor]:
         return [getattr(self, n) for n in self.NAMES]
+
+    @property
+    def trainable(self) -> bool:
+        """A raw scalar or a featurizer weight requires grad."""
+        weights = [] if self.featurizer is None else self.featurizer.classifier.params
+        return any(p.requires_grad for p in (*self.raws, *weights))
 
     def beta0(self) -> Tensor:
         return T.sigmoid(self.raw_beta0)
@@ -128,10 +142,13 @@ def deep_kernel(params: DeepKernelParams, x: Tensor, z: Tensor) -> Tensor:
 def h_matrix(params: DeepKernelParams, x: Tensor | HeldSide, z: Tensor) -> Tensor:
     """H_ij = K_xx[i,j] + K_zz[i,j] - K_xz[i,j] - K_xz[j,i] for equal sizes.
 
-    Taped while a GradTape records; otherwise `_untaped_h_matrix`, which is
-    bitwise equal.  x is a Tensor, or `hold(params, x)` for an x that stays
-    fixed across calls (a pipeline's S_V), whose parts the untaped path
-    reuses instead of recomputing them.
+    Fully taped (`deep_kernel` per block) while a GradTape records and the
+    kernel or x is trainable.  Otherwise the parts that do not depend on z
+    come from a `HeldSide`, untaped: `_held_taped_h_matrix` while a
+    GradTape records and z requires grad, else `_untaped_h_matrix`; all
+    are bitwise equal.  x is a Tensor, or `hold(params, x)` for an x that
+    stays fixed across calls (a pipeline's S_V), whose parts are reused
+    instead of recomputed.
     """
     held = x if isinstance(x, HeldSide) else None
     if held is not None:
@@ -140,22 +157,30 @@ def h_matrix(params: DeepKernelParams, x: Tensor | HeldSide, z: Tensor) -> Tenso
         raise ValueError(
             f"equal batch sizes required, got {x.shape[0]} and {z.shape[0]}; "
             "subsample the larger batch first")
-    if not T.recording():
+    recording = T.recording()
+    if recording and (x.requires_grad or params.trainable):
+        kxx = deep_kernel(params, x, x)
+        kzz = deep_kernel(params, z, z)
+        kxz = deep_kernel(params, x, z)
+        return kxx + kzz - kxz - T.transpose(kxz)
+    with T.paused():  # no gradient reaches the side that does not depend on z
         if held is None or held.kernel is not params:
             held = hold(params, x)
-        return _untaped_h_matrix(held, z)
-    kxx = deep_kernel(params, x, x)
-    kzz = deep_kernel(params, z, z)
-    kxz = deep_kernel(params, x, z)
-    return kxx + kzz - kxz - T.transpose(kxz)
+        if not (recording and z.requires_grad):
+            return _untaped_h_matrix(held, z)
+        kxx, _ = _held_kxx(held)
+        fx = _features(params.featurizer, x)
+    return _held_taped_h_matrix(held, T.constant(kxx), fx, z)
 
 
 @dataclass(frozen=True, eq=False)
 class HeldSide:
-    """The parts of the untaped H that do not depend on z, for one kernel
-    and rows x: the kernel's scalars, x's input-space row norms and the
-    read-only block q(x, x).  x's features and s(x, x) are not held: the
-    featurizer still runs six times per H."""
+    """The parts of H that do not depend on z, for one kernel and rows x:
+    the kernel's scalars, x's input-space row norms, the read-only block
+    q(x, x) and, with no featurizer, the read-only block s(x, x) (its
+    features are then x itself, so it shares q(x, x)'s distances).  With a
+    featurizer, x's features and s(x, x) are not held: the featurizer still
+    runs six times per H."""
 
     kernel: DeepKernelParams
     x: Tensor
@@ -165,38 +190,77 @@ class HeldSide:
     one_minus_b0: np.ndarray
     norms_q: np.ndarray       # row norms of x
     q_xx: np.ndarray
+    s_xx: Optional[np.ndarray]
 
     def __len__(self) -> int:
         return self.x.shape[0]
 
 
 def hold(params: DeepKernelParams, x: Tensor) -> HeldSide:
-    """The parts of the untaped H that depend on the kernel and on x only,
-    computed with the numpy operations and checks of the rest of that
-    pass; q(x, x) is `T.sqdist` on one buffer, as the taped path's is."""
+    """The parts of H that depend on the kernel and on x only, computed
+    with the numpy operations and checks of the untaped pass; x's distances
+    are `T.sqdist` on one buffer, as the taped path's q(x, x) is."""
     denom_phi = (-2.0 * T.square(params.sigma_phi())).data
     denom_q = (-2.0 * T.square(params.sigma_q())).data
     b0 = params.beta0()
     one_minus_b0 = (1.0 - b0).data
     norms = T.row_norms(x.data)
-    q_xx = _gaussian(x.data, x.data, norms, norms, denom_q)
+    d = _distances(x.data, x.data, norms, norms)
+    s_xx = None
+    if params.featurizer is None:
+        s_xx = _gaussian(d.copy(), denom_phi)
+        s_xx.setflags(write=False)
+    q_xx = _gaussian(d, denom_q)
     q_xx.setflags(write=False)
     return HeldSide(params, x, denom_phi, denom_q, b0.data, one_minus_b0,
-                    norms, q_xx)
+                    norms, q_xx, s_xx)
 
 
-def _gaussian(a: np.ndarray, b: np.ndarray, norms_a: np.ndarray,
-              norms_b: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    """`gaussian_kernel`'s forward, checked as there wherever a value can
-    become non-finite."""
-    k, _ = T.sqdist(a, b, norms_a, norms_b)
-    T.check_finite(k, "pairwise_sqdist")
-    k /= denom
-    T.check_finite(k, "div")
-    # past the div check k is finite and <= 0 (a distance >= 0 over
+def _distances(a: np.ndarray, b: np.ndarray, norms_a: np.ndarray,
+               norms_b: np.ndarray) -> np.ndarray:
+    """`T.sqdist`'s distances, checked as `pairwise_sqdist` checks them."""
+    d, _ = T.sqdist(a, b, norms_a, norms_b)
+    T.check_finite(d, "pairwise_sqdist")
+    return d
+
+
+def _gaussian(d: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """`gaussian_kernel`'s exp(d / denom) in place in the distances d,
+    checked as there wherever a value can become non-finite."""
+    d /= denom
+    T.check_finite(d, "div")
+    # past the div check d is finite and <= 0 (a distance >= 0 over
     # -2 sigma^2 <= 0), so its exp lies in [0, 1]: that check cannot fire
-    np.exp(k, out=k)
-    return k
+    np.exp(d, out=d)
+    return d
+
+
+def _held_kxx(held: HeldSide) -> tuple[np.ndarray, np.ndarray]:
+    """K(x, x) as a new array, and the row norms of x's features.
+
+    With a featurizer the featurizer runs twice, so that s(x, x)'s two
+    operands are two buffers (see `T.sqdist`); with none, s(x, x) is held.
+    """
+    x, featurizer = held.x, held.kernel.featurizer
+    fx = _features(featurizer, x).data
+    norms_fx = held.norms_q if fx is x.data else T.row_norms(fx)
+    if held.s_xx is None:
+        s = _gaussian(_distances(fx, _features(featurizer, x).data,
+                                 norms_fx, norms_fx), held.denom_phi)
+    else:
+        s = held.s_xx.copy()
+    return _combine(held, s, held.q_xx), norms_fx
+
+
+def _combine(held: HeldSide, s: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """((1 - b0) s + b0) q, in place in s."""
+    # s and 1 - b0 lie in [0, 1], and b0 in [0, 1]: no check can fire on
+    # the product (in [0, 1]), the sum (in [0, 2]) or, with q in [0, 1],
+    # the block (in [0, 2])
+    s *= held.one_minus_b0
+    s += held.b0
+    s *= q
+    return s
 
 
 def _untaped_h_matrix(held: HeldSide, z: Tensor) -> Tensor:
@@ -210,41 +274,62 @@ def _untaped_h_matrix(held: HeldSide, z: Tensor) -> Tensor:
     -2 sigma^2); every later step is bounded by then, as noted where it
     stands.  The featurizer still runs twice per block, so that no feature
     block is one buffer (see `T.sqdist`).  Each operand's row norms are
-    computed once per space and serve all of its blocks: all featurizer
-    passes of one operand are equal in value.
+    computed once and serve all of its blocks: all featurizer passes of one
+    operand are equal in value.  With no featurizer s and q of a block
+    share one distance block, each divided by its own -2 sigma^2.
     """
-    x = held.x
+    x, featurizer = held.x, held.kernel.featurizer
 
     def features(a: Tensor) -> np.ndarray:
-        return _features(held.kernel.featurizer, a).data
+        return _features(featurizer, a).data
 
-    def block(fa: np.ndarray, fb: np.ndarray, norms_a, norms_b) -> np.ndarray:
-        """(1 - b0) s(a, b) + b0, to be multiplied by q(a, b) in place."""
-        k = _gaussian(fa, fb, norms_a, norms_b, held.denom_phi)
-        # s and 1 - b0 lie in [0, 1], and b0 in [0, 1]: no check can fire
-        # on the product (in [0, 1]), the sum (in [0, 2]) or, with q in
-        # [0, 1], the block (in [0, 2])
-        k *= held.one_minus_b0
-        k += held.b0
-        return k
+    def block(fa, fb, norms_fa, norms_fb, a, b, norms_a, norms_b) -> np.ndarray:
+        """K(a, b) from features fa, fb and rows a, b."""
+        d = _distances(fa, fb, norms_fa, norms_fb)
+        if featurizer is None:  # the features are the rows: one distance block
+            s, d_q = _gaussian(d.copy(), held.denom_phi), d
+        else:
+            s = _gaussian(d, held.denom_phi)
+            d_q = _distances(a, b, norms_a, norms_b)
+        return _combine(held, s, _gaussian(d_q, held.denom_q))
 
-    fx = features(x)
-    norms_fx = T.row_norms(fx)
-    h = block(fx, features(x), norms_fx, norms_fx)
-    h *= held.q_xx
+    h, norms_fx = _held_kxx(held)
     fz = features(z)
     norms_fz = T.row_norms(fz)
-    norms_z = T.row_norms(z.data)
-    kzz = block(fz, features(z), norms_fz, norms_fz)
-    kzz *= _gaussian(z.data, z.data, norms_z, norms_z, held.denom_q)
-    kxz = block(features(x), features(z), norms_fx, norms_fz)
-    kxz *= _gaussian(x.data, z.data, held.norms_q, norms_z, held.denom_q)
+    norms_z = norms_fz if fz is z.data else T.row_norms(z.data)
+    kzz = block(fz, features(z), norms_fz, norms_fz, z.data, z.data, norms_z, norms_z)
+    kxz = block(features(x), features(z), norms_fx, norms_fz,
+                x.data, z.data, held.norms_q, norms_z)
     # blocks in [0, 2]: H = kxx + kzz - kxz - kxz^T lies in [-4, 4], so
     # neither its steps nor the transpose can be non-finite
     h += kzz
     h -= kxz
     h -= kxz.T
     return T.constant(h)
+
+
+def _held_taped_h_matrix(held: HeldSide, kxx: Tensor, fx: Tensor,
+                         z: Tensor) -> Tensor:
+    """H with K(z, z) and K(x, z) taped, for a z that requires grad and the
+    constants K(x, x) and x's features fx.
+
+    Each block is `deep_kernel`'s composition with the held scalars as
+    constants, and the nodes that touch z are made in the fully taped
+    path's order, so H and every gradient of z are bitwise that path's.
+    """
+    featurizer = held.kernel.featurizer
+    denom_phi, denom_q = T.constant(held.denom_phi), T.constant(held.denom_q)
+    b0, one_minus_b0 = T.constant(held.b0), T.constant(held.one_minus_b0)
+
+    def block(fa: Tensor, fb: Tensor, a: Tensor, b: Tensor) -> Tensor:
+        s = T.exp(T.pairwise_sqdist(fa, fb) / denom_phi)
+        q = T.exp(T.pairwise_sqdist(a, b) / denom_q)
+        return (one_minus_b0 * s + b0) * q
+
+    fz = _features(featurizer, z)
+    kzz = block(fz, _features(featurizer, z), z, z)
+    kxz = block(fx, _features(featurizer, z), held.x, z)
+    return kxx + kzz - kxz - T.transpose(kxz)
 
 
 def mmd_from_h(h: Tensor) -> Tensor:

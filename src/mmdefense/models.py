@@ -1,4 +1,12 @@
-"""Small desk-scale networks: clean classifier, its featurizer, denoiser."""
+"""Small desk-scale networks: clean classifier, its featurizer, denoiser.
+
+A frozen classifier's cross-entropy, the loss of every attack step and the
+CE term of denoiser training, is one tape node,
+`classifier_cross_entropy` (`tensor.mlp_cross_entropy`): bitwise
+`cross_entropy(classifier_forward(...))` in value and in its input's
+gradient, with the same checks, for 1 node instead of 8.  Classifier
+training, whose weights need gradients, keeps the composed nodes.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -71,10 +79,17 @@ def classifier_forward(params: ClassifierParams, x: Tensor) -> Tensor:
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean CE via stable log-softmax and a one-hot mask."""
     n, k = logits.shape
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), labels] = 1.0
     logp = T.log_softmax(logits, axis=1)
-    return -T.tsum(logp * Tensor(onehot)) * (1.0 / n)
+    return -T.tsum(logp * Tensor(T.one_hot(labels, n, k))) * (1.0 / n)
+
+
+def classifier_cross_entropy(params: ClassifierParams, x: Tensor,
+                             labels: np.ndarray) -> Tensor:
+    """`cross_entropy(classifier_forward(params, x), labels)` as one tape
+    node, bitwise equal in value and in x's gradient; the classifier must
+    be frozen (`tensor.mlp_cross_entropy`)."""
+    layers = ((params.w1, params.b1), (params.w2, params.b2), (params.w3, params.b3))
+    return T.mlp_cross_entropy(x, layers, labels)
 
 
 def classify(params: ClassifierParams, batch: np.ndarray):

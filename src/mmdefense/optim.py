@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, all_finite
 
 BETA1 = 0.9
 BETA2 = 0.999
@@ -45,7 +45,7 @@ def adam_step(params: Sequence[Tensor], grads: Sequence[np.ndarray],
     for p, g in zip(params, grads):
         if g.shape != p.data.shape:
             raise ValueError(f"grad shape {g.shape} != param shape {p.data.shape}")
-        if not np.all(np.isfinite(g)):
+        if not all_finite(g):
             raise ArithmeticError("non-finite gradient passed to adam_step")
     state.t += 1
     bc1 = 1.0 - BETA1 ** state.t

@@ -7,14 +7,19 @@ tape -- taping only appends bookkeeping nodes.
 
 A leaf is trainable when it was built with ``requires_grad=True``; on an
 interior tensor made under a tape, ``requires_grad`` means "depends on a
-trainable leaf".  Every operation under a tape is recorded, but
-:func:`backward` computes adjoints only along such dependencies, so frozen
-weights, inputs, and whole blocks computed from them cost no reverse work.
-Outputs made with no active tape are always constants.
+trainable leaf".  Every operation under a tape is recorded (outside a
+`paused()` block), but :func:`backward` computes adjoints only along such
+dependencies, so frozen weights, inputs, and whole blocks computed from them
+cost no reverse work.  Outputs made with no active tape are always constants.
 
 Primitives: add, sub, mul, div, neg, affine (x @ w + b), affine_relu
 (relu(x @ w + b), the hidden layers), transpose, tsum, exp, square, sqrt,
 clip, log_softmax and pairwise_sqdist; sigmoid is composed from them.
+`mlp_cross_entropy` is one composite node: a frozen ReLU network's mean
+cross-entropy (`models.classifier_cross_entropy`), bitwise the 8 nodes it
+replaces in value and in the input's gradient.  `paused()` records nothing
+inside its block, for the parts of a taped computation that no gradient
+reaches (`discrepancy.h_matrix`'s reference side).
 
 Conventions fixed here for reproducibility of gradient checks:
   * ReLU subgradient at exactly 0 is 0.
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
@@ -92,7 +98,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.isfinite(arr).all():
+        if not all_finite(arr):
             raise NonFiniteError("tensor constructed from non-finite data")
         self.data = arr
         self.requires_grad = requires_grad
@@ -156,21 +162,27 @@ def _lift(x) -> Tensor:
     return out
 
 
-def check_finite(arr: np.ndarray, op: str):
-    # exact: a NaN or inf makes the sum of squares non-finite, so a finite
-    # sum proves every element finite; a finite array whose squares overflow
-    # takes the elementwise pass, also when the caller has made numpy's
-    # overflow warning an error
+def all_finite(arr: np.ndarray) -> bool:
+    """True when every element of `arr` is finite.
+
+    Exact: a NaN or inf makes the sum of squares non-finite, so a finite
+    sum proves every element finite; a finite array whose squares overflow
+    takes the elementwise pass, also when the caller has made numpy's
+    overflow warning an error.
+    """
     if arr.ndim == 0:
-        ok = math.isfinite(arr)
-    else:
-        flat = arr.ravel(order="K")
-        try:
-            ok = math.isfinite(np.dot(flat, flat))
-        except (RuntimeWarning, FloatingPointError):
-            ok = False
-        ok = ok or np.isfinite(arr).all()
-    if not ok:
+        return math.isfinite(arr)
+    flat = arr.ravel(order="K")
+    try:
+        if math.isfinite(np.dot(flat, flat)):
+            return True
+    except (RuntimeWarning, FloatingPointError):
+        pass
+    return bool(np.isfinite(arr).all())
+
+
+def check_finite(arr: np.ndarray, op: str):
+    if not all_finite(arr):
         raise NonFiniteError(f"{op} produced non-finite values")
 
 
@@ -196,6 +208,18 @@ def _make(op: str, data: np.ndarray, parents: tuple[Tensor, ...],
 def recording() -> bool:
     """True while a GradTape is recording."""
     return bool(_TAPE_STACK)
+
+
+@contextmanager
+def paused():
+    """Record nothing inside the block: every output made there is a
+    constant, as with no tape.  The tapes are restored on leaving it."""
+    saved = _TAPE_STACK[:]
+    _TAPE_STACK.clear()
+    try:
+        yield
+    finally:
+        _TAPE_STACK[:] = saved
 
 
 def constant(data: np.ndarray) -> Tensor:
@@ -281,12 +305,12 @@ def neg(a: Tensor) -> Tensor:
     return _make("neg", -a.data, (a,), (lambda g: -g,))
 
 
-def _affine_data(x: Tensor, w: Tensor, b: Tensor) -> np.ndarray:
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
+def _affine_data(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ShapeError(f"affine: incompatible shapes {x.shape} and {w.shape}")
-    data = x.data @ w.data
+    data = x @ w
     try:
-        data += b.data
+        data += b
     except ValueError:
         raise ShapeError(f"affine: incompatible shapes {data.shape} and {b.shape}") from None
     return data
@@ -304,7 +328,7 @@ def _affine_node(x: Tensor, w: Tensor, b: Tensor, data: np.ndarray,
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b as one node, bitwise equal to the product and the bias add
     taped as two nodes."""
-    return _affine_node(x, w, b, _affine_data(x, w, b), _identity)
+    return _affine_node(x, w, b, _affine_data(x.data, w.data, b.data), _identity)
 
 
 def affine_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -316,7 +340,7 @@ def affine_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     finite value finite (a ReLU output is non-finite exactly where its
     input is), so numpy never warns about `inf * 0` on the way to the error.
     """
-    data = _affine_data(x, w, b)
+    data = _affine_data(x.data, w.data, b.data)
     mask = data > 0
     out = _affine_node(x, w, b, data, _masker(mask))
     data *= mask
@@ -360,18 +384,81 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     return _make("clip", data, (a,), (lambda g: g * mask,))
 
 
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable log-softmax (max subtraction)."""
-    m = a.data.max(axis=axis, keepdims=True)
-    shifted = a.data - m
+def _log_softmax_data(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """(log-softmax of a along axis, its softmax), with max subtraction."""
+    m = a.max(axis=axis, keepdims=True)
+    shifted = a - m
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     data = shifted - lse
-    sm = np.exp(data)
+    return data, np.exp(data)
+
+
+def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
+    """Numerically stable log-softmax (max subtraction)."""
+    data, sm = _log_softmax_data(a.data, axis)
 
     def bw(g):
         return g - sm * g.sum(axis=axis, keepdims=True)
 
     return _make("log_softmax", data, (a,), (bw,))
+
+
+def one_hot(labels: np.ndarray, n: int, k: int) -> np.ndarray:
+    """[n, k] float rows with a 1 at each row's label."""
+    onehot = np.zeros((n, k))
+    onehot[np.arange(n), labels] = 1.0
+    return onehot
+
+
+def mlp_cross_entropy(x: Tensor, layers: Sequence[tuple[Tensor, Tensor]],
+                      labels: np.ndarray) -> Tensor:
+    """Mean cross-entropy of a frozen ReLU network's logits on rows x, as one
+    node whose only parent is x.
+
+    `layers` are (w, b) pairs: `affine_relu` on each but the last, `affine`
+    on the last, then `-tsum(log_softmax(logits, 1) * onehot) * (1 / n)`, as
+    `models.cross_entropy` composes them.  The forward is those primitives'
+    numpy operations with each of their checks, under their names (and
+    their `ShapeError`); the one closure applies their adjoints for x
+    operation for operation.  So the loss and x's gradient are bitwise
+    those of the 8 composed nodes, for any incoming adjoint.  A layer that
+    requires grad is a `ValueError`: its gradient would be lost.
+    """
+    if any(p.requires_grad for layer in layers for p in layer):
+        raise ValueError("mlp_cross_entropy needs frozen layers")
+    h, masks = x.data, []
+    for w, b in layers[:-1]:
+        h = _affine_data(h, w.data, b.data)
+        check_finite(h, "affine")
+        mask = h > 0
+        h *= mask
+        masks.append(mask)
+    w_out, b_out = layers[-1]
+    logits = _affine_data(h, w_out.data, b_out.data)
+    check_finite(logits, "affine")
+    logp, sm = _log_softmax_data(logits, 1)
+    check_finite(logp, "log_softmax")
+    onehot = one_hot(labels, *logits.shape)
+    picked = logp * onehot
+    check_finite(picked, "mul")
+    total = np.asarray(picked.sum(), dtype=np.float64)
+    check_finite(total, "sum")
+    negated = -total
+    check_finite(negated, "neg")
+    scale = _lift(1.0 / len(logits)).data
+
+    def bw(g):
+        g = g * scale                                    # mul
+        g = -g                                           # neg
+        g = np.broadcast_to(g, picked.shape).copy()      # sum
+        g = g * onehot                                   # mul
+        g = g - sm * g.sum(axis=1, keepdims=True)        # log_softmax
+        g = g @ w_out.data.T                             # affine
+        for (w, _), mask in zip(reversed(layers[:-1]), reversed(masks)):
+            g = (g * mask) @ w.data.T                    # affine_relu
+        return g
+
+    return _make("mul", negated * scale, (x,), (bw,))
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:

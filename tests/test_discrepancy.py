@@ -145,11 +145,11 @@ class TestUntapedHMatrix:
             kinds.add((params.featurizer is None, z is x))
         assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 
-    def test_same_featurizer_calls_and_distance_buffers(self, monkeypatch):
-        """Six featurizer calls per H, and the same operand sharing in every
-        distance block: x against itself is one buffer, features never are.
-        The untaped path computes q(x, x) in `hold`, first, and each
-        operand's row norms once per space, also with no featurizer."""
+    @staticmethod
+    def spy_on_kernel_calls(monkeypatch):
+        """Lists that record each featurizer call ("features") and each
+        distance block (whether its operands are one buffer), and the
+        arrays whose row norms are computed."""
         calls, norms = [], []
         real_forward, real_sqdist, real_norms = (
             discrepancy.features_forward, T.sqdist, T.row_norms)
@@ -169,6 +169,15 @@ class TestUntapedHMatrix:
         monkeypatch.setattr(discrepancy, "features_forward", forward)
         monkeypatch.setattr(T, "sqdist", sqdist)
         monkeypatch.setattr(T, "row_norms", row_norms)
+        return calls, norms
+
+    def test_same_featurizer_calls_and_distance_buffers(self, monkeypatch):
+        """Six featurizer calls per untaped H, and the same operand sharing
+        in every distance block as on the taped path: x against itself is
+        one buffer, features never are.  The untaped path computes q(x, x)
+        in `hold`, first, and each operand's row norms once per space; with
+        no featurizer s and q share each distance block."""
+        calls, norms = self.spy_on_kernel_calls(monkeypatch)
         rng = Rng(41)
         params = DeepKernelParams(Tensor(0.2), Tensor(0.1), Tensor(-0.3),
                                   featurizer_view())
@@ -183,28 +192,57 @@ class TestUntapedHMatrix:
         assert calls == untaped[1:]
         assert [a is z.data for a in norms] == [False, False, True]
         assert not any(a is x.data for a in norms)
-        calls[:], norms[:] = [], []
-        with GradTape():
-            h_matrix(params, x, z)
         f = "features"
-        # per block: the features of both sides, then s, then q
-        assert calls == [f, f, False, True, f, f, False, True, f, f, False, False]
         assert untaped == [True, f, f, False, f, f, False, True, f, f, False, False]
         assert untaped.count(f) == 6
         # x itself, features of x, features of z, z itself
         assert [a is x.data for a in untaped_norms] == [True, False, False, False]
         assert [a is z.data for a in untaped_norms] == [False, False, False, True]
-        # per block on the taped path: 2 per pair of buffers, 1 for x against x
-        assert len(norms) == 10
-        # no featurizer: the features are the operands themselves, and a held
-        # call still makes 3 norm passes, x and z as features, then z
+        # no featurizer: the features are the operands themselves, so hold
+        # computes x's distances once for s(x, x) and q(x, x), a held call
+        # computes those of (z, z) and of (x, z) once each, and z's norms
+        # once
         params = DeepKernelParams(*params.raws, None)
+        calls[:], norms[:] = [], []
         held = discrepancy.hold(params, x)
+        assert calls == [True]
+        assert [a is x.data for a in norms] == [True]
         calls[:], norms[:] = [], []
         h_matrix(params, held, z)
-        assert calls == [True, True, True, False, False]
-        assert [a is x.data for a in norms] == [True, False, False]
-        assert [a is z.data for a in norms] == [False, True, True]
+        assert calls == [True, False]
+        assert [a is z.data for a in norms] == [True]
+
+    def test_taped_featurizer_calls_and_distance_buffers(self, monkeypatch):
+        """A trainable kernel tapes every block in `deep_kernel`'s order; a
+        frozen one holds the side without z (q(x, x) first, then K(x, x)
+        and x's features for K(x, z), untaped) and tapes K(z, z) and
+        K(x, z).  Both run the featurizer six times per H."""
+        calls, norms = self.spy_on_kernel_calls(monkeypatch)
+        rng = Rng(41)
+        frozen = FeaturizerView(ClassifierParams.init(6, 3, Rng(30)))
+        T.freeze(frozen.classifier.params)
+        x = Tensor(rng.uniform((8, 6)))
+        z = Tensor(rng.uniform((8, 6)), requires_grad=True)
+        f = "features"
+        for params in (DeepKernelParams(Tensor(0.2), Tensor(0.1), Tensor(-0.3),
+                                        featurizer_view()),
+                       DeepKernelParams(Tensor(0.2, requires_grad=True),
+                                        Tensor(0.1), Tensor(-0.3), frozen)):
+            assert params.trainable
+            calls[:], norms[:] = [], []
+            with GradTape():
+                h_matrix(params, x, z)
+            # per block: the features of both sides, then s, then q
+            assert calls == [f, f, False, True, f, f, False, True, f, f, False, False]
+            # per block: 2 per pair of buffers, 1 for x against x
+            assert len(norms) == 10
+        params = DeepKernelParams(Tensor(0.2), Tensor(0.1), Tensor(-0.3), frozen)
+        assert not params.trainable
+        calls[:], norms[:] = [], []
+        with GradTape():
+            h_matrix(params, x, z)
+        assert calls == [True, f, f, False, f, f, f, False, True, f, False, False]
+        assert calls.count(f) == 6
 
     def test_only_the_checks_that_can_fire_remain(self, monkeypatch):
         """Each distance block and its division by -2 sigma^2 are checked,
@@ -292,6 +330,106 @@ class TestUntapedHMatrix:
             discrepancy.hold(params, x)
         with pytest.raises(NonFiniteError), GradTape():
             h_matrix(params, Tensor(clean), x)
+
+
+class TestHeldTapedHMatrix:
+    """Under a tape, a frozen kernel and an x without gradient take the
+    held path: only K(z, z) and K(x, z) are taped.  It must be bitwise the
+    fully taped path, in H and in z's gradient."""
+
+    @staticmethod
+    def frozen_featurizer(dim=6):
+        view = FeaturizerView(ClassifierParams.init(dim, 3, Rng(30)))
+        T.freeze(view.classifier.params)
+        return view
+
+    def value_and_z_grad(self, params, x, z, weights, x_grad=False):
+        xt, zt = Tensor(x, requires_grad=x_grad), Tensor(z, requires_grad=True)
+        with GradTape() as tape:
+            h = h_matrix(params, xt, zt)
+            out = T.tsum(h * weights)
+        return h.data, T.grad_of(tape, out, [zt])[0], tape
+
+    def test_bitwise_equal_to_the_fully_taped_path(self):
+        rng = Rng(46)
+        kinds = set()
+        for trial in range(60):
+            n = int(rng.choice(8, 1)[0]) + 2
+            featurizer = self.frozen_featurizer() if trial % 2 else None
+            raws = [float(rng.normal((), 0.0, 1.0)) for _ in range(3)]
+            params = DeepKernelParams(*(Tensor(r) for r in raws), featurizer)
+            x = rng.uniform((n, 6))
+            z = x.copy() if trial % 3 == 0 else rng.uniform((n, 6))
+            weights = Tensor(rng.normal((n, n), 0.0, 1.0))
+            held_h, held_g, tape = self.value_and_z_grad(params, x, z, weights)
+            # the held path tapes only what depends on z
+            assert all(node.out.requires_grad for node in tape.nodes)
+            # a trainable raw, or an x that requires grad, forces the fully
+            # taped path
+            trainable = DeepKernelParams(
+                *(Tensor(r, requires_grad=True) for r in raws), featurizer)
+            for want in (self.value_and_z_grad(trainable, x, z, weights),
+                         self.value_and_z_grad(params, x, z, weights, x_grad=True)):
+                np.testing.assert_array_equal(held_h, want[0])
+                np.testing.assert_array_equal(np.signbit(held_h), np.signbit(want[0]))
+                np.testing.assert_array_equal(held_g, want[1])
+                assert len(want[2].nodes) > len(tape.nodes)
+            assert np.any(held_g != 0)
+            kinds.add(featurizer is None)
+        assert kinds == {True, False}
+
+    def test_a_held_side_is_reused_under_a_tape(self):
+        rng = Rng(47)
+        params = DeepKernelParams(Tensor(0.3), Tensor(0.2), Tensor(-0.1),
+                                  self.frozen_featurizer())
+        x, z = rng.uniform((6, 6)), rng.uniform((6, 6))
+        weights = Tensor(rng.normal((6, 6), 0.0, 1.0))
+        want = self.value_and_z_grad(params, x, z, weights)
+        held = discrepancy.hold(params, Tensor(x))
+        zt = Tensor(z, requires_grad=True)
+        with GradTape() as tape:
+            h = h_matrix(params, held, zt)
+            out = T.tsum(h * weights)
+        np.testing.assert_array_equal(h.data, want[0])
+        np.testing.assert_array_equal(T.grad_of(tape, out, [zt])[0], want[1])
+        assert len(tape.nodes) == len(want[2].nodes)
+
+    def test_no_gradient_anywhere_is_a_constant(self):
+        rng = Rng(48)
+        params = DeepKernelParams(Tensor(0.3), Tensor(0.2), Tensor(-0.1),
+                                  self.frozen_featurizer())
+        x, z = Tensor(rng.uniform((6, 6))), Tensor(rng.uniform((6, 6)))
+        with GradTape() as tape:
+            taped = h_matrix(params, x, z)
+        assert not tape.nodes and not taped.requires_grad
+        np.testing.assert_array_equal(taped.data, h_matrix(params, x, z).data)
+
+    def test_kernel_training_gradients_are_the_composed_blocks(self):
+        """With trainable raws, j_hat's raw gradients are those of the three
+        `deep_kernel` blocks composed by hand: per-block scalars, not held
+        ones (hoisting them is not bitwise)."""
+        rng = Rng(49)
+        for trial in range(10):
+            featurizer = self.frozen_featurizer() if trial % 2 else None
+            raws = [float(rng.normal((), 0.0, 1.0)) for _ in range(3)]
+            x, z = Tensor(rng.uniform((7, 6))), Tensor(rng.uniform((7, 6)))
+            grads = []
+            for composed in (False, True):
+                params = DeepKernelParams(
+                    *(Tensor(r, requires_grad=True) for r in raws), featurizer)
+                with GradTape() as tape:
+                    if composed:
+                        kxx = deep_kernel(params, x, x)
+                        kzz = deep_kernel(params, z, z)
+                        kxz = deep_kernel(params, x, z)
+                        h = kxx + kzz - kxz - T.transpose(kxz)
+                    else:
+                        h = h_matrix(params, x, z)
+                    obj = mmd_from_h(h) / T.sqrt(discrepancy.variance_hat(h, 1e-8))
+                grads.append(T.grad_of(tape, obj, params.raws))
+            for got, want in zip(*grads):
+                np.testing.assert_array_equal(got, want)
+            assert any(np.any(g != 0) for g in grads[0])
 
 
 class TestMmdEstimator:

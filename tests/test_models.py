@@ -5,11 +5,11 @@ from mmdefense import tensor as T
 from mmdefense.dataio import (ImageBatch, component_from_state,
                               component_state, synth_digits)
 from mmdefense.models import (ClassifierParams, DenoiserParams, accuracy,
-                              classifier_forward, classify, cross_entropy,
-                              denoiser_forward, features_forward,
-                              train_classifier)
+                              classifier_cross_entropy, classifier_forward,
+                              classify, cross_entropy, denoiser_forward,
+                              features_forward, train_classifier)
 from mmdefense.rng import Rng
-from mmdefense.tensor import GradTape, Tensor
+from mmdefense.tensor import GradTape, NonFiniteError, ShapeError, Tensor
 
 from finite_diff import finite_diff_grad
 
@@ -102,6 +102,113 @@ class TestFeaturizer:
         g = T.grad_of(tape, loss, [xt])[0]
         fd = finite_diff_grad(f, x0.copy())
         assert np.abs(g - fd).max() / max(np.abs(fd).max(), 1e-8) < 1e-5
+
+
+def frozen_classifier(seed, dim=6, classes=3):
+    params = ClassifierParams.init(dim, classes, Rng(seed))
+    T.freeze(params.params)
+    return params
+
+
+def ce_value_and_grad(ce, params, x, labels, alpha=None, denoiser=None):
+    """CE (times alpha when given) through the denoiser when given, and the
+    gradient of x; `ce` is the composed or the one-node cross-entropy."""
+    xt = Tensor(x, requires_grad=True)
+    with GradTape() as tape:
+        z = xt if denoiser is None else denoiser_forward(denoiser, xt)
+        loss = ce(params, z, labels)
+        if alpha is not None:
+            loss = alpha * loss
+    return loss.data, T.grad_of(tape, loss, [xt])[0], len(tape.nodes)
+
+
+def composed_ce(params, x, labels):
+    return cross_entropy(classifier_forward(params, x), labels)
+
+
+class TestClassifierCrossEntropyNode:
+    """The frozen classifier's CE as one node against the 8 composed ones."""
+
+    @pytest.mark.parametrize("alpha", [None, 1e-2])
+    @pytest.mark.parametrize("upstream", ["input", "denoiser"])
+    def test_bitwise_equal_to_the_composed_nodes(self, alpha, upstream):
+        rng = Rng(60)
+        for trial in range(20):
+            params = frozen_classifier(trial)
+            n = int(rng.choice(9, 1)[0]) + 2
+            x = rng.uniform((n, 6))
+            if trial % 4 == 0:
+                # ReLU inputs at exactly 0: zero rows meet zero biases
+                x[: n // 2] = 0.0
+                params.b1.data[::2] = 0.0
+                params.b2.data[::3] = 0.0
+            labels = rng.integers(0, 3, n)
+            denoiser = None
+            if upstream == "denoiser":
+                denoiser = DenoiserParams.init(6, Rng(trial + 100), scale=0.3)
+                T.freeze(denoiser.params)
+            got = ce_value_and_grad(classifier_cross_entropy, params, x, labels,
+                                    alpha, denoiser)
+            want = ce_value_and_grad(composed_ce, params, x, labels, alpha, denoiser)
+            assert got[0] == want[0] and type(got[0]) is type(want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+            assert np.any(got[1] != 0)
+            # one node for the CE instead of 8
+            assert want[2] - got[2] == 7
+
+    def test_relu_at_exactly_zero_passes_no_gradient(self):
+        params = frozen_classifier(61)
+        params.b1.data[:] = 0.0
+        x = np.zeros((3, 6))  # every first-layer input is exactly 0
+        _, g, _ = ce_value_and_grad(classifier_cross_entropy, params, x,
+                                    np.array([0, 1, 2]))
+        np.testing.assert_array_equal(g, np.zeros_like(x))
+
+    def test_the_same_non_finite_errors(self):
+        params = frozen_classifier(62)
+        rng = Rng(63)
+        x = rng.uniform((4, 6))
+        labels = np.array([1, 1, 1, 1])
+        huge_input = np.full((4, 6), 1e308)
+        cases = {"affine": (params, huge_input)}
+        # finite logits whose log-softmax is -inf
+        wide = frozen_classifier(62)
+        wide.w3.data = wide.w3.data * 1e307
+        wide.b3.data = np.array([1.7e308, -1.7e308, 0.0])
+        cases["log_softmax"] = (wide, x)
+        # finite log-probabilities of -1e308 whose sum overflows
+        deep = frozen_classifier(62)
+        deep.w3.data = np.zeros_like(deep.w3.data)
+        deep.b3.data = np.array([0.0, -1e308, 0.0])
+        cases["sum"] = (deep, x)
+        for name, (p, rows) in cases.items():
+            messages = []
+            for ce in (classifier_cross_entropy, composed_ce):
+                with np.errstate(over="ignore", invalid="ignore"), \
+                        pytest.raises(NonFiniteError) as err, GradTape():
+                    ce(p, Tensor(rows, requires_grad=True), labels)
+                messages.append(str(err.value))
+            assert messages == [f"{name} produced non-finite values"] * 2
+
+    def test_an_image_shaped_batch_is_the_affine_shape_error(self):
+        params = frozen_classifier(64, dim=64)
+        images = Rng(65).uniform((3, 8, 8))
+        messages = []
+        for ce in (classifier_cross_entropy, composed_ce):
+            with pytest.raises(ShapeError) as err:
+                ce(params, Tensor(images), np.array([0, 1, 2]))
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] == (
+            "affine: incompatible shapes (3, 8, 8) and (64, 64)")
+
+    def test_a_trainable_classifier_is_refused(self):
+        params = ClassifierParams.init(6, 3, Rng(66))
+        x = Tensor(Rng(67).uniform((4, 6)), requires_grad=True)
+        with pytest.raises(ValueError, match="frozen"), GradTape():
+            classifier_cross_entropy(params, x, np.array([0, 1, 2, 0]))
+        T.freeze(params.params[:-1])
+        with pytest.raises(ValueError, match="frozen"):
+            classifier_cross_entropy(params, x, np.array([0, 1, 2, 0]))
 
 
 class TestDenoiser:
