@@ -11,7 +11,7 @@ import numpy as np
 from . import tensor as T
 from .discrepancy import DetectorModel, mmd_u_squared
 from .models import (ClassifierParams, DenoiserParams,
-                     classifier_cross_entropy, denoiser_forward)
+                     defended_cross_entropy)
 from .rng import Rng
 from .tensor import GradTape, Tensor
 from .worker import job_worker
@@ -55,12 +55,11 @@ class NoiseConfig:
 def _ce_input_grad(classifier: ClassifierParams, x: np.ndarray,
                    labels: np.ndarray,
                    denoiser: Optional[DenoiserParams] = None) -> np.ndarray:
-    """Input gradient of CE(defended_forward(classifier, denoiser, x)); the
-    frozen classifier's CE is one node (`classifier_cross_entropy`)."""
+    """Input gradient of CE(defended_forward(classifier, denoiser, x)), the
+    frozen classifier's CE taped as one node (`defended_cross_entropy`)."""
     xt = Tensor(x, requires_grad=True)
     with GradTape() as tape:
-        z = xt if denoiser is None else denoiser_forward(denoiser, xt)
-        loss = classifier_cross_entropy(classifier, z, labels)
+        loss = defended_cross_entropy(classifier, denoiser, xt, labels)
     return T.grad_of(tape, loss, [xt])[0]
 
 
@@ -120,7 +119,11 @@ def pgd(classifier: ClassifierParams, batch: np.ndarray, labels: np.ndarray,
     BLAS's row count leave, so the result is bitwise that of one pass over
     all rows; under l2, `g / |g|` keeps it, and a batch of more than one
     block differs from one pass by rounding (at most 5.6e-12 on a 2700-row
-    pool, eps 1.0, 10 steps)."""
+    pool, eps 1.0, 10 steps).
+
+    The classifier must be frozen: its cross-entropy is taped as one node
+    with the input as its only parent (`models.defended_cross_entropy`),
+    and a trainable weight is a `ValueError` at the first step."""
     x = random_start(batch, cfg, rng)
     for lo in range(0, len(x), PGD_BLOCK_ROWS):
         rows = slice(lo, lo + PGD_BLOCK_ROWS)
@@ -170,11 +173,15 @@ def adaptive_pgd_eot(detector: DetectorModel, denoiser: DenoiserParams,
     The clean branch draws nothing and leaves the worker idle.  A worker
     exception is re-raised here with its type and message, and the worker
     is stopped before this returns or raises.  A batch of fewer than 2
-    rows, mismatched labels or mismatched reference rows are a `ValueError`
-    before anything forks.
+    rows, mismatched labels, mismatched reference rows or a classifier with
+    a trainable weight (the replicas' cross-entropy is one node through a
+    frozen classifier, as in `pgd`) are a `ValueError` before anything
+    forks.
     """
     if detector is None or denoiser is None or classifier is None:
         raise ValueError("adaptive attack needs detector, denoiser and classifier")
+    if classifier.trainable:
+        raise ValueError("adaptive attack needs a frozen classifier")
     if len(clean_batch) < 2:
         raise ValueError(f"adaptive attack needs a batch of >= 2 rows, got "
                          f"{len(clean_batch)}")

@@ -135,12 +135,16 @@ def train_denoiser(clean: np.ndarray, labels: np.ndarray,
     This process takes that state as `rng`'s, so the result and the next
     draw from `rng` are bitwise those of a serial loop.  This needs a POSIX
     `fork`; the worker is always stopped before this returns or raises, and
-    bad input is a `ValueError` before anything forks.
+    bad input is a `ValueError` before anything forks.  The classifier must
+    be frozen: PGD and the CE term tape its cross-entropy as one node with
+    the input as its only parent (`models.classifier_cross_entropy`).
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     if kernel is None or classifier is None:
         raise ValueError("denoiser training needs the kernel and classifier")
+    if classifier.trainable:
+        raise ValueError("denoiser training needs a frozen classifier")
     if len(clean) < 2 or batch_size < 2:
         raise ValueError(f"need at least 2 rows and batch_size >= 2, got "
                          f"{len(clean)} rows and batch_size {batch_size}")

@@ -75,8 +75,9 @@ class DeepKernelParams:
     @property
     def trainable(self) -> bool:
         """A raw scalar or a featurizer weight requires grad."""
-        weights = [] if self.featurizer is None else self.featurizer.classifier.params
-        return any(p.requires_grad for p in (*self.raws, *weights))
+        return (any(p.requires_grad for p in self.raws)
+                or (self.featurizer is not None
+                    and self.featurizer.classifier.trainable))
 
     def beta0(self) -> Tensor:
         return T.sigmoid(self.raw_beta0)
@@ -119,24 +120,44 @@ def _median_dist(x: np.ndarray) -> float:
     return med if med > 0 else 1.0
 
 
-def gaussian_kernel(x: Tensor, z: Tensor, sigma: Tensor) -> Tensor:
-    """q(x,z) = exp(-||x-z||^2 / (2 sigma^2)), rows of x [n,d] vs z [m,d].
+def gaussian_denominator(sigma: Tensor) -> Tensor:
+    """-2 sigma^2, by which a Gaussian kernel divides squared distances.
 
     The sign sits on the scalar denominator: d2 / (-2 sigma^2) is bitwise
     -d2 / (2 sigma^2), in value and in every gradient, without negating the
     [n,m] block.
     """
-    d2 = T.pairwise_sqdist(x, z)
-    return T.exp(d2 / (-2.0 * T.square(sigma)))
+    return -2.0 * T.square(sigma)
+
+
+def gaussian_kernel(x: Tensor, z: Tensor, denom: Tensor) -> Tensor:
+    """q(x,z) = exp(-||x-z||^2 / (2 sigma^2)), rows of x [n,d] vs z [m,d],
+    for denom = `gaussian_denominator(sigma)`."""
+    return T.exp(T.pairwise_sqdist(x, z) / denom)
+
+
+def _kernel_block(fa: Tensor, fb: Tensor, a: Tensor, b: Tensor,
+                  denom_phi: Tensor, denom_q: Tensor, b0: Tensor,
+                  one_minus_b0: Tensor) -> Tensor:
+    """K(a, b) = ((1 - b0) s(a, b) + b0) q(a, b), taped, from the features
+    fa, fb, the rows a, b and the kernel's scalars: -2 sigma_phi^2,
+    -2 sigma_q^2, b0 and 1 - b0."""
+    s = gaussian_kernel(fa, fb, denom_phi)
+    q = gaussian_kernel(a, b, denom_q)
+    return (one_minus_b0 * s + b0) * q
 
 
 def deep_kernel(params: DeepKernelParams, x: Tensor, z: Tensor) -> Tensor:
-    """[(1-b0) s(x,z) + b0] q(x,z); differentiable w.r.t. raws and inputs."""
+    """[(1-b0) s(x,z) + b0] q(x,z); differentiable w.r.t. raws and inputs.
+
+    Each call tapes its own scalar nodes: sharing them across the blocks of
+    H would sum the raws' adjoints in another order, which is not bitwise.
+    """
     fx = _features(params.featurizer, x)
-    s = gaussian_kernel(fx, _features(params.featurizer, z), params.sigma_phi())
-    q = gaussian_kernel(x, z, params.sigma_q())
+    fz = _features(params.featurizer, z)
     b0 = params.beta0()
-    return ((1.0 - b0) * s + b0) * q
+    return _kernel_block(fx, fz, x, z, gaussian_denominator(params.sigma_phi()),
+                         gaussian_denominator(params.sigma_q()), b0, 1.0 - b0)
 
 
 def h_matrix(params: DeepKernelParams, x: Tensor | HeldSide, z: Tensor) -> Tensor:
@@ -176,10 +197,8 @@ def h_matrix(params: DeepKernelParams, x: Tensor | HeldSide, z: Tensor) -> Tenso
 @dataclass(frozen=True, eq=False)
 class HeldSide:
     """The parts of H that do not depend on z, for one kernel and rows x:
-    the kernel's scalars, x's input-space row norms, the read-only block
-    q(x, x) and, with no featurizer, the read-only block s(x, x) (its
-    features are then x itself, so it shares q(x, x)'s distances).  With a
-    featurizer, x's features and s(x, x) are not held: the featurizer still
+    the kernel's scalars, x's input-space row norms and the read-only block
+    q(x, x).  x's features and s(x, x) are not held: the featurizer still
     runs six times per H."""
 
     kernel: DeepKernelParams
@@ -190,7 +209,6 @@ class HeldSide:
     one_minus_b0: np.ndarray
     norms_q: np.ndarray       # row norms of x
     q_xx: np.ndarray
-    s_xx: Optional[np.ndarray]
 
     def __len__(self) -> int:
         return self.x.shape[0]
@@ -198,69 +216,56 @@ class HeldSide:
 
 def hold(params: DeepKernelParams, x: Tensor) -> HeldSide:
     """The parts of H that depend on the kernel and on x only, computed
-    with the numpy operations and checks of the untaped pass; x's distances
-    are `T.sqdist` on one buffer, as the taped path's q(x, x) is."""
-    denom_phi = (-2.0 * T.square(params.sigma_phi())).data
-    denom_q = (-2.0 * T.square(params.sigma_q())).data
+    with the numpy operations and checks of the untaped pass; q(x, x) is
+    `T.sqdist` on one buffer, as the taped path's is."""
+    denom_phi = gaussian_denominator(params.sigma_phi()).data
+    denom_q = gaussian_denominator(params.sigma_q()).data
     b0 = params.beta0()
     one_minus_b0 = (1.0 - b0).data
     norms = T.row_norms(x.data)
-    d = _distances(x.data, x.data, norms, norms)
-    s_xx = None
-    if params.featurizer is None:
-        s_xx = _gaussian(d.copy(), denom_phi)
-        s_xx.setflags(write=False)
-    q_xx = _gaussian(d, denom_q)
+    q_xx = _gaussian(x.data, x.data, norms, norms, denom_q)
     q_xx.setflags(write=False)
     return HeldSide(params, x, denom_phi, denom_q, b0.data, one_minus_b0,
-                    norms, q_xx, s_xx)
+                    norms, q_xx)
 
 
-def _distances(a: np.ndarray, b: np.ndarray, norms_a: np.ndarray,
-               norms_b: np.ndarray) -> np.ndarray:
-    """`T.sqdist`'s distances, checked as `pairwise_sqdist` checks them."""
-    d, _ = T.sqdist(a, b, norms_a, norms_b)
-    T.check_finite(d, "pairwise_sqdist")
-    return d
-
-
-def _gaussian(d: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    """`gaussian_kernel`'s exp(d / denom) in place in the distances d,
-    checked as there wherever a value can become non-finite."""
-    d /= denom
-    T.check_finite(d, "div")
-    # past the div check d is finite and <= 0 (a distance >= 0 over
+def _gaussian(a: np.ndarray, b: np.ndarray, norms_a: np.ndarray,
+              norms_b: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """`gaussian_kernel`'s forward, checked as there wherever a value can
+    become non-finite."""
+    k, _ = T.sqdist(a, b, norms_a, norms_b)
+    T.check_finite(k, "pairwise_sqdist")
+    k /= denom
+    T.check_finite(k, "div")
+    # past the div check k is finite and <= 0 (a distance >= 0 over
     # -2 sigma^2 <= 0), so its exp lies in [0, 1]: that check cannot fire
-    np.exp(d, out=d)
-    return d
+    np.exp(k, out=k)
+    return k
 
 
-def _held_kxx(held: HeldSide) -> tuple[np.ndarray, np.ndarray]:
-    """K(x, x) as a new array, and the row norms of x's features.
-
-    With a featurizer the featurizer runs twice, so that s(x, x)'s two
-    operands are two buffers (see `T.sqdist`); with none, s(x, x) is held.
-    """
-    x, featurizer = held.x, held.kernel.featurizer
-    fx = _features(featurizer, x).data
-    norms_fx = held.norms_q if fx is x.data else T.row_norms(fx)
-    if held.s_xx is None:
-        s = _gaussian(_distances(fx, _features(featurizer, x).data,
-                                 norms_fx, norms_fx), held.denom_phi)
-    else:
-        s = held.s_xx.copy()
-    return _combine(held, s, held.q_xx), norms_fx
-
-
-def _combine(held: HeldSide, s: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """((1 - b0) s + b0) q, in place in s."""
+def _s_block(held: HeldSide, fa: np.ndarray, fb: np.ndarray,
+             norms_a: np.ndarray, norms_b: np.ndarray) -> np.ndarray:
+    """(1 - b0) s(a, b) + b0 from features fa, fb, to be multiplied by
+    q(a, b) in place."""
+    k = _gaussian(fa, fb, norms_a, norms_b, held.denom_phi)
     # s and 1 - b0 lie in [0, 1], and b0 in [0, 1]: no check can fire on
     # the product (in [0, 1]), the sum (in [0, 2]) or, with q in [0, 1],
     # the block (in [0, 2])
-    s *= held.one_minus_b0
-    s += held.b0
-    s *= q
-    return s
+    k *= held.one_minus_b0
+    k += held.b0
+    return k
+
+
+def _held_kxx(held: HeldSide) -> tuple[np.ndarray, np.ndarray]:
+    """K(x, x) as a new array, and the row norms of x's features.  The
+    featurizer runs twice, so that s(x, x)'s two operands are two buffers
+    (see `T.sqdist`)."""
+    x, featurizer = held.x, held.kernel.featurizer
+    fx = _features(featurizer, x).data
+    norms_fx = T.row_norms(fx)
+    k = _s_block(held, fx, _features(featurizer, x).data, norms_fx, norms_fx)
+    k *= held.q_xx
+    return k, norms_fx
 
 
 def _untaped_h_matrix(held: HeldSide, z: Tensor) -> Tensor:
@@ -274,32 +279,22 @@ def _untaped_h_matrix(held: HeldSide, z: Tensor) -> Tensor:
     -2 sigma^2); every later step is bounded by then, as noted where it
     stands.  The featurizer still runs twice per block, so that no feature
     block is one buffer (see `T.sqdist`).  Each operand's row norms are
-    computed once and serve all of its blocks: all featurizer passes of one
-    operand are equal in value.  With no featurizer s and q of a block
-    share one distance block, each divided by its own -2 sigma^2.
+    computed once per space and serve all of its blocks: all featurizer
+    passes of one operand are equal in value.
     """
-    x, featurizer = held.x, held.kernel.featurizer
+    x = held.x
 
     def features(a: Tensor) -> np.ndarray:
-        return _features(featurizer, a).data
-
-    def block(fa, fb, norms_fa, norms_fb, a, b, norms_a, norms_b) -> np.ndarray:
-        """K(a, b) from features fa, fb and rows a, b."""
-        d = _distances(fa, fb, norms_fa, norms_fb)
-        if featurizer is None:  # the features are the rows: one distance block
-            s, d_q = _gaussian(d.copy(), held.denom_phi), d
-        else:
-            s = _gaussian(d, held.denom_phi)
-            d_q = _distances(a, b, norms_a, norms_b)
-        return _combine(held, s, _gaussian(d_q, held.denom_q))
+        return _features(held.kernel.featurizer, a).data
 
     h, norms_fx = _held_kxx(held)
     fz = features(z)
     norms_fz = T.row_norms(fz)
-    norms_z = norms_fz if fz is z.data else T.row_norms(z.data)
-    kzz = block(fz, features(z), norms_fz, norms_fz, z.data, z.data, norms_z, norms_z)
-    kxz = block(features(x), features(z), norms_fx, norms_fz,
-                x.data, z.data, held.norms_q, norms_z)
+    norms_z = T.row_norms(z.data)
+    kzz = _s_block(held, fz, features(z), norms_fz, norms_fz)
+    kzz *= _gaussian(z.data, z.data, norms_z, norms_z, held.denom_q)
+    kxz = _s_block(held, features(x), features(z), norms_fx, norms_fz)
+    kxz *= _gaussian(x.data, z.data, held.norms_q, norms_z, held.denom_q)
     # blocks in [0, 2]: H = kxx + kzz - kxz - kxz^T lies in [-4, 4], so
     # neither its steps nor the transpose can be non-finite
     h += kzz
@@ -313,22 +308,16 @@ def _held_taped_h_matrix(held: HeldSide, kxx: Tensor, fx: Tensor,
     """H with K(z, z) and K(x, z) taped, for a z that requires grad and the
     constants K(x, x) and x's features fx.
 
-    Each block is `deep_kernel`'s composition with the held scalars as
+    Each block is `deep_kernel`'s `_kernel_block` with the held scalars as
     constants, and the nodes that touch z are made in the fully taped
     path's order, so H and every gradient of z are bitwise that path's.
     """
     featurizer = held.kernel.featurizer
-    denom_phi, denom_q = T.constant(held.denom_phi), T.constant(held.denom_q)
-    b0, one_minus_b0 = T.constant(held.b0), T.constant(held.one_minus_b0)
-
-    def block(fa: Tensor, fb: Tensor, a: Tensor, b: Tensor) -> Tensor:
-        s = T.exp(T.pairwise_sqdist(fa, fb) / denom_phi)
-        q = T.exp(T.pairwise_sqdist(a, b) / denom_q)
-        return (one_minus_b0 * s + b0) * q
-
+    scalars = (T.constant(held.denom_phi), T.constant(held.denom_q),
+               T.constant(held.b0), T.constant(held.one_minus_b0))
     fz = _features(featurizer, z)
-    kzz = block(fz, _features(featurizer, z), z, z)
-    kxz = block(fx, _features(featurizer, z), held.x, z)
+    kzz = _kernel_block(fz, _features(featurizer, z), z, z, *scalars)
+    kxz = _kernel_block(fx, _features(featurizer, z), held.x, z, *scalars)
     return kxx + kzz - kxz - T.transpose(kxz)
 
 

@@ -1,9 +1,9 @@
 """Small desk-scale networks: clean classifier, its featurizer, denoiser.
 
-A frozen classifier's cross-entropy, the loss of every attack step and the
-CE term of denoiser training, is one tape node,
-`classifier_cross_entropy` (`tensor.mlp_cross_entropy`): bitwise
-`cross_entropy(classifier_forward(...))` in value and in its input's
+A frozen classifier's cross-entropy, the loss of every attack step (taken
+through `defended_cross_entropy`) and the CE term of denoiser training, is
+one tape node, `classifier_cross_entropy` (`tensor.mlp_cross_entropy`):
+bitwise `cross_entropy(classifier_forward(...))` in value and in its input's
 gradient, with the same checks, for 1 node instead of 8.  Classifier
 training, whose weights need gradients, keeps the composed nodes.
 """
@@ -60,6 +60,12 @@ class ClassifierParams:
     @property
     def num_classes(self) -> int:
         return self.w3.shape[1]
+
+    @property
+    def trainable(self) -> bool:
+        """A weight requires grad; the attacks and denoiser training need a
+        frozen classifier (`classifier_cross_entropy`)."""
+        return any(p.requires_grad for p in self.params)
 
     @property
     def params(self) -> list[Tensor]:
@@ -160,11 +166,23 @@ def denoiser_forward(theta: DenoiserParams, x: Tensor) -> Tensor:
     return T.clip(x + residual, 0.0, 1.0)
 
 
+def _branch_input(denoiser: Optional[DenoiserParams], x: Tensor) -> Tensor:
+    """The classifier's input on the deployed defense's branch: rows x,
+    after the denoiser when one is given (a flagged batch)."""
+    return x if denoiser is None else denoiser_forward(denoiser, x)
+
+
 def defended_forward(classifier: ClassifierParams,
                      denoiser: Optional[DenoiserParams], x: Tensor) -> Tensor:
     """Logits of the deployed defense's branch: the classifier on rows x,
     after the denoiser when one is given (a flagged batch)."""
-    if denoiser is not None:
-        x = denoiser_forward(denoiser, x)
-    return classifier_forward(classifier, x)
+    return classifier_forward(classifier, _branch_input(denoiser, x))
+
+
+def defended_cross_entropy(classifier: ClassifierParams,
+                           denoiser: Optional[DenoiserParams], x: Tensor,
+                           labels: np.ndarray) -> Tensor:
+    """`cross_entropy(defended_forward(classifier, denoiser, x), labels)`,
+    with the frozen classifier's CE as one node (`classifier_cross_entropy`)."""
+    return classifier_cross_entropy(classifier, _branch_input(denoiser, x), labels)
 

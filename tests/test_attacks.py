@@ -13,9 +13,9 @@ from mmdefense.dataio import synth_digits
 from mmdefense.defense import FLAG_EVERY_BATCH
 from mmdefense.discrepancy import (DeepKernelParams, DetectorModel,
                                    calibrate_threshold, mmd_u_squared)
-from mmdefense.models import (DenoiserParams, accuracy, classifier_forward,
-                              cross_entropy, denoiser_forward,
-                              train_classifier)
+from mmdefense.models import (ClassifierParams, DenoiserParams, accuracy,
+                              classifier_forward, cross_entropy,
+                              denoiser_forward, train_classifier)
 from mmdefense.rng import Rng
 from mmdefense.tensor import GradTape, NonFiniteError, ShapeError, Tensor
 
@@ -522,3 +522,15 @@ class TestAttackWorker:
         with pytest.raises(ValueError, match=match):
             adaptive_pgd_eot(*args, LINF_5, NoiseConfig(0.0, 0.25), Rng(0),
                              reference=reference)
+
+    def test_a_trainable_classifier_is_rejected_before_the_fork(
+            self, setup, monkeypatch):
+        def no_fork(*args):
+            raise AssertionError("forked before validating")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        args = list(self.args(setup))
+        args[2] = ClassifierParams(*(Tensor(p.data, requires_grad=True)
+                                     for p in args[2].params))
+        with pytest.raises(ValueError, match="needs a frozen classifier"):
+            adaptive_pgd_eot(*args, LINF_5, NoiseConfig(0.0, 0.25), Rng(0))

@@ -16,9 +16,9 @@ from mmdefense.defense import (ADVERSARIAL, CLEAN, FLAG_EVERY_BATCH,
                                eval_mixed, train_denoiser, trial_accuracies)
 from mmdefense.discrepancy import (DeepKernelParams, DetectorModel,
                                    calibrate_threshold, mmd_u_squared)
-from mmdefense.models import (DenoiserParams, accuracy, classifier_forward,
-                              classify, cross_entropy, denoiser_forward,
-                              train_classifier)
+from mmdefense.models import (ClassifierParams, DenoiserParams, accuracy,
+                              classifier_forward, classify, cross_entropy,
+                              denoiser_forward, train_classifier)
 from mmdefense.optim import AdamState, adam_step
 from mmdefense.rng import Rng
 from mmdefense.tensor import GradTape, NonFiniteError, Tensor
@@ -366,6 +366,20 @@ class TestDenoiserWorker:
             train_denoiser(s.train.flat[:rows], s.train.labels[:n_labels],
                            s.kernel, s.classifier, s.train_attack, s.noise,
                            Rng(0), **kwargs)
+
+    def test_a_trainable_classifier_is_rejected_before_the_fork(
+            self, digit_setup, monkeypatch):
+        s = digit_setup
+
+        def no_fork(*args):
+            raise AssertionError("forked before validating")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        trainable = ClassifierParams(*(Tensor(p.data, requires_grad=True)
+                                       for p in s.classifier.params))
+        with pytest.raises(ValueError, match="needs a frozen classifier"):
+            train_denoiser(s.train.flat[:300], s.train.labels[:300], s.kernel,
+                           trainable, s.train_attack, s.noise, Rng(0))
 
 
 class TestMixedEval:

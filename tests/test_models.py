@@ -6,7 +6,8 @@ from mmdefense.dataio import (ImageBatch, component_from_state,
                               component_state, synth_digits)
 from mmdefense.models import (ClassifierParams, DenoiserParams, accuracy,
                               classifier_cross_entropy, classifier_forward,
-                              classify, cross_entropy, denoiser_forward,
+                              classify, cross_entropy, defended_cross_entropy,
+                              defended_forward, denoiser_forward,
                               features_forward, train_classifier)
 from mmdefense.rng import Rng
 from mmdefense.tensor import GradTape, NonFiniteError, ShapeError, Tensor
@@ -201,14 +202,39 @@ class TestClassifierCrossEntropyNode:
         assert messages[0] == messages[1] == (
             "affine: incompatible shapes (3, 8, 8) and (64, 64)")
 
+    def test_defended_cross_entropy_is_the_deployed_branch(self):
+        """The attack's loss: CE of `defended_forward`, bitwise, on either
+        branch."""
+        rng = Rng(68)
+        params = frozen_classifier(69)
+        denoiser = DenoiserParams.init(6, Rng(70), scale=0.3)
+        T.freeze(denoiser.params)
+        x, labels = rng.uniform((7, 6)), rng.integers(0, 3, 7)
+        for branch in (None, denoiser):
+            results = []
+            for ce in (defended_cross_entropy,
+                       lambda c, d, xt, y: cross_entropy(defended_forward(c, d, xt), y)):
+                xt = Tensor(x, requires_grad=True)
+                with GradTape() as tape:
+                    loss = ce(params, branch, xt, labels)
+                results.append((loss.data, T.grad_of(tape, loss, [xt])[0]))
+            (got, got_g), (want, want_g) = results
+            assert got == want
+            np.testing.assert_array_equal(got_g, want_g)
+            assert np.any(got_g != 0)
+
     def test_a_trainable_classifier_is_refused(self):
         params = ClassifierParams.init(6, 3, Rng(66))
+        assert params.trainable
         x = Tensor(Rng(67).uniform((4, 6)), requires_grad=True)
         with pytest.raises(ValueError, match="frozen"), GradTape():
             classifier_cross_entropy(params, x, np.array([0, 1, 2, 0]))
         T.freeze(params.params[:-1])
+        assert params.trainable
         with pytest.raises(ValueError, match="frozen"):
             classifier_cross_entropy(params, x, np.array([0, 1, 2, 0]))
+        T.freeze(params.params)
+        assert not params.trainable
 
 
 class TestDenoiser:

@@ -11,10 +11,10 @@ import pytest
 from mmdefense import discrepancy
 from mmdefense import tensor as T
 from mmdefense.discrepancy import (DeepKernelParams, FeaturizerView,
-                                   gaussian_kernel, j_hat, mmd_u_squared)
+                                   j_hat, mmd_u_squared)
 from mmdefense.models import (ClassifierParams, DenoiserParams,
-                              classifier_forward, cross_entropy,
-                              denoiser_forward)
+                              classifier_cross_entropy, classifier_forward,
+                              cross_entropy, denoiser_forward)
 from mmdefense.optim import AdamState, adam_step
 from mmdefense.rng import Rng
 from mmdefense.tensor import (GradTape, NonFiniteError, ShapeError, Tensor,
@@ -394,6 +394,17 @@ def test_backward_matches_finite_differences(name, build, shape):
 # activity analysis: the pruned tape against the full reverse walk
 # ---------------------------------------------------------------------------
 
+def _tape_everything(op, data, parents, grad_fns):
+    """Reference taping: every op under a tape is recorded, and interior
+    tensors are plain constants (no activity flag)."""
+    T.check_finite(data, op)
+    out = Tensor.__new__(Tensor)
+    out.data, out.requires_grad = data, False
+    if T._TAPE_STACK:
+        T._TAPE_STACK[-1].nodes.append(T._Node(out, parents, grad_fns))
+    return out
+
+
 def full_reverse_walk(tape, output, leaves):
     """Reference backward: the adjoint of every parent of every taped node."""
     adjoint = {id(output): np.ones_like(output.data)}
@@ -421,26 +432,41 @@ def _frozen_world():
     return rng, clf, xc, xa, rng.integers(0, 3, N), kernel
 
 
-def _ce_input_case():
+# Each case gives (build, leaves); build(reference=True) is the same
+# computation with the fully taped H (a trainable clone of the frozen kernel)
+# and the composed cross-entropy, which tape every node whatever the
+# activity flags say.
+
+def _composed_ce(clf, x, y):
+    return cross_entropy(classifier_forward(clf, x), y)
+
+
+def _ce_input_case(ce=_composed_ce):
     _, clf, _, xa, y, _ = _frozen_world()
     x = Tensor(xa, requires_grad=True)
-    return lambda: cross_entropy(classifier_forward(clf, x), y), [x]
+
+    def build(reference=False):
+        return (_composed_ce if reference else ce)(clf, x, y)
+
+    return build, [x]
 
 
 def _j_hat_raws_case():
     _, _, xc, xa, _, kernel = _frozen_world()
-    return lambda: j_hat(Tensor(xc), Tensor(xa), kernel, 1e-8), kernel.raws
+    return (lambda reference=False: j_hat(Tensor(xc), Tensor(xa), kernel, 1e-8),
+            kernel.raws)
 
 
-def _denoiser_theta_case():
+def _denoiser_theta_case(ce=_composed_ce):
     rng, clf, xc, xa, y, kernel = _frozen_world()
     T.freeze(kernel.raws)
     theta = DenoiserParams.init(D, rng.fork(), scale=0.05)
 
-    def build():
+    def build(reference=False):
+        k = kernel.clone() if reference else kernel
         denoised = denoiser_forward(theta, Tensor(xa))
-        return (mmd_u_squared(Tensor(xc), denoised, kernel)
-                + 1e-2 * cross_entropy(classifier_forward(clf, denoised), y))
+        return (mmd_u_squared(Tensor(xc), denoised, k)
+                + 1e-2 * (_composed_ce if reference else ce)(clf, denoised, y))
 
     return build, theta.params
 
@@ -449,53 +475,82 @@ def _statistic_input_case():
     _, _, xc, xa, _, kernel = _frozen_world()
     T.freeze(kernel.raws)
     x = Tensor(xa, requires_grad=True)
-    return lambda: mmd_u_squared(Tensor(xc), x, kernel), [x]
+
+    def build(reference=False):
+        return mmd_u_squared(Tensor(xc), x, kernel.clone() if reference else kernel)
+
+    return build, [x]
 
 
-ACTIVITY_CASES = [_ce_input_case, _j_hat_raws_case, _denoiser_theta_case,
+def _ce_node_input_case():
+    return _ce_input_case(classifier_cross_entropy)
+
+
+def _denoiser_theta_ce_node_case():
+    return _denoiser_theta_case(classifier_cross_entropy)
+
+
+COMPOSED_CASES = [_ce_input_case, _j_hat_raws_case, _denoiser_theta_case,
                   _statistic_input_case]
+ACTIVITY_CASES = [*COMPOSED_CASES, _ce_node_input_case,
+                  _denoiser_theta_ce_node_case]
 
 
 @pytest.mark.parametrize("case", ACTIVITY_CASES,
                          ids=[c.__name__.strip("_") for c in ACTIVITY_CASES])
-def test_pruned_backward_equals_full_walk_bitwise(case):
-    # one tape for both walks: `h_matrix` chooses what to tape by the
-    # activity flags, so a tape built without them would be another
-    # computation
+def test_pruned_backward_equals_full_walk_bitwise(case, monkeypatch):
+    """The pruned backward of a case, and of its reference build, against a
+    reverse walk over every node of the reference build taped with no
+    activity flags: so the held H and the one-node cross-entropy meet an
+    independent tape."""
     build, leaves = case()
-    with GradTape() as tape:
-        out = build()
-    got = T.grad_of(tape, out, leaves)
-    want = full_reverse_walk(tape, out, leaves)
-    assert any(np.any(g != 0) for g in got)
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
+    grads = []
+    for reference in (False, True):
+        with GradTape() as tape:
+            out = build(reference)
+        grads.append(T.grad_of(tape, out, leaves))
+    monkeypatch.setattr(T, "_make", _tape_everything)
+    with GradTape() as full:
+        ref_out = build(reference=True)
+    want = full_reverse_walk(full, ref_out, leaves)
+    assert len(tape.nodes) == len(full.nodes)
+    assert any(np.any(g != 0) for g in grads[0])
+    for got in grads:
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
-def _unfolded_gaussian_kernel(x, z, sigma):
+def _unfolded_denominator(sigma):
+    """The divisor as written before the sign moved to it: 2 sigma^2."""
+    return 2.0 * T.square(sigma)
+
+
+def _unfolded_gaussian_kernel(x, z, denom):
     """gaussian_kernel as written before the sign moved to the denominator."""
-    d2 = T.pairwise_sqdist(x, z)
-    return T.exp(-d2 / (2.0 * T.square(sigma)))
+    return T.exp(-T.pairwise_sqdist(x, z) / denom)
 
 
 def test_gaussian_kernel_sign_fold_is_bitwise(monkeypatch):
     _, _, xc, xa, _, kernel = _frozen_world()
     weights = Tensor(Rng(5).normal((N, N), 0.0, 1.0))
 
-    def values_and_grads(kernel_fn):
+    def values_and_grads():
         k = kernel.clone()
         x = Tensor(xa, requires_grad=True)
         with GradTape() as tape:
-            block = kernel_fn(x, Tensor(xc), k.sigma_q())
+            # looked up on the module, so that both patches below apply
+            block = discrepancy.gaussian_kernel(
+                x, Tensor(xc), discrepancy.gaussian_denominator(k.sigma_q()))
             out = T.tsum(block * weights)
         direct = [block.data, *T.grad_of(tape, out, [x, k.raw_sigma_q])]
-        monkeypatch.setattr(discrepancy, "gaussian_kernel", kernel_fn)
         with GradTape() as tape:
             j = j_hat(Tensor(xc), x, k, 1e-8)
         return direct + [j.data, *T.grad_of(tape, j, [x, *k.raws])]
 
-    folded = values_and_grads(gaussian_kernel)
-    unfolded = values_and_grads(_unfolded_gaussian_kernel)
+    folded = values_and_grads()
+    monkeypatch.setattr(discrepancy, "gaussian_denominator", _unfolded_denominator)
+    monkeypatch.setattr(discrepancy, "gaussian_kernel", _unfolded_gaussian_kernel)
+    unfolded = values_and_grads()
     assert any(np.any(g != 0) for g in folded[1:])
     for got, want in zip(folded, unfolded):
         assert np.array_equal(got, want)
@@ -531,7 +586,7 @@ def _classifier_params_case():
     return lambda: cross_entropy(classifier_forward(params, Tensor(xa)), y), params.params
 
 
-AFFINE_CASES = [_affine_case, _classifier_params_case, *ACTIVITY_CASES]
+AFFINE_CASES = [_affine_case, _classifier_params_case, *COMPOSED_CASES]
 
 
 @pytest.mark.parametrize("case", AFFINE_CASES,
