@@ -82,6 +82,13 @@ class DeepKernelParams:
     def beta0(self) -> Tensor:
         return T.sigmoid(self.raw_beta0)
 
+    def scalars(self) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+        """The scalars of a kernel block, as new nodes on each call:
+        -2 sigma_phi^2, -2 sigma_q^2, b0 and 1 - b0."""
+        b0 = self.beta0()
+        return (gaussian_denominator(self.sigma_phi()),
+                gaussian_denominator(self.sigma_q()), b0, 1.0 - b0)
+
     def sigma_q(self) -> Tensor:
         return T.exp(self.raw_sigma_q)
 
@@ -155,9 +162,7 @@ def deep_kernel(params: DeepKernelParams, x: Tensor, z: Tensor) -> Tensor:
     """
     fx = _features(params.featurizer, x)
     fz = _features(params.featurizer, z)
-    b0 = params.beta0()
-    return _kernel_block(fx, fz, x, z, gaussian_denominator(params.sigma_phi()),
-                         gaussian_denominator(params.sigma_q()), b0, 1.0 - b0)
+    return _kernel_block(fx, fz, x, z, *params.scalars())
 
 
 def h_matrix(params: DeepKernelParams, x: Tensor | HeldSide, z: Tensor) -> Tensor:
@@ -218,14 +223,11 @@ def hold(params: DeepKernelParams, x: Tensor) -> HeldSide:
     """The parts of H that depend on the kernel and on x only, computed
     with the numpy operations and checks of the untaped pass; q(x, x) is
     `T.sqdist` on one buffer, as the taped path's is."""
-    denom_phi = gaussian_denominator(params.sigma_phi()).data
-    denom_q = gaussian_denominator(params.sigma_q()).data
-    b0 = params.beta0()
-    one_minus_b0 = (1.0 - b0).data
+    denom_phi, denom_q, b0, one_minus_b0 = (s.data for s in params.scalars())
     norms = T.row_norms(x.data)
     q_xx = _gaussian(x.data, x.data, norms, norms, denom_q)
     q_xx.setflags(write=False)
-    return HeldSide(params, x, denom_phi, denom_q, b0.data, one_minus_b0,
+    return HeldSide(params, x, denom_phi, denom_q, b0, one_minus_b0,
                     norms, q_xx)
 
 

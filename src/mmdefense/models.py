@@ -1,11 +1,11 @@
 """Small desk-scale networks: clean classifier, its featurizer, denoiser.
 
-A frozen classifier's cross-entropy, the loss of every attack step (taken
-through `defended_cross_entropy`) and the CE term of denoiser training, is
-one tape node, `classifier_cross_entropy` (`tensor.mlp_cross_entropy`):
-bitwise `cross_entropy(classifier_forward(...))` in value and in its input's
-gradient, with the same checks, for 1 node instead of 8.  Classifier
-training, whose weights need gradients, keeps the composed nodes.
+The classifier's cross-entropy, the loss of classifier training, of every
+attack step (taken through `defended_cross_entropy`) and the CE term of
+denoiser training, is one tape node, `classifier_cross_entropy`
+(`tensor.mlp_cross_entropy`): bitwise the composed forward, log-softmax and
+mean in value and in every gradient, with the same checks, for 1 node
+instead of 8.
 """
 from __future__ import annotations
 
@@ -63,8 +63,7 @@ class ClassifierParams:
 
     @property
     def trainable(self) -> bool:
-        """A weight requires grad; the attacks and denoiser training need a
-        frozen classifier (`classifier_cross_entropy`)."""
+        """A weight requires grad."""
         return any(p.requires_grad for p in self.params)
 
     @property
@@ -82,18 +81,11 @@ def classifier_forward(params: ClassifierParams, x: Tensor) -> Tensor:
     return T.affine(features_forward(params, x), params.w3, params.b3)
 
 
-def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean CE via stable log-softmax and a one-hot mask."""
-    n, k = logits.shape
-    logp = T.log_softmax(logits, axis=1)
-    return -T.tsum(logp * Tensor(T.one_hot(labels, n, k))) * (1.0 / n)
-
-
 def classifier_cross_entropy(params: ClassifierParams, x: Tensor,
                              labels: np.ndarray) -> Tensor:
-    """`cross_entropy(classifier_forward(params, x), labels)` as one tape
-    node, bitwise equal in value and in x's gradient; the classifier must
-    be frozen (`tensor.mlp_cross_entropy`)."""
+    """Mean cross-entropy of `classifier_forward(params, x)` at `labels` as
+    one tape node whose parents are x and every weight that requires grad
+    (`tensor.mlp_cross_entropy`)."""
     layers = ((params.w1, params.b1), (params.w2, params.b2), (params.w3, params.b3))
     return T.mlp_cross_entropy(x, layers, labels)
 
@@ -128,8 +120,7 @@ def train_classifier(images: ImageBatch, epochs: int, lr: float, rng: Rng):
         for start in range(0, n - 1, CLASSIFIER_BATCH):  # no 1-row tail
             idx = order[start:start + CLASSIFIER_BATCH]
             with GradTape() as tape:
-                logits = classifier_forward(params, Tensor(x[idx]))
-                loss = cross_entropy(logits, y[idx])
+                loss = classifier_cross_entropy(params, Tensor(x[idx]), y[idx])
             grads = T.grad_of(tape, loss, params.params)
             adam_step(params.params, grads, state, lr)
     T.freeze(params.params)
@@ -182,7 +173,7 @@ def defended_forward(classifier: ClassifierParams,
 def defended_cross_entropy(classifier: ClassifierParams,
                            denoiser: Optional[DenoiserParams], x: Tensor,
                            labels: np.ndarray) -> Tensor:
-    """`cross_entropy(defended_forward(classifier, denoiser, x), labels)`,
-    with the frozen classifier's CE as one node (`classifier_cross_entropy`)."""
+    """The cross-entropy of `defended_forward(classifier, denoiser, x)` at
+    `labels`, the classifier's as one node (`classifier_cross_entropy`)."""
     return classifier_cross_entropy(classifier, _branch_input(denoiser, x), labels)
 

@@ -14,12 +14,12 @@ cost no reverse work.  Outputs made with no active tape are always constants.
 
 Primitives: add, sub, mul, div, neg, affine (x @ w + b), affine_relu
 (relu(x @ w + b), the hidden layers), transpose, tsum, exp, square, sqrt,
-clip, log_softmax and pairwise_sqdist; sigmoid is composed from them.
-`mlp_cross_entropy` is one composite node: a frozen ReLU network's mean
-cross-entropy (`models.classifier_cross_entropy`), bitwise the 8 nodes it
-replaces in value and in the input's gradient.  `paused()` records nothing
-inside its block, for the parts of a taped computation that no gradient
-reaches (`discrepancy.h_matrix`'s reference side).
+clip and pairwise_sqdist; sigmoid is composed from them.
+`mlp_cross_entropy` is one composite node: a ReLU network's mean
+cross-entropy (`models.classifier_cross_entropy`), frozen or trainable,
+bitwise the 8 nodes it replaces in value and in every gradient.  `paused()`
+records nothing inside its block, for the parts of a taped computation that
+no gradient reaches (`discrepancy.h_matrix`'s reference side).
 
 Conventions fixed here for reproducibility of gradient checks:
   * ReLU subgradient at exactly 0 is 0.
@@ -156,10 +156,7 @@ def _lift(x) -> Tensor:
         return Tensor(x)
     if not math.isfinite(x):
         raise NonFiniteError("tensor constructed from non-finite data")
-    out = Tensor.__new__(Tensor)
-    out.data = np.array(x, dtype=np.float64)
-    out.requires_grad = False
-    return out
+    return constant(np.array(x, dtype=np.float64))
 
 
 def all_finite(arr: np.ndarray) -> bool:
@@ -316,13 +313,20 @@ def _affine_data(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return data
 
 
+def _affine_grads(x: np.ndarray, w: Tensor, b: Tensor,
+                  masked: Callable[[np.ndarray], np.ndarray]) -> tuple:
+    """Closures from a node's adjoint to the adjoints of x, w and b in its
+    affine output x @ w + b; `masked` maps the node's adjoint to that
+    output's."""
+    return (lambda g: masked(g) @ w.data.T, lambda g: x.T @ masked(g),
+            lambda g: _unbroadcast(masked(g), b.shape))
+
+
 def _affine_node(x: Tensor, w: Tensor, b: Tensor, data: np.ndarray,
                  masked: Callable[[np.ndarray], np.ndarray]) -> Tensor:
     """Tape `data`, the affine output x @ w + b, as one node; `masked` maps
     the node's adjoint to that of the affine output."""
-    return _make("affine", data, (x, w, b),
-                 (lambda g: masked(g) @ w.data.T, lambda g: x.data.T @ masked(g),
-                  lambda g: _unbroadcast(masked(g), b.shape)))
+    return _make("affine", data, (x, w, b), _affine_grads(x.data, w, b, masked))
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -384,25 +388,6 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     return _make("clip", data, (a,), (lambda g: g * mask,))
 
 
-def _log_softmax_data(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """(log-softmax of a along axis, its softmax), with max subtraction."""
-    m = a.max(axis=axis, keepdims=True)
-    shifted = a - m
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    data = shifted - lse
-    return data, np.exp(data)
-
-
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable log-softmax (max subtraction)."""
-    data, sm = _log_softmax_data(a.data, axis)
-
-    def bw(g):
-        return g - sm * g.sum(axis=axis, keepdims=True)
-
-    return _make("log_softmax", data, (a,), (bw,))
-
-
 def one_hot(labels: np.ndarray, n: int, k: int) -> np.ndarray:
     """[n, k] float rows with a 1 at each row's label."""
     onehot = np.zeros((n, k))
@@ -412,53 +397,69 @@ def one_hot(labels: np.ndarray, n: int, k: int) -> np.ndarray:
 
 def mlp_cross_entropy(x: Tensor, layers: Sequence[tuple[Tensor, Tensor]],
                       labels: np.ndarray) -> Tensor:
-    """Mean cross-entropy of a frozen ReLU network's logits on rows x, as one
-    node whose only parent is x.
+    """Mean cross-entropy of a ReLU network's logits on rows x, as one node.
 
     `layers` are (w, b) pairs: `affine_relu` on each but the last, `affine`
-    on the last, then `-tsum(log_softmax(logits, 1) * onehot) * (1 / n)`, as
-    `models.cross_entropy` composes them.  The forward is those primitives'
-    numpy operations with each of their checks, under their names (and
-    their `ShapeError`); the one closure applies their adjoints for x
-    operation for operation.  So the loss and x's gradient are bitwise
-    those of the 8 composed nodes, for any incoming adjoint.  A layer that
-    requires grad is a `ValueError`: its gradient would be lost.
+    on the last, then the mean of `-log_softmax(logits)` at the labels, as
+    `-tsum(log_softmax(logits) * onehot) * (1 / n)` composes it with the
+    max subtraction.  The forward is those 8 nodes' numpy operations with
+    each of their checks, under their names (and `affine`'s `ShapeError`).
+    The node's parents are x and each layer tensor that requires grad, so a
+    frozen network's node has x alone.  One chain per incoming adjoint,
+    memoised as `_masker` memoises its product, applies the composed
+    adjoints operation for operation down to every layer's affine output;
+    each parent's closure is then `_affine_node`'s.  So the loss and every
+    gradient are bitwise those of the 8 composed nodes, for any incoming
+    adjoint.
     """
-    if any(p.requires_grad for layer in layers for p in layer):
-        raise ValueError("mlp_cross_entropy needs frozen layers")
-    h, masks = x.data, []
-    for w, b in layers[:-1]:
+    h, masks, last = x.data, [], [None, None]  # (g, chain(g))
+
+    def chain(g):
+        """The adjoints of every layer's affine output, for the node's g."""
+        if last[0] is not g:
+            a = g * scale                                # mul
+            a = -a                                       # neg
+            a = np.broadcast_to(a, picked.shape).copy()  # sum
+            a = a * onehot                               # mul
+            a = a - sm * a.sum(axis=1, keepdims=True)    # log_softmax
+            adjoints = [a]
+            for (w, _), mask in zip(reversed(layers[1:]), reversed(masks)):
+                a = (a @ w.data.T) * mask                # affine(_relu)
+                adjoints.append(a)
+            last[:] = g, adjoints[::-1]
+        return last[1]
+
+    parents, grad_fns = [x], []
+    for i, (w, b) in enumerate(layers):
+        # closures only for x and the layers with a parent: a frozen
+        # layer's input is not held
+        if i == 0 or w.requires_grad or b.requires_grad:
+            grads = _affine_grads(h, w, b, lambda g, i=i: chain(g)[i])
+            if i == 0:
+                grad_fns.append(grads[0])
+            for p, grad_fn in zip((w, b), grads[1:]):
+                if p.requires_grad:
+                    parents.append(p)
+                    grad_fns.append(grad_fn)
         h = _affine_data(h, w.data, b.data)
         check_finite(h, "affine")
-        mask = h > 0
-        h *= mask
-        masks.append(mask)
-    w_out, b_out = layers[-1]
-    logits = _affine_data(h, w_out.data, b_out.data)
-    check_finite(logits, "affine")
-    logp, sm = _log_softmax_data(logits, 1)
+        if i < len(layers) - 1:  # a hidden layer's ReLU
+            mask = h > 0
+            h *= mask
+            masks.append(mask)
+    shifted = h - h.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     check_finite(logp, "log_softmax")
-    onehot = one_hot(labels, *logits.shape)
+    sm = np.exp(logp)
+    onehot = one_hot(labels, *h.shape)
     picked = logp * onehot
     check_finite(picked, "mul")
     total = np.asarray(picked.sum(), dtype=np.float64)
     check_finite(total, "sum")
     negated = -total
     check_finite(negated, "neg")
-    scale = _lift(1.0 / len(logits)).data
-
-    def bw(g):
-        g = g * scale                                    # mul
-        g = -g                                           # neg
-        g = np.broadcast_to(g, picked.shape).copy()      # sum
-        g = g * onehot                                   # mul
-        g = g - sm * g.sum(axis=1, keepdims=True)        # log_softmax
-        g = g @ w_out.data.T                             # affine
-        for (w, _), mask in zip(reversed(layers[:-1]), reversed(masks)):
-            g = (g * mask) @ w.data.T                    # affine_relu
-        return g
-
-    return _make("mul", negated * scale, (x,), (bw,))
+    scale = _lift(1.0 / len(h)).data
+    return _make("mul", negated * scale, tuple(parents), tuple(grad_fns))
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:

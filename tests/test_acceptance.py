@@ -24,12 +24,12 @@ from mmdefense.discrepancy import (DeepKernelParams, calibrate_threshold,
                                    mmd_opt, mmd_u_squared, optimize_kernel,
                                    variance_hat)
 from mmdefense.models import (ClassifierParams, DenoiserParams, accuracy,
-                              classifier_forward, classify, cross_entropy,
-                              denoiser_forward)
+                              classify, denoiser_forward)
 from mmdefense.rng import Rng
 from mmdefense.tensor import GradTape, Tensor
 from mmdefense.theory import DiscreteDomain, l1_divergence, verify_theorem
 
+from composed_cross_entropy import composed_ce
 from finite_diff import finite_diff_grad
 from subset_enumeration import l1_divergence_bruteforce
 
@@ -181,8 +181,7 @@ def test_criterion_2_gradient_fidelity(capsys):
         def loss_from(theta_):
             denoised = denoiser_forward(theta_, Tensor(xn))
             return (mmd_u_squared(Tensor(xc), denoised, kernel)
-                    + alpha * cross_entropy(
-                        classifier_forward(classifier, denoised), y))
+                    + alpha * composed_ce(classifier, denoised, y))
 
         with GradTape() as tape:
             loss = loss_from(theta)

@@ -13,11 +13,12 @@ from mmdefense.dataio import synth_digits
 from mmdefense.defense import FLAG_EVERY_BATCH
 from mmdefense.discrepancy import (DeepKernelParams, DetectorModel,
                                    calibrate_threshold, mmd_u_squared)
-from mmdefense.models import (ClassifierParams, DenoiserParams, accuracy,
-                              classifier_forward, cross_entropy,
-                              denoiser_forward, train_classifier)
+from mmdefense.models import (DenoiserParams, accuracy, denoiser_forward,
+                              train_classifier)
 from mmdefense.rng import Rng
 from mmdefense.tensor import GradTape, NonFiniteError, ShapeError, Tensor
+
+from composed_cross_entropy import composed_ce, trainable_copy
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +85,7 @@ class TestPgd:
                            eot=1, random_start=False)
         xt = Tensor(x, requires_grad=True)
         with GradTape() as tape:
-            loss = cross_entropy(classifier_forward(classifier, xt), y)
+            loss = composed_ce(classifier, xt, y)
         grad = T.grad_of(tape, loss, [xt])[0]
         sign_step = np.clip(x + 0.1 * np.sign(grad), 0.0, 1.0)
         assert np.array_equal(pgd(classifier, x, y, cfg), sign_step)
@@ -124,6 +125,23 @@ class TestPgd:
         assert np.array_equal(pgd(classifier, x, y, cfg, Rng(3)),
                               pgd(classifier, x, y, cfg, Rng(3)))
 
+    @pytest.mark.parametrize("cfg", [AttackConfig("linf", 0.1, 0.02, 3, 1, True),
+                                     AttackConfig("l2", 1.0, 0.2, 3, 1, True)],
+                             ids=["linf", "l2"])
+    def test_a_trainable_classifier_gives_frozen_bits(self, setup, cfg):
+        """PGD adversarial training attacks the classifier it trains: a
+        trainable copy gives the frozen classifier's bits, on two blocks,
+        and is left unchanged."""
+        images, frozen, _, _ = setup
+        trainable = trainable_copy(frozen)
+        n = attacks.PGD_BLOCK_ROWS + 44
+        x, y = images.flat[:n], images.labels[:n]
+        got = pgd(trainable, x, y, cfg, Rng(5))
+        assert np.array_equal(got, pgd(frozen, x, y, cfg, Rng(5)))
+        assert trainable.trainable
+        for p, q in zip(trainable.params, frozen.params):
+            assert np.array_equal(p.data, q.data)
+
     def test_random_start_without_rng_rejected(self, setup):
         images, classifier, _, _ = setup
         cfg = AttackConfig(random_start=True)
@@ -154,7 +172,7 @@ def one_tape_pgd(classifier, batch, labels, cfg, rng):
     for _ in range(cfg.iters):
         xt = Tensor(x, requires_grad=True)
         with GradTape() as tape:
-            loss = cross_entropy(classifier_forward(classifier, xt), labels)
+            loss = composed_ce(classifier, xt, labels)
         grad = T.grad_of(tape, loss, [xt])[0]
         if cfg.norm == "linf":
             x = x + cfg.step * np.sign(grad)
@@ -371,8 +389,7 @@ def serial_adaptive_pgd_eot(detector, denoiser, classifier, clean_batch,
                 xt = Tensor(x, requires_grad=True)
                 with GradTape() as tape:
                     denoised = denoiser_forward(denoiser, xt + Tensor(n))
-                    loss = cross_entropy(
-                        classifier_forward(classifier, denoised), labels)
+                    loss = composed_ce(classifier, denoised, labels)
                 g_ce = T.grad_of(tape, loss, [xt])[0]
                 g_eot += g_stat + alpha * g_ce
         g_eot /= cfg.eot
@@ -523,14 +540,20 @@ class TestAttackWorker:
             adaptive_pgd_eot(*args, LINF_5, NoiseConfig(0.0, 0.25), Rng(0),
                              reference=reference)
 
-    def test_a_trainable_classifier_is_rejected_before_the_fork(
-            self, setup, monkeypatch):
-        def no_fork(*args):
-            raise AssertionError("forked before validating")
-
-        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
-        args = list(self.args(setup))
-        args[2] = ClassifierParams(*(Tensor(p.data, requires_grad=True)
-                                     for p in args[2].params))
-        with pytest.raises(ValueError, match="needs a frozen classifier"):
-            adaptive_pgd_eot(*args, LINF_5, NoiseConfig(0.0, 0.25), Rng(0))
+    @pytest.mark.parametrize("threshold", [OPEN_GATE, ALWAYS_DENOISE],
+                             ids=["clean-branch", "denoiser-branch"])
+    def test_a_trainable_classifier_gives_frozen_bits(self, setup, threshold):
+        """On either branch, a trainable copy of the classifier gives the
+        frozen one's bits and the same next draw, and is left unchanged."""
+        args = list(self.args(setup, threshold))
+        frozen, trainable = args[2], trainable_copy(args[2])
+        runs = []
+        for classifier in (frozen, trainable):
+            args[2] = classifier
+            rng = Rng(9)
+            adv = adaptive_pgd_eot(*args, LINF_5, NoiseConfig(0.0, 0.25), rng)
+            runs.append((adv.tobytes(), rng.uniform((4,)).tobytes()))
+        assert runs[0] == runs[1]
+        assert trainable.trainable
+        for p, q in zip(trainable.params, frozen.params):
+            assert np.array_equal(p.data, q.data)

@@ -16,12 +16,13 @@ from mmdefense.defense import (ADVERSARIAL, CLEAN, FLAG_EVERY_BATCH,
                                eval_mixed, train_denoiser, trial_accuracies)
 from mmdefense.discrepancy import (DeepKernelParams, DetectorModel,
                                    calibrate_threshold, mmd_u_squared)
-from mmdefense.models import (ClassifierParams, DenoiserParams, accuracy,
-                              classifier_forward, classify, cross_entropy,
+from mmdefense.models import (DenoiserParams, accuracy, classify,
                               denoiser_forward, train_classifier)
 from mmdefense.optim import AdamState, adam_step
 from mmdefense.rng import Rng
 from mmdefense.tensor import GradTape, NonFiniteError, Tensor
+
+from composed_cross_entropy import composed_ce, trainable_copy
 
 
 def clean_test_batch(setup, rng, b=100):
@@ -240,7 +241,7 @@ def serial_train_denoiser(clean, labels, kernel, classifier, attack_cfg, noise,
             with GradTape() as tape:
                 denoised = denoiser_forward(theta, Tensor(xn))
                 stat = mmd_u_squared(Tensor(xc), denoised, kernel)
-                ce = cross_entropy(classifier_forward(classifier, denoised), yc)
+                ce = composed_ce(classifier, denoised, yc)
                 loss = stat + alpha * ce
             grads = T.grad_of(tape, loss, theta.params)
             adam_step(theta.params, grads, state, cur_lr)
@@ -367,19 +368,21 @@ class TestDenoiserWorker:
                            s.kernel, s.classifier, s.train_attack, s.noise,
                            Rng(0), **kwargs)
 
-    def test_a_trainable_classifier_is_rejected_before_the_fork(
-            self, digit_setup, monkeypatch):
+    def test_a_trainable_classifier_gives_frozen_bits(self, digit_setup):
         s = digit_setup
-
-        def no_fork(*args):
-            raise AssertionError("forked before validating")
-
-        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
-        trainable = ClassifierParams(*(Tensor(p.data, requires_grad=True)
-                                       for p in s.classifier.params))
-        with pytest.raises(ValueError, match="needs a frozen classifier"):
-            train_denoiser(s.train.flat[:300], s.train.labels[:300], s.kernel,
-                           trainable, s.train_attack, s.noise, Rng(0))
+        trainable = trainable_copy(s.classifier)
+        runs = []
+        for classifier in (s.classifier, trainable):
+            rng = Rng(0)
+            theta, traj = train_denoiser(s.train.flat[:300], s.train.labels[:300],
+                                         s.kernel, classifier, s.train_attack,
+                                         s.noise, rng, epochs=2)
+            runs.append(([p.data.tobytes() for p in theta.params], traj,
+                         rng.uniform((4,)).tobytes()))
+        assert runs[0] == runs[1]
+        assert trainable.trainable
+        for p, q in zip(trainable.params, s.classifier.params):
+            assert np.array_equal(p.data, q.data)
 
 
 class TestMixedEval:

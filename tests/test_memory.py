@@ -11,7 +11,6 @@ before the change in brackets):
 import tracemalloc
 
 from mmdefense import attacks
-from mmdefense import tensor as T
 from mmdefense.attacks import AttackConfig, pgd
 from mmdefense.dataio import synth_digits
 from mmdefense.models import ClassifierParams
@@ -32,7 +31,6 @@ def traced_peak(f):
 
 def test_pgd_peak_is_bounded_by_the_block():
     classifier = ClassifierParams.init(64, 4, Rng(0))
-    T.freeze(classifier.params)  # PGD attacks a frozen classifier
     cfg = AttackConfig("linf", 0.1, 0.02, 2, 1, True)
     peaks = {}
     for blocks in (1, 4):

@@ -4,14 +4,17 @@ import pytest
 from mmdefense import tensor as T
 from mmdefense.dataio import (ImageBatch, component_from_state,
                               component_state, synth_digits)
-from mmdefense.models import (ClassifierParams, DenoiserParams, accuracy,
+from mmdefense.models import (CLASSIFIER_BATCH, ClassifierParams,
+                              DenoiserParams, accuracy,
                               classifier_cross_entropy, classifier_forward,
-                              classify, cross_entropy, defended_cross_entropy,
+                              classify, defended_cross_entropy,
                               defended_forward, denoiser_forward,
                               features_forward, train_classifier)
+from mmdefense.optim import AdamState, adam_step
 from mmdefense.rng import Rng
 from mmdefense.tensor import GradTape, NonFiniteError, ShapeError, Tensor
 
+from composed_cross_entropy import composed_ce, cross_entropy
 from finite_diff import finite_diff_grad
 
 
@@ -50,6 +53,29 @@ class TestClassifier:
         p2, _ = train_classifier(images, 3, 1e-3, Rng(7))
         for a, b in zip(p1.params, p2.params):
             assert np.array_equal(a.data, b.data)
+
+    def test_training_is_the_composed_nodes_loop_bitwise(self):
+        """`train_classifier` takes its loss and every weight gradient from
+        the one cross-entropy node: the same bits as Adam on the 8 composed
+        nodes, a 1-row tail left out as there."""
+        images = synth_digits(Rng(2), 2 * CLASSIFIER_BATCH + 1, 4, 8, 0.1)
+        got, got_acc = train_classifier(images, 3, 1e-3, Rng(7))
+        rng = Rng(7)
+        x, y = images.flat, images.labels
+        params = ClassifierParams.init(x.shape[1], 4, rng)
+        state = AdamState.init(params.params)
+        for _ in range(3):
+            order = rng.permutation(len(x))
+            for start in range(0, len(x) - 1, CLASSIFIER_BATCH):
+                idx = order[start:start + CLASSIFIER_BATCH]
+                with GradTape() as tape:
+                    loss = composed_ce(params, Tensor(x[idx]), y[idx])
+                adam_step(params.params, T.grad_of(tape, loss, params.params),
+                          state, 1e-3)
+        for a, b in zip(got.params, params.params):
+            assert np.array_equal(a.data, b.data)
+        assert got_acc == accuracy(params, x, y)
+        assert not got.trainable
 
     def test_logits_deterministic_and_finite(self, trained):
         images, params, _ = trained
@@ -94,48 +120,54 @@ class TestFeaturizer:
         y = images.labels[:4]
 
         def f(arr):
-            return cross_entropy(
-                classifier_forward(params, Tensor(arr)), y).item()
+            return classifier_cross_entropy(params, Tensor(arr), y).item()
 
         xt = Tensor(x0, requires_grad=True)
         with GradTape() as tape:
-            loss = cross_entropy(classifier_forward(params, xt), y)
+            loss = classifier_cross_entropy(params, xt, y)
         g = T.grad_of(tape, loss, [xt])[0]
         fd = finite_diff_grad(f, x0.copy())
         assert np.abs(g - fd).max() / max(np.abs(fd).max(), 1e-8) < 1e-5
 
 
-def frozen_classifier(seed, dim=6, classes=3):
+def make_classifier(seed, dim=6, classes=3, trainable=()):
+    """A classifier whose weights named in `trainable` require grad."""
     params = ClassifierParams.init(dim, classes, Rng(seed))
     T.freeze(params.params)
+    for name in trainable:
+        getattr(params, name).requires_grad = True
     return params
 
 
 def ce_value_and_grad(ce, params, x, labels, alpha=None, denoiser=None):
-    """CE (times alpha when given) through the denoiser when given, and the
-    gradient of x; `ce` is the composed or the one-node cross-entropy."""
+    """CE (times alpha when given) through the denoiser when given, the
+    gradients of x and of every classifier weight (zeros for a frozen one)
+    and the node count; `ce` is the composed or the one-node
+    cross-entropy."""
     xt = Tensor(x, requires_grad=True)
     with GradTape() as tape:
         z = xt if denoiser is None else denoiser_forward(denoiser, xt)
         loss = ce(params, z, labels)
         if alpha is not None:
             loss = alpha * loss
-    return loss.data, T.grad_of(tape, loss, [xt])[0], len(tape.nodes)
+    return loss.data, T.grad_of(tape, loss, [xt, *params.params]), len(tape.nodes)
 
 
-def composed_ce(params, x, labels):
-    return cross_entropy(classifier_forward(params, x), labels)
+TRAINABLE = {"frozen": (), "all": ClassifierParams.NAMES,
+             "some": ("w1", "b2", "w3")}
 
 
 class TestClassifierCrossEntropyNode:
-    """The frozen classifier's CE as one node against the 8 composed ones."""
+    """The classifier's CE as one node against the 8 composed ones."""
 
+    @pytest.mark.parametrize("trainable", sorted(TRAINABLE))
     @pytest.mark.parametrize("alpha", [None, 1e-2])
     @pytest.mark.parametrize("upstream", ["input", "denoiser"])
-    def test_bitwise_equal_to_the_composed_nodes(self, alpha, upstream):
+    def test_bitwise_equal_to_the_composed_nodes(self, alpha, upstream,
+                                                  trainable):
         rng = Rng(60)
         for trial in range(20):
-            params = frozen_classifier(trial)
+            params = make_classifier(trial, trainable=TRAINABLE[trainable])
             n = int(rng.choice(9, 1)[0]) + 2
             x = rng.uniform((n, 6))
             if trial % 4 == 0:
@@ -152,33 +184,46 @@ class TestClassifierCrossEntropyNode:
                                     alpha, denoiser)
             want = ce_value_and_grad(composed_ce, params, x, labels, alpha, denoiser)
             assert got[0] == want[0] and type(got[0]) is type(want[0])
-            np.testing.assert_array_equal(got[1], want[1])
-            assert np.any(got[1] != 0)
+            for g, w, leaf in zip(got[1], want[1], [x, *params.params]):
+                np.testing.assert_array_equal(g, w)
+                assert np.any(g != 0) == (leaf is x or leaf.requires_grad)
             # one node for the CE instead of 8
             assert want[2] - got[2] == 7
 
+    @pytest.mark.parametrize("trainable", sorted(TRAINABLE))
+    def test_parents_are_x_and_trainable_weights(self, trainable):
+        params = make_classifier(66, trainable=TRAINABLE[trainable])
+        x = Tensor(Rng(67).uniform((4, 6)))
+        with GradTape() as tape:
+            loss = classifier_cross_entropy(params, x, np.array([0, 1, 2, 0]))
+        (node,) = tape.nodes
+        want = [x, *(p for p in params.params if p.requires_grad)]
+        assert [id(p) for p in node.parents] == [id(p) for p in want]
+        assert len(node.grad_fns) == len(want)
+        assert loss.requires_grad == params.trainable
+
     def test_relu_at_exactly_zero_passes_no_gradient(self):
-        params = frozen_classifier(61)
+        params = make_classifier(61)
         params.b1.data[:] = 0.0
         x = np.zeros((3, 6))  # every first-layer input is exactly 0
-        _, g, _ = ce_value_and_grad(classifier_cross_entropy, params, x,
-                                    np.array([0, 1, 2]))
+        _, (g, *_), _ = ce_value_and_grad(classifier_cross_entropy, params, x,
+                                          np.array([0, 1, 2]))
         np.testing.assert_array_equal(g, np.zeros_like(x))
 
     def test_the_same_non_finite_errors(self):
-        params = frozen_classifier(62)
+        params = make_classifier(62)
         rng = Rng(63)
         x = rng.uniform((4, 6))
         labels = np.array([1, 1, 1, 1])
         huge_input = np.full((4, 6), 1e308)
         cases = {"affine": (params, huge_input)}
         # finite logits whose log-softmax is -inf
-        wide = frozen_classifier(62)
+        wide = make_classifier(62)
         wide.w3.data = wide.w3.data * 1e307
         wide.b3.data = np.array([1.7e308, -1.7e308, 0.0])
         cases["log_softmax"] = (wide, x)
         # finite log-probabilities of -1e308 whose sum overflows
-        deep = frozen_classifier(62)
+        deep = make_classifier(62)
         deep.w3.data = np.zeros_like(deep.w3.data)
         deep.b3.data = np.array([0.0, -1e308, 0.0])
         cases["sum"] = (deep, x)
@@ -192,7 +237,7 @@ class TestClassifierCrossEntropyNode:
             assert messages == [f"{name} produced non-finite values"] * 2
 
     def test_an_image_shaped_batch_is_the_affine_shape_error(self):
-        params = frozen_classifier(64, dim=64)
+        params = make_classifier(64, dim=64)
         images = Rng(65).uniform((3, 8, 8))
         messages = []
         for ce in (classifier_cross_entropy, composed_ce):
@@ -206,7 +251,7 @@ class TestClassifierCrossEntropyNode:
         """The attack's loss: CE of `defended_forward`, bitwise, on either
         branch."""
         rng = Rng(68)
-        params = frozen_classifier(69)
+        params = make_classifier(69)
         denoiser = DenoiserParams.init(6, Rng(70), scale=0.3)
         T.freeze(denoiser.params)
         x, labels = rng.uniform((7, 6)), rng.integers(0, 3, 7)
@@ -222,19 +267,6 @@ class TestClassifierCrossEntropyNode:
             assert got == want
             np.testing.assert_array_equal(got_g, want_g)
             assert np.any(got_g != 0)
-
-    def test_a_trainable_classifier_is_refused(self):
-        params = ClassifierParams.init(6, 3, Rng(66))
-        assert params.trainable
-        x = Tensor(Rng(67).uniform((4, 6)), requires_grad=True)
-        with pytest.raises(ValueError, match="frozen"), GradTape():
-            classifier_cross_entropy(params, x, np.array([0, 1, 2, 0]))
-        T.freeze(params.params[:-1])
-        assert params.trainable
-        with pytest.raises(ValueError, match="frozen"):
-            classifier_cross_entropy(params, x, np.array([0, 1, 2, 0]))
-        T.freeze(params.params)
-        assert not params.trainable
 
 
 class TestDenoiser:

@@ -13,13 +13,13 @@ from mmdefense import tensor as T
 from mmdefense.discrepancy import (DeepKernelParams, FeaturizerView,
                                    j_hat, mmd_u_squared)
 from mmdefense.models import (ClassifierParams, DenoiserParams,
-                              classifier_cross_entropy, classifier_forward,
-                              cross_entropy, denoiser_forward)
+                              classifier_cross_entropy, denoiser_forward)
 from mmdefense.optim import AdamState, adam_step
 from mmdefense.rng import Rng
 from mmdefense.tensor import (GradTape, NonFiniteError, ShapeError, Tensor,
                               backward)
 
+from composed_cross_entropy import composed_ce, log_softmax, trainable_copy
 from finite_diff import finite_diff_grad
 
 
@@ -45,7 +45,7 @@ class TestForwardOps:
     def test_log_softmax_exponentiates_to_one(self):
         rng = Rng(2)
         logits = Tensor(rng.normal((5, 7), 0, 10))
-        total = np.exp(T.log_softmax(logits, axis=1).data).sum(axis=1)
+        total = np.exp(log_softmax(logits).data).sum(axis=1)
         assert np.abs(total - 1.0).max() < 1e-12
 
     def test_shape_mismatch_names_both_shapes(self):
@@ -124,7 +124,8 @@ NON_FINITE_CASES = [
     ("sqrt", lambda: T.sqrt(Tensor([4.0, -1.0])), "sqrt", True),
     ("pairwise_sqdist", lambda: T.pairwise_sqdist(Tensor([[BIG]]), Tensor([[0.0]])),
      "pairwise_sqdist", False),
-    ("log_softmax", lambda: T.log_softmax(Tensor([[1e308, -1e308]])), "log_softmax", True),
+    # the composed reference's node, whose check the one-node CE repeats
+    ("log_softmax", lambda: log_softmax(Tensor([[1e308, -1e308]])), "log_softmax", True),
 ]
 
 
@@ -365,7 +366,7 @@ PRIMITIVE_CASES = [
      (3, 4)),
     ("affine_relu", lambda x: T.tsum(T.square(T.affine_relu(x, T.transpose(x),
                                                             T.tsum(x, axis=1)))), (3, 4)),
-    ("log_softmax", lambda x: T.tsum(T.log_softmax(x, axis=1) *
+    ("log_softmax", lambda x: T.tsum(log_softmax(x) *
                                      Tensor(np.linspace(0, 1, 12).reshape(3, 4))), (3, 4)),
     ("pairwise_sqdist", lambda x: T.tsum(T.exp(-T.pairwise_sqdist(
         x, Tensor(np.linspace(0, 2, 8).reshape(2, 4))))), (3, 4)),
@@ -437,16 +438,12 @@ def _frozen_world():
 # and the composed cross-entropy, which tape every node whatever the
 # activity flags say.
 
-def _composed_ce(clf, x, y):
-    return cross_entropy(classifier_forward(clf, x), y)
-
-
-def _ce_input_case(ce=_composed_ce):
+def _ce_input_case(ce=composed_ce):
     _, clf, _, xa, y, _ = _frozen_world()
     x = Tensor(xa, requires_grad=True)
 
     def build(reference=False):
-        return (_composed_ce if reference else ce)(clf, x, y)
+        return (composed_ce if reference else ce)(clf, x, y)
 
     return build, [x]
 
@@ -457,7 +454,7 @@ def _j_hat_raws_case():
             kernel.raws)
 
 
-def _denoiser_theta_case(ce=_composed_ce):
+def _denoiser_theta_case(ce=composed_ce):
     rng, clf, xc, xa, y, kernel = _frozen_world()
     T.freeze(kernel.raws)
     theta = DenoiserParams.init(D, rng.fork(), scale=0.05)
@@ -466,7 +463,7 @@ def _denoiser_theta_case(ce=_composed_ce):
         k = kernel.clone() if reference else kernel
         denoised = denoiser_forward(theta, Tensor(xa))
         return (mmd_u_squared(Tensor(xc), denoised, k)
-                + 1e-2 * (_composed_ce if reference else ce)(clf, denoised, y))
+                + 1e-2 * (composed_ce if reference else ce)(clf, denoised, y))
 
     return build, theta.params
 
@@ -490,10 +487,22 @@ def _denoiser_theta_ce_node_case():
     return _denoiser_theta_case(classifier_cross_entropy)
 
 
+def _classifier_params_node_case():
+    """Classifier training's loss: the node with every weight a parent."""
+    _, clf, _, xa, y, _ = _frozen_world()
+    params = trainable_copy(clf)
+
+    def build(reference=False):
+        return (composed_ce if reference else classifier_cross_entropy)(
+            params, Tensor(xa), y)
+
+    return build, params.params
+
+
 COMPOSED_CASES = [_ce_input_case, _j_hat_raws_case, _denoiser_theta_case,
                   _statistic_input_case]
 ACTIVITY_CASES = [*COMPOSED_CASES, _ce_node_input_case,
-                  _denoiser_theta_ce_node_case]
+                  _denoiser_theta_ce_node_case, _classifier_params_node_case]
 
 
 @pytest.mark.parametrize("case", ACTIVITY_CASES,
@@ -582,8 +591,8 @@ def _affine_case():
 
 def _classifier_params_case():
     _, clf, _, xa, y, _ = _frozen_world()
-    params = ClassifierParams(*(Tensor(p.data, requires_grad=True) for p in clf.params))
-    return lambda: cross_entropy(classifier_forward(params, Tensor(xa)), y), params.params
+    params = trainable_copy(clf)
+    return lambda: composed_ce(params, Tensor(xa), y), params.params
 
 
 AFFINE_CASES = [_affine_case, _classifier_params_case, *COMPOSED_CASES]
