@@ -82,23 +82,19 @@ _FIELDS = {f.name: f for f in fields(RunConfig) if f.name != "warnings"}
 
 
 def _parse_value(name: str, raw: str, lineno: int):
-    kind = _FIELDS[name].type
+    """`raw` as the type of the key's default; a tuple's elements as the
+    type of the default's elements."""
+    default = _FIELDS[name].default
     try:
-        if kind == "bool":
+        if isinstance(default, bool):
             low = raw.lower()
             if low not in ("true", "false"):
                 raise ValueError(raw)
             return low == "true"
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "tuple":
-            parts = [p for p in raw.split(",") if p.strip()]
-            if name == "mixed_proportions":
-                return tuple(float(p) for p in parts)
-            return tuple(int(p) for p in parts)
-        return raw
+        if isinstance(default, tuple):
+            kind = type(default[0])
+            return tuple(kind(p) for p in raw.split(",") if p.strip())
+        return type(default)(raw)
     except ValueError:
         raise ConfigError(
             f"line {lineno}: malformed value {raw!r} for key {name!r}") from None

@@ -79,21 +79,13 @@ class DeepKernelParams:
                 or (self.featurizer is not None
                     and self.featurizer.classifier.trainable))
 
-    def beta0(self) -> Tensor:
-        return T.sigmoid(self.raw_beta0)
-
     def scalars(self) -> tuple[Tensor, Tensor, Tensor, Tensor]:
         """The scalars of a kernel block, as new nodes on each call:
-        -2 sigma_phi^2, -2 sigma_q^2, b0 and 1 - b0."""
-        b0 = self.beta0()
-        return (gaussian_denominator(self.sigma_phi()),
-                gaussian_denominator(self.sigma_q()), b0, 1.0 - b0)
-
-    def sigma_q(self) -> Tensor:
-        return T.exp(self.raw_sigma_q)
-
-    def sigma_phi(self) -> Tensor:
-        return T.exp(self.raw_sigma_phi)
+        -2 sigma_phi^2, -2 sigma_q^2, b0 and 1 - b0, from b0 =
+        sigmoid(raw_beta0) and sigma = exp(raw_sigma)."""
+        b0 = T.sigmoid(self.raw_beta0)
+        return (gaussian_denominator(T.exp(self.raw_sigma_phi)),
+                gaussian_denominator(T.exp(self.raw_sigma_q)), b0, 1.0 - b0)
 
     def clone(self) -> "DeepKernelParams":
         return DeepKernelParams(

@@ -247,17 +247,17 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _masker(mask: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """g -> g * mask, computed once for the adjoint g that all of one
-    node's closures receive."""
-    last = [None, None]  # (g, g * mask)
+def _per_adjoint(fn: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], object]:
+    """g -> fn(g), computed once for the adjoint g that all of one node's
+    closures receive."""
+    last = [None, None]  # (g, fn(g))
 
-    def masked(g):
+    def memo(g):
         if last[0] is not g:
-            last[:] = g, g * mask
+            last[:] = g, fn(g)
         return last[1]
 
-    return masked
+    return memo
 
 
 # ---------------------------------------------------------------------------
@@ -322,17 +322,11 @@ def _affine_grads(x: np.ndarray, w: Tensor, b: Tensor,
             lambda g: _unbroadcast(masked(g), b.shape))
 
 
-def _affine_node(x: Tensor, w: Tensor, b: Tensor, data: np.ndarray,
-                 masked: Callable[[np.ndarray], np.ndarray]) -> Tensor:
-    """Tape `data`, the affine output x @ w + b, as one node; `masked` maps
-    the node's adjoint to that of the affine output."""
-    return _make("affine", data, (x, w, b), _affine_grads(x.data, w, b, masked))
-
-
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b as one node, bitwise equal to the product and the bias add
     taped as two nodes."""
-    return _affine_node(x, w, b, _affine_data(x.data, w.data, b.data), _identity)
+    return _make("affine", _affine_data(x.data, w.data, b.data), (x, w, b),
+                 _affine_grads(x.data, w, b, _identity))
 
 
 def affine_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -346,7 +340,8 @@ def affine_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """
     data = _affine_data(x.data, w.data, b.data)
     mask = data > 0
-    out = _affine_node(x, w, b, data, _masker(mask))
+    out = _make("affine", data, (x, w, b),
+                _affine_grads(x.data, w, b, _per_adjoint(lambda g: g * mask)))
     data *= mask
     return out
 
@@ -403,31 +398,30 @@ def mlp_cross_entropy(x: Tensor, layers: Sequence[tuple[Tensor, Tensor]],
     on the last, then the mean of `-log_softmax(logits)` at the labels, as
     `-tsum(log_softmax(logits) * onehot) * (1 / n)` composes it with the
     max subtraction.  The forward is those 8 nodes' numpy operations with
-    each of their checks, under their names (and `affine`'s `ShapeError`).
-    The node's parents are x and each layer tensor that requires grad, so a
-    frozen network's node has x alone.  One chain per incoming adjoint,
-    memoised as `_masker` memoises its product, applies the composed
-    adjoints operation for operation down to every layer's affine output;
-    each parent's closure is then `_affine_node`'s.  So the loss and every
-    gradient are bitwise those of the 8 composed nodes, for any incoming
-    adjoint.
+    each of their checks that can fire, under their names (and `affine`'s
+    `ShapeError`).  The node's parents are x and each layer tensor that
+    requires grad, so a frozen network's node has x alone.  One chain per
+    incoming adjoint (`_per_adjoint`) applies the composed adjoints
+    operation for operation down to every layer's affine output; each
+    parent's closure is then `affine`'s (`_affine_grads`).  So the loss and
+    every gradient are bitwise those of the 8 composed nodes, for any
+    incoming adjoint.
     """
-    h, masks, last = x.data, [], [None, None]  # (g, chain(g))
+    h, masks = x.data, []
 
+    @_per_adjoint
     def chain(g):
         """The adjoints of every layer's affine output, for the node's g."""
-        if last[0] is not g:
-            a = g * scale                                # mul
-            a = -a                                       # neg
-            a = np.broadcast_to(a, picked.shape).copy()  # sum
-            a = a * onehot                               # mul
-            a = a - sm * a.sum(axis=1, keepdims=True)    # log_softmax
-            adjoints = [a]
-            for (w, _), mask in zip(reversed(layers[1:]), reversed(masks)):
-                a = (a @ w.data.T) * mask                # affine(_relu)
-                adjoints.append(a)
-            last[:] = g, adjoints[::-1]
-        return last[1]
+        a = g * scale                                # mul
+        a = -a                                       # neg
+        a = np.broadcast_to(a, picked.shape).copy()  # sum
+        a = a * onehot                               # mul
+        a = a - sm * a.sum(axis=1, keepdims=True)    # log_softmax
+        adjoints = [a]
+        for (w, _), mask in zip(reversed(layers[1:]), reversed(masks)):
+            a = (a @ w.data.T) * mask                # affine(_relu)
+            adjoints.append(a)
+        return adjoints[::-1]
 
     parents, grad_fns = [x], []
     for i, (w, b) in enumerate(layers):
@@ -452,12 +446,12 @@ def mlp_cross_entropy(x: Tensor, layers: Sequence[tuple[Tensor, Tensor]],
     check_finite(logp, "log_softmax")
     sm = np.exp(logp)
     onehot = one_hot(labels, *h.shape)
+    # finite logp times a 0/1 mask is finite: the "mul" check cannot fire
     picked = logp * onehot
-    check_finite(picked, "mul")
     total = np.asarray(picked.sum(), dtype=np.float64)
     check_finite(total, "sum")
+    # the negation of a finite sum is finite: the "neg" check cannot fire
     negated = -total
-    check_finite(negated, "neg")
     scale = _lift(1.0 / len(h)).data
     return _make("mul", negated * scale, tuple(parents), tuple(grad_fns))
 
@@ -498,7 +492,7 @@ def pairwise_sqdist(x: Tensor, z: Tensor) -> Tensor:
     x_norms = row_norms(x.data)
     z_norms = x_norms if z.data is x.data else row_norms(z.data)
     data, mask = sqdist(x.data, z.data, x_norms, z_norms)
-    masked = _masker(mask)
+    masked = _per_adjoint(lambda g: g * mask)
 
     def bw_x(g):
         gm = masked(g)

@@ -90,6 +90,14 @@ class TestParsing:
         cfg = parse_config(write_config(tmp_path, text))
         assert cfg.mixed_proportions == (0.0, 0.25, 1.0)
         assert cfg.batch_sizes == (5, 10)
+        # each element parses as its default's element type
+        cfg = parse_config(write_config(
+            tmp_path, "dataset = synth_digits\nmixed_proportions = 0, 1\n"))
+        assert cfg.mixed_proportions == (0.0, 1.0)
+        assert all(type(v) is float for v in cfg.mixed_proportions)
+        with pytest.raises(ConfigError, match="line 2.*'denoiser_decay_epochs'"):
+            parse_config(write_config(
+                tmp_path, "dataset = synth_digits\ndenoiser_decay_epochs = 2.5\n"))
 
     def test_bool_values(self, tmp_path):
         cfg = parse_config(write_config(

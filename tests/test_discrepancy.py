@@ -112,9 +112,10 @@ class TestKernelValues:
             p = DeepKernelParams(Tensor(raw, requires_grad=True),
                                  Tensor(raw, requires_grad=True),
                                  Tensor(raw, requires_grad=True))
-            b0 = p.beta0().item()
+            denom_phi, denom_q, b0, one_minus_b0 = (s.item() for s in p.scalars())
             assert 0.0 < b0 < 1.0
-            assert p.sigma_q().item() > 0.0
+            assert one_minus_b0 == 1.0 - b0
+            assert denom_phi < 0.0 and denom_q < 0.0
 
 
 class TestUntapedHMatrix:

@@ -236,6 +236,24 @@ class TestClassifierCrossEntropyNode:
                 messages.append(str(err.value))
             assert messages == [f"{name} produced non-finite values"] * 2
 
+    def test_only_the_checks_that_can_fire_remain(self, monkeypatch):
+        """Each affine output, the log-softmax and the sum are checked,
+        then `_make`'s output: past the log-softmax check, logp times the
+        0/1 mask and the negated sum are finite."""
+        checked = []
+        real = T.check_finite
+
+        def spy(arr, op):
+            checked.append(op)
+            return real(arr, op)
+
+        monkeypatch.setattr(T, "check_finite", spy)
+        params = make_classifier(71, trainable=("w2",))
+        x = Tensor(Rng(72).uniform((5, 6)), requires_grad=True)
+        with GradTape():
+            classifier_cross_entropy(params, x, np.array([0, 1, 2, 0, 1]))
+        assert checked == ["affine"] * 3 + ["log_softmax", "sum", "mul"]
+
     def test_an_image_shaped_batch_is_the_affine_shape_error(self):
         params = make_classifier(64, dim=64)
         images = Rng(65).uniform((3, 8, 8))

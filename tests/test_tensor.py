@@ -252,6 +252,17 @@ class TestBackward:
         assert value == 3.0
         assert gx.tolist() == [[3.0]] and gw.tolist() == [[1.0]] and gb.tolist() == [1.0]
 
+    def test_per_adjoint_computes_once_per_adjoint(self):
+        calls = []
+        memo = T._per_adjoint(lambda g: calls.append(g) or g * 2.0)
+        g = np.ones(3)
+        first = memo(g)
+        assert memo(g) is first and len(calls) == 1  # the same adjoint
+        again = np.ones(3)  # equal in value, but a new adjoint
+        assert memo(again) is not first and len(calls) == 2
+        assert calls[1] is again
+        assert memo(g) is not first and len(calls) == 3  # only the last is held
+
     def test_non_scalar_output_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with GradTape() as tape:
@@ -549,7 +560,7 @@ def test_gaussian_kernel_sign_fold_is_bitwise(monkeypatch):
         with GradTape() as tape:
             # looked up on the module, so that both patches below apply
             block = discrepancy.gaussian_kernel(
-                x, Tensor(xc), discrepancy.gaussian_denominator(k.sigma_q()))
+                x, Tensor(xc), discrepancy.gaussian_denominator(T.exp(k.raw_sigma_q)))
             out = T.tsum(block * weights)
         direct = [block.data, *T.grad_of(tape, out, [x, k.raw_sigma_q])]
         with GradTape() as tape:
