@@ -55,8 +55,15 @@ class NoiseConfig:
 def _ce_input_grad(classifier: ClassifierParams, x: np.ndarray,
                    labels: np.ndarray,
                    denoiser: Optional[DenoiserParams] = None) -> np.ndarray:
-    """Input gradient of CE(defended_forward(classifier, denoiser, x)), the
-    classifier's CE taped as one node (`defended_cross_entropy`)."""
+    """Input gradient of CE(defended_forward(classifier, denoiser, x)).
+
+    With no denoiser it is untaped (`tensor.mlp_cross_entropy_input_grad`):
+    no tape and no weight adjoint, also for a trainable classifier.  With a
+    denoiser (the adaptive attack's EOT replicas) it is taped, the
+    classifier's CE as one node (`defended_cross_entropy`).  Both give the
+    bits of `grad_of` on the taped loss."""
+    if denoiser is None:
+        return T.mlp_cross_entropy_input_grad(x, classifier.layers, labels)
     xt = Tensor(x, requires_grad=True)
     with GradTape() as tape:
         loss = defended_cross_entropy(classifier, denoiser, xt, labels)
@@ -121,16 +128,18 @@ def pgd(classifier: ClassifierParams, batch: np.ndarray, labels: np.ndarray,
     block differs from one pass by rounding (at most 5.6e-12 on a 2700-row
     pool, eps 1.0, 10 steps).
 
-    The classifier may be frozen or trainable (the one being trained, as in
-    PGD adversarial training): its weights are read, never changed, and
-    the result is the same bits either way."""
+    Each step's input gradient is untaped (`_ce_input_grad` with no
+    denoiser): no tape, no `backward` walk.  The classifier may be frozen
+    or trainable (the one being trained, as in PGD adversarial training):
+    its weights are read, never changed, no weight adjoint is computed,
+    and the result is the same bits either way."""
     x = random_start(batch, cfg, rng)
     for lo in range(0, len(x), PGD_BLOCK_ROWS):
         rows = slice(lo, lo + PGD_BLOCK_ROWS)
         x0, xb, yb = batch[rows], x[rows], labels[rows]
         for _ in range(cfg.iters):
             # the gradient dies within its step: it is not held while the
-            # next step's tape is built, one [n, d] array less at the peak
+            # next step's is computed, one [n, d] array less at the peak
             xb = _pgd_step(xb, x0, _ce_input_grad(classifier, xb, yb), cfg)
         x[rows] = xb
     return x

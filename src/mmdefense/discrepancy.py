@@ -16,17 +16,20 @@ constraint satisfied.
   * held and taped, while a GradTape records and only z can carry a
     gradient (denoiser training, the adaptive attack's statistic): the
     parts that do not depend on z, K(x, x) among them, are computed
-    untaped and enter as constants, and only K(z, z) and K(x, z) are
-    taped, bitwise the fully taped z-gradient;
+    untaped and enter as constants, and after z's three featurizer passes
+    H is two nodes, K(z, z) and K(x, z) with H (8 nodes per H instead of
+    28, 2 with no featurizer; a denoiser step tapes 18), whose adjoints
+    give the fully taped z-gradient bitwise;
   * untaped, with no tape recording or no gradient anywhere (the frozen
     detection statistic: `mmd_opt`, calibration, the kernel monitor): the
     same numpy operations in place.
 The last two take the kernel scalars, x's input-space row norms and q(x, x)
 from a `HeldSide`: a `DefensePipeline` builds one for its S_V once, and
-every other caller one per call, with `hold`.  The untaped steps check only
-the intermediates that can become non-finite (the distances and their
-division by -2 sigma^2), so every inf or NaN still raises, under the name
-of the primitive that made it.
+every other caller one per call, with `hold`.  Their steps check only the
+intermediates that can become non-finite (the distances and their
+division by -2 sigma^2; the held taped path's two nodes also take
+`_make`'s check on their outputs), so every inf or NaN still raises,
+under the name of the primitive that made it.
 """
 from __future__ import annotations
 
@@ -186,9 +189,9 @@ def h_matrix(params: DeepKernelParams, x: Tensor | HeldSide, z: Tensor) -> Tenso
             held = hold(params, x)
         if not (recording and z.requires_grad):
             return _untaped_h_matrix(held, z)
-        kxx, _ = _held_kxx(held)
-        fx = _features(params.featurizer, x)
-    return _held_taped_h_matrix(held, T.constant(kxx), fx, z)
+        kxx, norms_fx = _held_kxx(held)
+        fx = _features(params.featurizer, x).data
+    return _held_taped_h_matrix(held, kxx, fx, norms_fx, z)
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,31 +220,31 @@ def hold(params: DeepKernelParams, x: Tensor) -> HeldSide:
     `T.sqdist` on one buffer, as the taped path's is."""
     denom_phi, denom_q, b0, one_minus_b0 = (s.data for s in params.scalars())
     norms = T.row_norms(x.data)
-    q_xx = _gaussian(x.data, x.data, norms, norms, denom_q)
+    q_xx, _ = _gaussian(x.data, x.data, norms, norms, denom_q)
     q_xx.setflags(write=False)
     return HeldSide(params, x, denom_phi, denom_q, b0, one_minus_b0,
                     norms, q_xx)
 
 
 def _gaussian(a: np.ndarray, b: np.ndarray, norms_a: np.ndarray,
-              norms_b: np.ndarray, denom: np.ndarray) -> np.ndarray:
+              norms_b: np.ndarray, denom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`gaussian_kernel`'s forward, checked as there wherever a value can
-    become non-finite."""
-    k, _ = T.sqdist(a, b, norms_a, norms_b)
+    become non-finite, and the mask of its distances (see `T.sqdist`)."""
+    k, mask = T.sqdist(a, b, norms_a, norms_b)
     T.check_finite(k, "pairwise_sqdist")
     k /= denom
     T.check_finite(k, "div")
     # past the div check k is finite and <= 0 (a distance >= 0 over
     # -2 sigma^2 <= 0), so its exp lies in [0, 1]: that check cannot fire
     np.exp(k, out=k)
-    return k
+    return k, mask
 
 
 def _s_block(held: HeldSide, fa: np.ndarray, fb: np.ndarray,
              norms_a: np.ndarray, norms_b: np.ndarray) -> np.ndarray:
     """(1 - b0) s(a, b) + b0 from features fa, fb, to be multiplied by
     q(a, b) in place."""
-    k = _gaussian(fa, fb, norms_a, norms_b, held.denom_phi)
+    k, _ = _gaussian(fa, fb, norms_a, norms_b, held.denom_phi)
     # s and 1 - b0 lie in [0, 1], and b0 in [0, 1]: no check can fire on
     # the product (in [0, 1]), the sum (in [0, 2]) or, with q in [0, 1],
     # the block (in [0, 2])
@@ -286,9 +289,9 @@ def _untaped_h_matrix(held: HeldSide, z: Tensor) -> Tensor:
     norms_fz = T.row_norms(fz)
     norms_z = T.row_norms(z.data)
     kzz = _s_block(held, fz, features(z), norms_fz, norms_fz)
-    kzz *= _gaussian(z.data, z.data, norms_z, norms_z, held.denom_q)
+    kzz *= _gaussian(z.data, z.data, norms_z, norms_z, held.denom_q)[0]
     kxz = _s_block(held, features(x), features(z), norms_fx, norms_fz)
-    kxz *= _gaussian(x.data, z.data, held.norms_q, norms_z, held.denom_q)
+    kxz *= _gaussian(x.data, z.data, held.norms_q, norms_z, held.denom_q)[0]
     # blocks in [0, 2]: H = kxx + kzz - kxz - kxz^T lies in [-4, 4], so
     # neither its steps nor the transpose can be non-finite
     h += kzz
@@ -297,22 +300,73 @@ def _untaped_h_matrix(held: HeldSide, z: Tensor) -> Tensor:
     return T.constant(h)
 
 
-def _held_taped_h_matrix(held: HeldSide, kxx: Tensor, fx: Tensor,
-                         z: Tensor) -> Tensor:
-    """H with K(z, z) and K(x, z) taped, for a z that requires grad and the
-    constants K(x, x) and x's features fx.
+def _taped_block(held: HeldSide, fa: np.ndarray, fb: np.ndarray,
+                 norms_fa: np.ndarray, norms_fb: np.ndarray, a: np.ndarray,
+                 b: np.ndarray, norms_a: np.ndarray, norms_b: np.ndarray):
+    """K(a, b) from the features fa, fb and the rows a, b, computed as
+    `_untaped_h_matrix` computes a block but with s, (1 - b0) s + b0 and q
+    kept apart for the adjoint, and a map from K's adjoint to the masked
+    adjoints of its q and s distances: `_kernel_block`'s nodes' adjoints,
+    op for op."""
+    s, mask_s = _gaussian(fa, fb, norms_fa, norms_fb, held.denom_phi)
+    q, mask_q = _gaussian(a, b, norms_a, norms_b, held.denom_q)
+    sb = s * held.one_minus_b0
+    sb += held.b0
+    k = sb * q  # no check can fire on a block (see `_s_block`)
 
-    Each block is `deep_kernel`'s `_kernel_block` with the held scalars as
-    constants, and the nodes that touch z are made in the fully taped
-    path's order, so H and every gradient of z are bitwise that path's.
+    def adjoints(g):
+        # the block's mul, then exp, div and the distances' mask, for q;
+        # the block's mul, the add of b0 and the mul by 1 - b0 first, for s
+        return (g * sb * q / held.denom_q * mask_q,
+                g * q * held.one_minus_b0 * s / held.denom_phi * mask_s)
+
+    return k, adjoints
+
+
+def _held_taped_h_matrix(held: HeldSide, kxx: np.ndarray, fx: np.ndarray,
+                         norms_fx: np.ndarray, z: Tensor) -> Tensor:
+    """H for a z that requires grad, from K(x, x) (which it takes over),
+    x's features fx and their row norms, as 2 nodes after z's 3 featurizer
+    passes: K(z, z), with parents (z, z, f_a, f_b), and K(x, z) with H,
+    with parents (K(z, z), z, f_c).
+
+    The forward is `_untaped_h_matrix`'s numpy work, with its checks, in
+    the order of its distance blocks and featurizer calls.  Each node
+    lists z once per contribution of the composed nodes (`_kernel_block`
+    per block, then H's add, sub, transpose and sub) and repeats their
+    adjoints op for op through one chain per adjoint, so `backward` sums
+    z's contributions in the fully taped path's order: H and every
+    gradient of z are bitwise that path's.
     """
     featurizer = held.kernel.featurizer
-    scalars = (T.constant(held.denom_phi), T.constant(held.denom_q),
-               T.constant(held.b0), T.constant(held.one_minus_b0))
-    fz = _features(featurizer, z)
-    kzz = _kernel_block(fz, _features(featurizer, z), z, z, *scalars)
-    kxz = _kernel_block(fx, _features(featurizer, z), held.x, z, *scalars)
-    return kxx + kzz - kxz - T.transpose(kxz)
+    fa, fb = _features(featurizer, z), _features(featurizer, z)
+    norms_z, norms_fz = T.row_norms(z.data), T.row_norms(fa.data)
+    k, adjoints = _taped_block(held, fa.data, fb.data, norms_fz, norms_fz,
+                               z.data, z.data, norms_z, norms_z)
+    chain = T._per_adjoint(adjoints)
+    kzz = T._make("mul", k, (z, z, fa, fb),
+                  (*T._sqdist_grads(z.data, z.data, lambda g: chain(g)[0]),
+                   *T._sqdist_grads(fa.data, fb.data, lambda g: chain(g)[1])))
+
+    fc = _features(featurizer, z)
+    k, adjoints = _taped_block(held, fx, fc.data, norms_fx, norms_fz,
+                               held.x.data, z.data, held.norms_q, norms_z)
+    # blocks in [0, 2]: H lies in [-4, 4] (see `_untaped_h_matrix`)
+    h = kxx
+    h += kzz.data
+    h -= k
+    h -= k.T
+
+    @T._per_adjoint
+    def chain_h(g):
+        minus = -g  # sub, and transpose's input
+        return adjoints(minus.T + minus)
+
+    # x and fx are constants: only the z sides of K(x, z)'s distances
+    return T._make("sub", h, (kzz, z, fc),
+                   (lambda g: g,
+                    T._sqdist_grads(held.x.data, z.data, lambda g: chain_h(g)[0])[1],
+                    T._sqdist_grads(fx, fc.data, lambda g: chain_h(g)[1])[1]))
 
 
 def mmd_from_h(h: Tensor) -> Tensor:

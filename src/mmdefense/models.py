@@ -70,6 +70,11 @@ class ClassifierParams:
     def params(self) -> list[Tensor]:
         return [getattr(self, n) for n in self.NAMES]
 
+    @property
+    def layers(self) -> tuple[tuple[Tensor, Tensor], ...]:
+        """The (w, b) pair of each affine layer, input first."""
+        return (self.w1, self.b1), (self.w2, self.b2), (self.w3, self.b3)
+
 
 def features_forward(params: ClassifierParams, x: Tensor) -> Tensor:
     """Penultimate activations [n, 32] of rows x [n, d]."""
@@ -86,8 +91,7 @@ def classifier_cross_entropy(params: ClassifierParams, x: Tensor,
     """Mean cross-entropy of `classifier_forward(params, x)` at `labels` as
     one tape node whose parents are x and every weight that requires grad
     (`tensor.mlp_cross_entropy`)."""
-    layers = ((params.w1, params.b1), (params.w2, params.b2), (params.w3, params.b3))
-    return T.mlp_cross_entropy(x, layers, labels)
+    return T.mlp_cross_entropy(x, params.layers, labels)
 
 
 def classify(params: ClassifierParams, batch: np.ndarray):

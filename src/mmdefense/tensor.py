@@ -390,28 +390,23 @@ def one_hot(labels: np.ndarray, n: int, k: int) -> np.ndarray:
     return onehot
 
 
-def mlp_cross_entropy(x: Tensor, layers: Sequence[tuple[Tensor, Tensor]],
-                      labels: np.ndarray) -> Tensor:
-    """Mean cross-entropy of a ReLU network's logits on rows x, as one node.
+def _mlp_cross_entropy(x: np.ndarray, layers: Sequence[tuple[Tensor, Tensor]],
+                       labels: np.ndarray, keep: Sequence[int] = ()):
+    """`mlp_cross_entropy`'s forward and chain on plain arrays: (loss,
+    chain, inputs).
 
-    `layers` are (w, b) pairs: `affine_relu` on each but the last, `affine`
-    on the last, then the mean of `-log_softmax(logits)` at the labels, as
-    `-tsum(log_softmax(logits) * onehot) * (1 / n)` composes it with the
-    max subtraction.  The forward is those 8 nodes' numpy operations with
-    each of their checks that can fire, under their names (and `affine`'s
-    `ShapeError`).  The node's parents are x and each layer tensor that
-    requires grad, so a frozen network's node has x alone.  One chain per
-    incoming adjoint (`_per_adjoint`) applies the composed adjoints
-    operation for operation down to every layer's affine output; each
-    parent's closure is then `affine`'s (`_affine_grads`).  So the loss and
-    every gradient are bitwise those of the 8 composed nodes, for any
-    incoming adjoint.
+    The forward makes every check of the composed nodes that can fire,
+    under their names, and `affine`'s `ShapeError`; the loss is not
+    checked (see `mlp_cross_entropy`).  `chain` maps the loss's adjoint to
+    the adjoints of every layer's affine output, once per adjoint
+    (`_per_adjoint`).  `inputs` maps each layer index in `keep` to that
+    layer's input: no other layer's input is held.
     """
-    h, masks = x.data, []
+    h, masks, inputs = x, [], {}
 
     @_per_adjoint
     def chain(g):
-        """The adjoints of every layer's affine output, for the node's g."""
+        """The adjoints of every layer's affine output, for the loss's g."""
         a = g * scale                                # mul
         a = -a                                       # neg
         a = np.broadcast_to(a, picked.shape).copy()  # sum
@@ -423,18 +418,9 @@ def mlp_cross_entropy(x: Tensor, layers: Sequence[tuple[Tensor, Tensor]],
             adjoints.append(a)
         return adjoints[::-1]
 
-    parents, grad_fns = [x], []
     for i, (w, b) in enumerate(layers):
-        # closures only for x and the layers with a parent: a frozen
-        # layer's input is not held
-        if i == 0 or w.requires_grad or b.requires_grad:
-            grads = _affine_grads(h, w, b, lambda g, i=i: chain(g)[i])
-            if i == 0:
-                grad_fns.append(grads[0])
-            for p, grad_fn in zip((w, b), grads[1:]):
-                if p.requires_grad:
-                    parents.append(p)
-                    grad_fns.append(grad_fn)
+        if i in keep:
+            inputs[i] = h
         h = _affine_data(h, w.data, b.data)
         check_finite(h, "affine")
         if i < len(layers) - 1:  # a hidden layer's ReLU
@@ -453,7 +439,65 @@ def mlp_cross_entropy(x: Tensor, layers: Sequence[tuple[Tensor, Tensor]],
     # the negation of a finite sum is finite: the "neg" check cannot fire
     negated = -total
     scale = _lift(1.0 / len(h)).data
-    return _make("mul", negated * scale, tuple(parents), tuple(grad_fns))
+    return negated * scale, chain, inputs
+
+
+def mlp_cross_entropy(x: Tensor, layers: Sequence[tuple[Tensor, Tensor]],
+                      labels: np.ndarray) -> Tensor:
+    """Mean cross-entropy of a ReLU network's logits on rows x, as one node.
+
+    `layers` are (w, b) pairs: `affine_relu` on each but the last, `affine`
+    on the last, then the mean of `-log_softmax(logits)` at the labels, as
+    `-tsum(log_softmax(logits) * onehot) * (1 / n)` composes it with the
+    max subtraction.  The forward is those 8 nodes' numpy operations with
+    each of their checks that can fire, under their names (and `affine`'s
+    `ShapeError`), then `_make`'s on the loss.  The node's parents are x
+    and each layer tensor that requires grad, so a frozen network's node
+    has x alone.  One chain per incoming adjoint applies the composed
+    adjoints operation for operation down to every layer's affine output;
+    each parent's closure is then `affine`'s (`_affine_grads`).  So the
+    loss and every gradient are bitwise those of the 8 composed nodes, for
+    any incoming adjoint.  `mlp_cross_entropy_input_grad` is x's gradient
+    from the same forward and chain, with no tape.
+    """
+    # closures only for x and the layers with a parent: a frozen layer's
+    # input is not held
+    keep = [i for i, (w, b) in enumerate(layers)
+            if i == 0 or w.requires_grad or b.requires_grad]
+    loss, chain, inputs = _mlp_cross_entropy(x.data, layers, labels, keep)
+    parents, grad_fns = [x], []
+    for i, h in inputs.items():
+        w, b = layers[i]
+        grads = _affine_grads(h, w, b, lambda g, i=i: chain(g)[i])
+        if i == 0:
+            grad_fns.append(grads[0])
+        for p, grad_fn in zip((w, b), grads[1:]):
+            if p.requires_grad:
+                parents.append(p)
+                grad_fns.append(grad_fn)
+    return _make("mul", loss, tuple(parents), tuple(grad_fns))
+
+
+def mlp_cross_entropy_input_grad(x: np.ndarray,
+                                 layers: Sequence[tuple[Tensor, Tensor]],
+                                 labels: np.ndarray) -> np.ndarray:
+    """The gradient in x of `mlp_cross_entropy(Tensor(x), layers, labels)`,
+    without a tape: no node, no `backward` walk and no weight adjoint,
+    whether or not a weight requires grad.
+
+    It is the node's x-adjoint for `backward`'s seed of 1, from the same
+    forward and chain, so it is bitwise `grad_of` on that node.  Every
+    check that can fire stays, with its error: `Tensor`'s on x, the
+    forward's, and `backward`'s on the gradient.  `_make`'s check on the
+    loss cannot fire: the finite negated sum times 1 / n stays finite.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if not all_finite(x):
+        raise NonFiniteError("tensor constructed from non-finite data")
+    loss, chain, _ = _mlp_cross_entropy(x, layers, labels)
+    grad = chain(np.ones_like(loss))[0] @ layers[0][0].data.T
+    check_finite(grad, "backward")
+    return grad
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:
@@ -492,17 +536,25 @@ def pairwise_sqdist(x: Tensor, z: Tensor) -> Tensor:
     x_norms = row_norms(x.data)
     z_norms = x_norms if z.data is x.data else row_norms(z.data)
     data, mask = sqdist(x.data, z.data, x_norms, z_norms)
-    masked = _per_adjoint(lambda g: g * mask)
+    return _make("pairwise_sqdist", data, (x, z),
+                 _sqdist_grads(x.data, z.data, _per_adjoint(lambda g: g * mask)))
+
+
+def _sqdist_grads(x: np.ndarray, z: np.ndarray,
+                  masked: Callable[[np.ndarray], np.ndarray]) -> tuple:
+    """Closures from a node's adjoint to the adjoints of x and z in the
+    distances `sqdist(x, z, ...)`; `masked` maps the node's adjoint to the
+    distances' adjoint times their mask."""
 
     def bw_x(g):
         gm = masked(g)
-        return 2.0 * (gm.sum(axis=1)[:, None] * x.data - gm @ z.data)
+        return 2.0 * (gm.sum(axis=1)[:, None] * x - gm @ z)
 
     def bw_z(g):
         gm = masked(g)
-        return 2.0 * (gm.sum(axis=0)[:, None] * z.data - gm.T @ x.data)
+        return 2.0 * (gm.sum(axis=0)[:, None] * z - gm.T @ x)
 
-    return _make("pairwise_sqdist", data, (x, z), (bw_x, bw_z))
+    return bw_x, bw_z
 
 
 def sigmoid(a: Tensor) -> Tensor:

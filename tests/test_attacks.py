@@ -142,6 +142,23 @@ class TestPgd:
         for p, q in zip(trainable.params, frozen.params):
             assert np.array_equal(p.data, q.data)
 
+    def test_no_node_and_no_backward(self, setup, monkeypatch):
+        """Each step's input gradient is untaped, on a frozen and on a
+        trainable classifier alike: no node is made and `backward` never
+        runs."""
+        images, frozen, _, _ = setup
+        calls = []
+
+        def spy(name, real):
+            return lambda *args: calls.append(name) or real(*args)
+
+        monkeypatch.setattr(T, "backward", spy("backward", T.backward))
+        monkeypatch.setattr(T, "_make", spy("_make", T._make))
+        x, y = images.flat[:30], images.labels[:30]
+        for classifier in (frozen, trainable_copy(frozen)):
+            pgd(classifier, x, y, AttackConfig(iters=3), Rng(6))
+        assert calls == []
+
     def test_random_start_without_rng_rejected(self, setup):
         images, classifier, _, _ = setup
         cfg = AttackConfig(random_start=True)

@@ -13,7 +13,7 @@ from mmdefense.discrepancy import (DeepKernelParams, FeaturizerView,
                                    h_matrix, j_hat,
                                    mmd_from_h, mmd_opt, mmd_u_squared,
                                    optimize_kernel, variance_hat)
-from mmdefense.models import ClassifierParams
+from mmdefense.models import ClassifierParams, classifier_cross_entropy
 from mmdefense.optim import AdamState, adam_step
 from mmdefense.rng import Rng
 from mmdefense.tensor import GradTape, NonFiniteError, Tensor
@@ -402,6 +402,111 @@ class TestHeldTapedHMatrix:
             taped = h_matrix(params, x, z)
         assert not tape.nodes and not taped.requires_grad
         np.testing.assert_array_equal(taped.data, h_matrix(params, x, z).data)
+
+    def test_z_consumed_before_and_after_the_statistic(self):
+        """z also feeds cross-entropy nodes made before and after H, so
+        backward meets z's adjoints from both sides of the 2 fused nodes:
+        H, its signbit and z's gradient are bitwise the fully taped path's
+        (a trainable clone of the kernel), z = x among the draws.  H is 2
+        nodes after z's 6 featurizer nodes, or 2 with no featurizer."""
+        rng = Rng(50)
+        classifier = self.frozen_featurizer().classifier
+        kinds = set()
+        for trial in range(24):
+            n = int(rng.choice(8, 1)[0]) + 2
+            featurizer = self.frozen_featurizer() if trial % 2 else None
+            raws = [float(rng.normal((), 0.0, 1.0)) for _ in range(3)]
+            x = rng.uniform((n, 6))
+            z = x if trial % 3 == 0 else rng.uniform((n, 6))
+            labels = rng.integers(0, 3, n)
+            weights = Tensor(rng.normal((n, n), 0.0, 1.0))
+            got = []
+            for trainable in (False, True):
+                params = DeepKernelParams(
+                    *(Tensor(r, requires_grad=trainable) for r in raws),
+                    featurizer)
+                zt = Tensor(z, requires_grad=True)
+                with GradTape() as tape:
+                    before = classifier_cross_entropy(classifier, zt, labels)
+                    first = len(tape.nodes)
+                    h = h_matrix(params, Tensor(x), zt)
+                    h_nodes = tape.nodes[first:]
+                    after = classifier_cross_entropy(classifier, zt, labels)
+                    out = T.tsum(h * weights) + before + 0.5 * after
+                got.append((h.data, T.grad_of(tape, out, [zt])[0], h_nodes))
+            (held_h, held_g, nodes), (want_h, want_g, _) = got
+            np.testing.assert_array_equal(held_h, want_h)
+            np.testing.assert_array_equal(np.signbit(held_h), np.signbit(want_h))
+            np.testing.assert_array_equal(held_g, want_g)
+            np.testing.assert_array_equal(np.signbit(held_g), np.signbit(want_g))
+            assert len(nodes) == (2 if featurizer is None else 8)
+            # K(z, z), then K(x, z) with H, each after its featurizer passes
+            assert [len(node.parents) for node in nodes if node.out.shape == (n, n)] \
+                == [4, 3]
+            kinds.add((featurizer is None, z is x))
+        assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+    @pytest.mark.parametrize("featurizer", [None, "frozen"])
+    def test_only_the_checks_that_can_fire_remain(self, monkeypatch, featurizer):
+        """Each distance block and its division by -2 sigma^2 are checked,
+        and `_make` checks K(z, z) and H; the featurizer's passes make
+        their own checks.  Without a held side the call first makes
+        `hold`'s checks."""
+        checked = []
+        real = T.check_finite
+
+        def spy(arr, op):
+            checked.append((op, arr.shape))
+            return real(arr, op)
+
+        monkeypatch.setattr(T, "check_finite", spy)
+        rng = Rng(51)
+        params = DeepKernelParams(Tensor(0.2), Tensor(0.1), Tensor(-0.3),
+                                  self.frozen_featurizer() if featurizer else None)
+        x = Tensor(rng.uniform((8, 6)))
+        z = Tensor(rng.uniform((8, 6)), requires_grad=True)
+        held = discrepancy.hold(params, x)
+        built, checked[:] = checked[:], []
+        with GradTape():
+            h_matrix(params, held, z)
+        per_call, checked[:] = checked[:], []
+        with GradTape():
+            h_matrix(params, x, z)
+        distances = ["pairwise_sqdist", "div"]
+        # s(x, x) untaped, then K(z, z) and K(x, z) with H as nodes
+        assert [op for op, shape in per_call if shape == (8, 8)] == (
+            distances * 3 + ["mul"] + distances * 2 + ["sub"])
+        # 3 featurizer passes of x (2 for K(x, x), 1 for K(x, z)) and 3 of z
+        affine = [op for op, shape in per_call if shape != (8, 8)]
+        assert affine == (["affine"] * 12 if featurizer else [])
+        assert checked == built + per_call
+
+    @pytest.mark.parametrize("featurizer", [None, "frozen"])
+    @pytest.mark.parametrize("case", ["huge_z", "tiny_sigma_q"])
+    def test_the_fully_taped_paths_non_finite_error(self, featurizer, case):
+        """A z whose distances overflow, or a bandwidth whose division
+        overflows only on z's blocks (x's rows are equal), raises the
+        `NonFiniteError` of the fully taped path, under the same name."""
+        view = self.frozen_featurizer() if featurizer else None
+        rng = Rng(52)
+        raws = [0.0, 0.0, 0.0]
+        x, z = rng.uniform((5, 6)), rng.uniform((5, 6))
+        if case == "huge_z":
+            z = z * 1e160
+            name = "pairwise_sqdist"
+        else:
+            raws[1] = -360.0  # -2 sigma_q^2 is about -1e-313
+            x = np.zeros((5, 6))
+            name = "div"
+        messages = []
+        for trainable in (False, True):
+            params = DeepKernelParams(
+                *(Tensor(r, requires_grad=trainable) for r in raws), view)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"), \
+                    pytest.raises(NonFiniteError) as err, GradTape():
+                h_matrix(params, Tensor(x), Tensor(z, requires_grad=True))
+            messages.append(str(err.value))
+        assert messages == [f"{name} produced non-finite values"] * 2
 
     def test_kernel_training_gradients_are_the_composed_blocks(self):
         """With trainable raws, j_hat's raw gradients are those of the three

@@ -287,6 +287,69 @@ class TestClassifierCrossEntropyNode:
             assert np.any(got_g != 0)
 
 
+class TestUntapedInputGradient:
+    """`tensor.mlp_cross_entropy_input_grad`, the x-gradient `attacks.pgd`
+    takes with no tape, against the one node's taped x-adjoint."""
+
+    @pytest.mark.parametrize("trainable", sorted(TRAINABLE))
+    def test_bitwise_the_nodes_x_adjoint(self, trainable):
+        rng = Rng(73)
+        for trial in range(20):
+            params = make_classifier(trial, trainable=TRAINABLE[trainable])
+            n = int(rng.choice(9, 1)[0]) + 2
+            x = rng.uniform((n, 6))
+            if trial % 4 == 0:
+                # ReLU inputs at exactly 0: zero rows meet zero biases
+                x[: n // 2] = 0.0
+                params.b1.data[::2] = 0.0
+                params.b2.data[::3] = 0.0
+            labels = rng.integers(0, 3, n)
+            _, (want, *_), _ = ce_value_and_grad(classifier_cross_entropy,
+                                                 params, x, labels)
+            got = T.mlp_cross_entropy_input_grad(x, params.layers, labels)
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+            assert np.any(got != 0)
+
+    def test_the_same_errors_as_the_node(self):
+        rng = Rng(74)
+        x, labels = rng.uniform((4, 6)), np.array([0, 1, 2, 0])
+        cases = {"tensor constructed from non-finite data":
+                 (make_classifier(62), np.full((4, 6), np.nan))}
+        cases["affine produced non-finite values"] = (
+            make_classifier(62), np.full((4, 6), 1e308))
+        # finite logits whose log-softmax is -inf
+        wide = make_classifier(62)
+        wide.w3.data = wide.w3.data * 1e307
+        wide.b3.data = np.array([1.7e308, -1.7e308, 0.0])
+        cases["log_softmax produced non-finite values"] = (wide, x)
+        # finite log-probabilities of -1e308 whose sum overflows
+        deep = make_classifier(62)
+        deep.w3.data = np.zeros_like(deep.w3.data)
+        deep.b3.data = np.array([-1e308, -1e308, 0.0])
+        cases["sum produced non-finite values"] = (deep, x)
+        # a finite forward whose input gradient overflows
+        steep = make_classifier(62)
+        steep.w1.data = np.full_like(steep.w1.data, 1.7e308)
+        steep.b1.data = np.ones_like(steep.b1.data)
+        steep.w2.data = steep.w2.data * 10.0
+        cases["backward produced non-finite values"] = (steep, np.zeros((4, 6)))
+        image_shaped = make_classifier(64, dim=64)
+        cases["affine: incompatible shapes (4, 8, 8) and (64, 64)"] = (
+            image_shaped, rng.uniform((4, 8, 8)))
+        for message, (params, rows) in cases.items():
+            for grad in (
+                    lambda: ce_value_and_grad(classifier_cross_entropy, params,
+                                              rows, labels),
+                    lambda: T.mlp_cross_entropy_input_grad(rows, params.layers,
+                                                           labels)):
+                error = ShapeError if "shapes" in message else NonFiniteError
+                with np.errstate(over="ignore", invalid="ignore"), \
+                        pytest.raises(error) as err:
+                    grad()
+                assert str(err.value) == message
+
+
 class TestDenoiser:
     def test_zero_residual_is_clip_identity(self):
         theta = DenoiserParams.init(64, Rng(0), scale=0.0)
