@@ -1,11 +1,13 @@
 """Small desk-scale networks: clean classifier, its featurizer, denoiser.
 
-The classifier's cross-entropy, the loss of classifier training, of every
-attack step (taken through `defended_cross_entropy`) and the CE term of
-denoiser training, is one tape node, `classifier_cross_entropy`
-(`tensor.mlp_cross_entropy`): bitwise the composed forward, log-softmax and
-mean in value and in every gradient, with the same checks, for 1 node
-instead of 8.
+The classifier's cross-entropy, the loss of classifier training, of each
+denoiser-branch attack replica (taken through `defended_cross_entropy`) and
+the CE term of denoiser training, is one tape node,
+`classifier_cross_entropy` (`tensor.mlp_cross_entropy`): bitwise the
+composed forward, log-softmax and mean in value and in every gradient, with
+the same checks, for 1 node instead of 8.  An attack step with no denoiser
+takes its input gradient from the same forward and chain with no tape
+(`tensor.mlp_cross_entropy_input_grad`, through `ClassifierParams.layers`).
 """
 from __future__ import annotations
 

@@ -17,9 +17,11 @@ Primitives: add, sub, mul, div, neg, affine (x @ w + b), affine_relu
 clip and pairwise_sqdist; sigmoid is composed from them.
 `mlp_cross_entropy` is one composite node: a ReLU network's mean
 cross-entropy (`models.classifier_cross_entropy`), frozen or trainable,
-bitwise the 8 nodes it replaces in value and in every gradient.  `paused()`
-records nothing inside its block, for the parts of a taped computation that
-no gradient reaches (`discrepancy.h_matrix`'s reference side).
+bitwise the 8 nodes it replaces in value and in every gradient;
+`mlp_cross_entropy_input_grad` is its input's gradient with no tape, from
+the same forward and chain.  `paused()` records nothing inside its block,
+for the parts of a taped computation that no gradient reaches
+(`discrepancy.h_matrix`'s reference side).
 
 Conventions fixed here for reproducibility of gradient checks:
   * ReLU subgradient at exactly 0 is 0.
