@@ -10,26 +10,25 @@ Raw kernel parameters are unconstrained scalars (logistic map for b0,
 exponential map for the bandwidths), so plain gradient ascent keeps every
 constraint satisfied.
 
-`h_matrix` evaluates H in one of three ways, all bitwise equal in value:
+`h_matrix` evaluates H in one of two ways, bitwise equal in value:
   * fully taped, while a GradTape records and a gradient can reach the
     kernel or x (kernel training);
-  * held and taped, while a GradTape records and only z can carry a
-    gradient (denoiser training, the adaptive attack's statistic): the
-    parts that do not depend on z, K(x, x) among them, are computed
-    untaped and enter as constants, and after z's three featurizer passes
-    H is two nodes, K(z, z) and K(x, z) with H (8 nodes per H instead of
-    28, 2 with no featurizer; a denoiser step tapes 18), whose adjoints
-    give the fully taped z-gradient bitwise;
-  * untaped, with no tape recording or no gradient anywhere (the frozen
-    detection statistic: `mmd_opt`, calibration, the kernel monitor): the
-    same numpy operations in place.
-The last two take the kernel scalars, x's input-space row norms and q(x, x)
+  * held otherwise: the parts that do not depend on z, K(x, x) among them,
+    are computed untaped, and after z's three featurizer passes the rest
+    is the same numpy work in place, with or without nodes.  While a
+    GradTape records and z requires grad (denoiser training, the adaptive
+    attack's statistic), K(z, z) and K(x, z) with H are two nodes (8 nodes
+    per H instead of 28, 2 with no featurizer; a denoiser step tapes 18),
+    whose adjoints give the fully taped z-gradient bitwise.  Otherwise (the
+    frozen detection statistic: `mmd_opt`, calibration, the kernel
+    monitor) H is a constant and nothing is taped.
+The held way takes the kernel scalars, x's input-space row norms and q(x, x)
 from a `HeldSide`: a `DefensePipeline` builds one for its S_V once, and
-every other caller one per call, with `hold`.  Their steps check only the
+every other caller one per call, with `hold`.  Its steps check only the
 intermediates that can become non-finite (the distances and their
-division by -2 sigma^2; the held taped path's two nodes also take
-`_make`'s check on their outputs), so every inf or NaN still raises,
-under the name of the primitive that made it.
+division by -2 sigma^2, and `_make`'s check on K(z, z) and on a taped H),
+so every inf or NaN still raises, under the name of the primitive that
+made it.
 """
 from __future__ import annotations
 
@@ -164,15 +163,19 @@ def h_matrix(params: DeepKernelParams, x: Tensor | HeldSide, z: Tensor) -> Tenso
     """H_ij = K_xx[i,j] + K_zz[i,j] - K_xz[i,j] - K_xz[j,i] for equal sizes.
 
     Fully taped (`deep_kernel` per block) while a GradTape records and the
-    kernel or x is trainable.  Otherwise the parts that do not depend on z
-    come from a `HeldSide`, untaped: `_held_taped_h_matrix` while a
-    GradTape records and z requires grad, else `_untaped_h_matrix`; all
-    are bitwise equal.  x is a Tensor, or `hold(params, x)` for an x that
-    stays fixed across calls (a pipeline's S_V), whose parts are reused
-    instead of recomputed.
+    kernel or x is trainable.  Otherwise held (`_held_h_matrix`): the parts
+    that do not depend on z come from a `HeldSide`, untaped, and H is two
+    nodes while a GradTape records and z requires grad, else a constant;
+    both are bitwise the fully taped H.  x is a Tensor, or `hold(params,
+    x)` for an x that stays fixed across calls (a pipeline's S_V), whose
+    parts are reused instead of recomputed; a side held for another kernel
+    is a `ValueError`.
     """
     held = x if isinstance(x, HeldSide) else None
     if held is not None:
+        if held.kernel is not params:
+            raise ValueError("x is held for another kernel than the one given; "
+                             "hold it for this kernel")
         x = held.x
     if x.shape[0] != z.shape[0]:
         raise ValueError(
@@ -185,13 +188,11 @@ def h_matrix(params: DeepKernelParams, x: Tensor | HeldSide, z: Tensor) -> Tenso
         kxz = deep_kernel(params, x, z)
         return kxx + kzz - kxz - T.transpose(kxz)
     with T.paused():  # no gradient reaches the side that does not depend on z
-        if held is None or held.kernel is not params:
+        if held is None:
             held = hold(params, x)
         if not (recording and z.requires_grad):
-            return _untaped_h_matrix(held, z)
-        kxx, norms_fx = _held_kxx(held)
-        fx = _features(params.featurizer, x).data
-    return _held_taped_h_matrix(held, kxx, fx, norms_fx, z)
+            return _held_h_matrix(held, z)
+    return _held_h_matrix(held, z)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,7 +217,7 @@ class HeldSide:
 
 def hold(params: DeepKernelParams, x: Tensor) -> HeldSide:
     """The parts of H that depend on the kernel and on x only, computed
-    with the numpy operations and checks of the untaped pass; q(x, x) is
+    with the numpy operations and checks of the held pass; q(x, x) is
     `T.sqdist` on one buffer, as the taped path's is."""
     denom_phi, denom_q, b0, one_minus_b0 = (s.data for s in params.scalars())
     norms = T.row_norms(x.data)
@@ -240,81 +241,27 @@ def _gaussian(a: np.ndarray, b: np.ndarray, norms_a: np.ndarray,
     return k, mask
 
 
-def _s_block(held: HeldSide, fa: np.ndarray, fb: np.ndarray,
-             norms_a: np.ndarray, norms_b: np.ndarray) -> np.ndarray:
-    """(1 - b0) s(a, b) + b0 from features fa, fb, to be multiplied by
-    q(a, b) in place."""
-    k, _ = _gaussian(fa, fb, norms_a, norms_b, held.denom_phi)
+def _held_block(held: HeldSide, fa: np.ndarray, fb: np.ndarray,
+                norms_fa: np.ndarray, norms_fb: np.ndarray, a: np.ndarray,
+                b: np.ndarray, norms_a: np.ndarray, norms_b: np.ndarray):
+    """K(a, b) as a new array, from the features fa, fb, the rows a, b and
+    their row norms, with `_gaussian`'s checks, and a map from K's adjoint
+    to the masked adjoints of its q and s distances: `_kernel_block`'s
+    nodes' adjoints, op for op.  The map keeps s and q and recomputes
+    (1 - b0) s + b0 with the forward's operations, so with the forward's
+    bits."""
+    s, mask_s = _gaussian(fa, fb, norms_fa, norms_fb, held.denom_phi)
+    q, mask_q = _gaussian(a, b, norms_a, norms_b, held.denom_q)
     # s and 1 - b0 lie in [0, 1], and b0 in [0, 1]: no check can fire on
     # the product (in [0, 1]), the sum (in [0, 2]) or, with q in [0, 1],
     # the block (in [0, 2])
-    k *= held.one_minus_b0
+    k = s * held.one_minus_b0
     k += held.b0
-    return k
-
-
-def _held_kxx(held: HeldSide) -> tuple[np.ndarray, np.ndarray]:
-    """K(x, x) as a new array, and the row norms of x's features.  The
-    featurizer runs twice, so that s(x, x)'s two operands are two buffers
-    (see `T.sqdist`)."""
-    x, featurizer = held.x, held.kernel.featurizer
-    fx = _features(featurizer, x).data
-    norms_fx = T.row_norms(fx)
-    k = _s_block(held, fx, _features(featurizer, x).data, norms_fx, norms_fx)
-    k *= held.q_xx
-    return k, norms_fx
-
-
-def _untaped_h_matrix(held: HeldSide, z: Tensor) -> Tensor:
-    """The taped composition of `h_matrix` in plain numpy, for a constant H.
-
-    Each [n,n] step is the taped primitive's numpy operation on the same
-    operands in the same order, done in place, so H is that of the taped
-    path.  The kernel scalars, x's input-space row norms and q(x, x) come
-    from `held`.  A step is checked under its primitive's name wherever a
-    value can become non-finite (the distances and their division by
-    -2 sigma^2); every later step is bounded by then, as noted where it
-    stands.  The featurizer still runs twice per block, so that no feature
-    block is one buffer (see `T.sqdist`).  Each operand's row norms are
-    computed once per space and serve all of its blocks: all featurizer
-    passes of one operand are equal in value.
-    """
-    x = held.x
-
-    def features(a: Tensor) -> np.ndarray:
-        return _features(held.kernel.featurizer, a).data
-
-    h, norms_fx = _held_kxx(held)
-    fz = features(z)
-    norms_fz = T.row_norms(fz)
-    norms_z = T.row_norms(z.data)
-    kzz = _s_block(held, fz, features(z), norms_fz, norms_fz)
-    kzz *= _gaussian(z.data, z.data, norms_z, norms_z, held.denom_q)[0]
-    kxz = _s_block(held, features(x), features(z), norms_fx, norms_fz)
-    kxz *= _gaussian(x.data, z.data, held.norms_q, norms_z, held.denom_q)[0]
-    # blocks in [0, 2]: H = kxx + kzz - kxz - kxz^T lies in [-4, 4], so
-    # neither its steps nor the transpose can be non-finite
-    h += kzz
-    h -= kxz
-    h -= kxz.T
-    return T.constant(h)
-
-
-def _taped_block(held: HeldSide, fa: np.ndarray, fb: np.ndarray,
-                 norms_fa: np.ndarray, norms_fb: np.ndarray, a: np.ndarray,
-                 b: np.ndarray, norms_a: np.ndarray, norms_b: np.ndarray):
-    """K(a, b) from the features fa, fb and the rows a, b, computed as
-    `_untaped_h_matrix` computes a block but with s, (1 - b0) s + b0 and q
-    kept apart for the adjoint, and a map from K's adjoint to the masked
-    adjoints of its q and s distances: `_kernel_block`'s nodes' adjoints,
-    op for op."""
-    s, mask_s = _gaussian(fa, fb, norms_fa, norms_fb, held.denom_phi)
-    q, mask_q = _gaussian(a, b, norms_a, norms_b, held.denom_q)
-    sb = s * held.one_minus_b0
-    sb += held.b0
-    k = sb * q  # no check can fire on a block (see `_s_block`)
+    k *= q
 
     def adjoints(g):
+        sb = s * held.one_minus_b0
+        sb += held.b0
         # the block's mul, then exp, div and the distances' mask, for q;
         # the block's mul, the add of b0 and the mul by 1 - b0 first, for s
         return (g * sb * q / held.denom_q * mask_q,
@@ -323,39 +270,61 @@ def _taped_block(held: HeldSide, fa: np.ndarray, fb: np.ndarray,
     return k, adjoints
 
 
-def _held_taped_h_matrix(held: HeldSide, kxx: np.ndarray, fx: np.ndarray,
-                         norms_fx: np.ndarray, z: Tensor) -> Tensor:
-    """H for a z that requires grad, from K(x, x) (which it takes over),
-    x's features fx and their row norms, as 2 nodes after z's 3 featurizer
-    passes: K(z, z), with parents (z, z, f_a, f_b), and K(x, z) with H,
-    with parents (K(z, z), z, f_c).
+def _held_h_matrix(held: HeldSide, z: Tensor) -> Tensor:
+    """H after z's 3 featurizer passes: a constant when no gradient reaches
+    z, else 2 nodes, K(z, z) with parents (z, z, f_a, f_b), and K(x, z)
+    with H, with parents (K(z, z), z, f_c).
 
-    The forward is `_untaped_h_matrix`'s numpy work, with its checks, in
-    the order of its distance blocks and featurizer calls.  Each node
-    lists z once per contribution of the composed nodes (`_kernel_block`
-    per block, then H's add, sub, transpose and sub) and repeats their
-    adjoints op for op through one chain per adjoint, so `backward` sums
-    z's contributions in the fully taped path's order: H and every
-    gradient of z are bitwise that path's.
+    Each [n,n] step is the fully taped primitive's numpy operation on the
+    same operands in the same order, done in place where no adjoint needs
+    its input, so H is that of the fully taped path.  K(x, x) and x's
+    features are computed untaped; the kernel scalars, x's input-space row
+    norms and q(x, x) come from `held`.  A step is checked under its
+    primitive's name wherever a value can become non-finite (the distances
+    and their division by -2 sigma^2, and `_make`'s check on K(z, z) and
+    on a taped H); every later step is bounded by then, as noted where it
+    stands.  The featurizer still runs twice per block, so that no feature
+    block is one buffer (see `T.sqdist`).  Each operand's row norms are
+    computed once per space and serve all of its blocks: all featurizer
+    passes of one operand are equal in value.
+
+    Each node lists z once per contribution of the composed nodes
+    (`_kernel_block` per block, then H's add, sub, transpose and sub) and
+    repeats their adjoints op for op through one chain per adjoint, so
+    `backward` sums z's contributions in the fully taped path's order:
+    every gradient of z is bitwise that path's.  That order needs f_c to
+    be made after K(z, z)'s node.
     """
-    featurizer = held.kernel.featurizer
+    x, featurizer = held.x, held.kernel.featurizer
+    with T.paused():
+        fx = _features(featurizer, x).data
+        norms_fx = T.row_norms(fx)
+        h, _ = _gaussian(fx, _features(featurizer, x).data, norms_fx, norms_fx,
+                         held.denom_phi)
+        h *= held.one_minus_b0  # K(x, x) in [0, 2] (see `_held_block`)
+        h += held.b0
+        h *= held.q_xx
+        fx = _features(featurizer, x).data
+
     fa, fb = _features(featurizer, z), _features(featurizer, z)
-    norms_z, norms_fz = T.row_norms(z.data), T.row_norms(fa.data)
-    k, adjoints = _taped_block(held, fa.data, fb.data, norms_fz, norms_fz,
-                               z.data, z.data, norms_z, norms_z)
+    norms_fz, norms_z = T.row_norms(fa.data), T.row_norms(z.data)
+    k, adjoints = _held_block(held, fa.data, fb.data, norms_fz, norms_fz,
+                              z.data, z.data, norms_z, norms_z)
     chain = T._per_adjoint(adjoints)
     kzz = T._make("mul", k, (z, z, fa, fb),
                   (*T._sqdist_grads(z.data, z.data, lambda g: chain(g)[0]),
                    *T._sqdist_grads(fa.data, fb.data, lambda g: chain(g)[1])))
 
     fc = _features(featurizer, z)
-    k, adjoints = _taped_block(held, fx, fc.data, norms_fx, norms_fz,
-                               held.x.data, z.data, held.norms_q, norms_z)
-    # blocks in [0, 2]: H lies in [-4, 4] (see `_untaped_h_matrix`)
-    h = kxx
+    k, adjoints = _held_block(held, fx, fc.data, norms_fx, norms_fz,
+                              x.data, z.data, held.norms_q, norms_z)
+    # blocks in [0, 2]: H = kxx + kzz - kxz - kxz^T lies in [-4, 4], so
+    # neither its steps nor the transpose can be non-finite
     h += kzz.data
     h -= k
     h -= k.T
+    if not kzz.requires_grad:
+        return T.constant(h)
 
     @T._per_adjoint
     def chain_h(g):
@@ -365,7 +334,7 @@ def _held_taped_h_matrix(held: HeldSide, kxx: np.ndarray, fx: np.ndarray,
     # x and fx are constants: only the z sides of K(x, z)'s distances
     return T._make("sub", h, (kzz, z, fc),
                    (lambda g: g,
-                    T._sqdist_grads(held.x.data, z.data, lambda g: chain_h(g)[0])[1],
+                    T._sqdist_grads(x.data, z.data, lambda g: chain_h(g)[0])[1],
                     T._sqdist_grads(fx, fc.data, lambda g: chain_h(g)[1])[1]))
 
 

@@ -140,9 +140,13 @@ class TestUntapedHMatrix:
             params, x, z = self.draw(rng)
             untaped = h_matrix(params, x, z).data
             held = h_matrix(params, discrepancy.hold(params, x), z).data
+            # a z that requires grad with no tape recording: still a constant
+            zg = Tensor(z.data, requires_grad=True)
+            graded = h_matrix(params, zg if z is x else x, zg)
+            assert not graded.requires_grad
             with GradTape():
                 taped = h_matrix(params, x, z).data
-            for got in (untaped, held):
+            for got in (untaped, held, graded.data):
                 np.testing.assert_array_equal(got, taped)
                 np.testing.assert_array_equal(np.signbit(got), np.signbit(taped))
             kinds.add((params.featurizer is None, z is x))
@@ -196,7 +200,7 @@ class TestUntapedHMatrix:
         assert [a is z.data for a in norms] == [False, False, True]
         assert not any(a is x.data for a in norms)
         f = "features"
-        assert untaped == [True, f, f, False, f, f, False, True, f, f, False, False]
+        assert untaped == [True, f, f, False, f, f, f, False, True, f, False, False]
         assert untaped.count(f) == 6
         # x itself, features of x, features of z, z itself
         assert [a is x.data for a in untaped_norms] == [True, False, False, False]
@@ -245,8 +249,8 @@ class TestUntapedHMatrix:
 
     def test_only_the_checks_that_can_fire_remain(self, monkeypatch):
         """Each distance block and its division by -2 sigma^2 are checked,
-        and no later step: past those two checks every value is bounded
-        (see `_untaped_h_matrix`)."""
+        and no later step but `_make`'s on K(z, z): past those two checks
+        every value is bounded (see `_held_h_matrix`)."""
         checked = []
         real = T.check_finite
 
@@ -268,9 +272,10 @@ class TestUntapedHMatrix:
         # the kernel's 11 scalar checks (0-d), then q(x, x)'s two
         assert [op for op, shape in built if shape] == distances
         assert len(built) == 13
-        # s(x, x), then s and q of (z, z) and of (x, z); the rest are the
-        # featurizer's own checks
-        assert [op for op, shape in per_call if shape == (8, 8)] == distances * 5
+        # s(x, x), then s and q of (z, z), K(z, z) and s and q of (x, z); the
+        # rest are the featurizer's own checks
+        assert [op for op, shape in per_call if shape == (8, 8)] == (
+            distances * 3 + ["mul"] + distances * 2)
         assert {op for op, shape in per_call if shape != (8, 8)} == {"affine"}
         # with no held side, one untaped H makes exactly both lists
         assert checked == built + per_call
@@ -288,6 +293,24 @@ class TestUntapedHMatrix:
                 taped = mmd_u_squared(Tensor(a), Tensor(b), params).item()
             assert mmd_opt(model, a, b) == taped
             assert mmd_opt(model, discrepancy.hold(params, Tensor(a)), b) == taped
+
+    def test_a_side_held_for_another_kernel_is_rejected(self):
+        rng = Rng(53)
+        params = DeepKernelParams(Tensor(0.2), Tensor(0.1), Tensor(-0.3),
+                                  featurizer_view())
+        other = DeepKernelParams(*params.raws, params.featurizer)
+        x, z = rng.uniform((6, 6)), rng.uniform((6, 6))
+        held = discrepancy.hold(other, Tensor(x))
+        with pytest.raises(ValueError, match="held for another kernel"):
+            h_matrix(params, held, Tensor(z))
+        with pytest.raises(ValueError, match="held for another kernel"), GradTape():
+            h_matrix(params, held, Tensor(z, requires_grad=True))
+        model = discrepancy.DetectorModel(params, 0.0, 6)
+        with pytest.raises(ValueError, match="held for another kernel"):
+            mmd_opt(model, held, z)
+        # the kernel it was held for takes it
+        assert mmd_opt(discrepancy.DetectorModel(other, 0.0, 6), held, z) == \
+            mmd_opt(model, x, z)
 
     @pytest.mark.parametrize("featurizer", [None, "view"])
     def test_non_finite_bandwidth_raises_on_both_paths(self, featurizer):

@@ -1,8 +1,8 @@
-"""Every imported name in the package, its tests and the benchmark is used,
-every function, class, method, property and module-level constant the
-package defines is used outside the tests, every defaulted parameter of its
-functions and methods is passed somewhere, and every config key is read by
-the package outside `config.py`."""
+"""Every imported name in the package, its tests, the benchmark and the
+tools is used, every function, class, method, property and module-level
+constant the package defines is used outside the tests, every defaulted
+parameter of its functions and methods is passed somewhere, and every config
+key is read by the package outside `config.py`."""
 import ast
 import pathlib
 
@@ -13,7 +13,8 @@ from mmdefense import config
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src" / "mmdefense").glob("*.py"))
 BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
-FILES = sorted([*LIBRARY, *(ROOT / "tests").glob("*.py"), *BENCHMARK])
+FILES = sorted([*LIBRARY, *(ROOT / "tests").glob("*.py"), *BENCHMARK,
+                *(ROOT / "tools").glob("*.py")])
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 DEFINITIONS = (*FUNCTIONS, ast.ClassDef)
 
