@@ -29,6 +29,7 @@ from .models import ClassifierParams, DenoiserParams, accuracy, train_classifier
 from .rng import Rng
 from .tensor import NonFiniteError
 from .theory import DiscreteDomain, tightness_probe, verify_theorem
+from .worker import workers_peak_rss
 
 
 class MissingArtifact(RuntimeError):
@@ -44,8 +45,8 @@ def _artifact(out: str, name: str, producer: str) -> str:
     return path
 
 
-def _peak_rss_mb(who: int) -> float:
-    return round(resource.getrusage(who).ru_maxrss * 1024 / 1e6, 3)
+def _kib_to_mb(kib: int) -> float:
+    return round(kib * 1024 / 1e6, 3)
 
 
 def _write_json(path: str, obj):
@@ -54,7 +55,8 @@ def _write_json(path: str, obj):
         fh.write("\n")
 
 
-def _write_manifest(out: str, command: str, cfg: RunConfig, started: float):
+def _write_manifest(out: str, command: str, cfg: RunConfig, started: float,
+                    worker_peaks: list[int]):
     manifest = {
         "command": command,
         "seed": cfg.seed,
@@ -63,13 +65,12 @@ def _write_manifest(out: str, command: str, cfg: RunConfig, started: float):
         "numpy": np.__version__,
         "python": sys.version.split()[0],
         "wall_time_s": round(time.time() - started, 3),
-        # peak resident memory of this process, and of the largest child it
-        # has waited for so far (the workers of optimize_kernel,
-        # calibrate_threshold, train_denoiser and adaptive_pgd_eot); the
-        # latter is this command's own peak only when each command runs in
-        # its own process.  Linux gives ru_maxrss in KiB
-        "peak_rss_mb": _peak_rss_mb(resource.RUSAGE_SELF),
-        "peak_rss_children_mb": _peak_rss_mb(resource.RUSAGE_CHILDREN),
+        # peak resident memory of this process, and of the largest worker
+        # this command started (those of optimize_kernel,
+        # calibrate_threshold, train_denoiser and adaptive_pgd_eot), 0 if
+        # it started none.  Linux gives ru_maxrss in KiB
+        "peak_rss_mb": _kib_to_mb(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss),
+        "peak_rss_children_mb": _kib_to_mb(max(worker_peaks, default=0)),
     }
     _write_json(os.path.join(out, f"manifest_{command}.json"), manifest)
 
@@ -417,8 +418,9 @@ def main(argv=None) -> int:
         with open(os.path.join(args.out, "config_echo.txt"), "w") as fh:
             fh.write(config_echo(cfg))
         started = time.time()
-        COMMANDS[args.command](cfg, args.out, Rng(cfg.seed))
-        _write_manifest(args.out, args.command, cfg, started)
+        with workers_peak_rss() as worker_peaks:
+            COMMANDS[args.command](cfg, args.out, Rng(cfg.seed))
+        _write_manifest(args.out, args.command, cfg, started, worker_peaks)
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

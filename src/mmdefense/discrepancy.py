@@ -230,9 +230,12 @@ def hold(params: DeepKernelParams, x: Tensor) -> HeldSide:
 def _gaussian(a: np.ndarray, b: np.ndarray, norms_a: np.ndarray,
               norms_b: np.ndarray, denom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`gaussian_kernel`'s forward, checked as there wherever a value can
-    become non-finite, and the mask of its distances (see `T.sqdist`)."""
-    k, mask = T.sqdist(a, b, norms_a, norms_b)
+    become non-finite, and the mask of its distances: the distances above
+    0, which the in-place steps after it overwrite (see `T.sqdist`)."""
+    k = T.sqdist(a, b, norms_a, norms_b)
     T.check_finite(k, "pairwise_sqdist")
+    mask = k > 0
+    np.maximum(k, 0.0, out=k)
     k /= denom
     T.check_finite(k, "div")
     # past the div check k is finite and <= 0 (a distance >= 0 over
@@ -268,6 +271,20 @@ def _held_block(held: HeldSide, fa: np.ndarray, fb: np.ndarray,
                 g * q * held.one_minus_b0 * s / held.denom_phi * mask_s)
 
     return k, adjoints
+
+
+def _held_zz(held: HeldSide, z: Tensor, fa: Tensor, fb: Tensor,
+             norms_fz: np.ndarray, norms_z: np.ndarray) -> Tensor:
+    """K(z, z) as `_make`'s output with parents (z, z, fa, fb).  Its adjoint
+    map, which holds s, q and both masks, lives only in the node's closures,
+    so when nothing is taped it is freed on return, before K(x, z)'s blocks
+    are computed."""
+    k, adjoints = _held_block(held, fa.data, fb.data, norms_fz, norms_fz,
+                              z.data, z.data, norms_z, norms_z)
+    chain = T._per_adjoint(adjoints)
+    return T._make("mul", k, (z, z, fa, fb),
+                   (*T._sqdist_grads(z.data, z.data, lambda g: chain(g)[0]),
+                    *T._sqdist_grads(fa.data, fb.data, lambda g: chain(g)[1])))
 
 
 def _held_h_matrix(held: HeldSide, z: Tensor) -> Tensor:
@@ -308,12 +325,7 @@ def _held_h_matrix(held: HeldSide, z: Tensor) -> Tensor:
 
     fa, fb = _features(featurizer, z), _features(featurizer, z)
     norms_fz, norms_z = T.row_norms(fa.data), T.row_norms(z.data)
-    k, adjoints = _held_block(held, fa.data, fb.data, norms_fz, norms_fz,
-                              z.data, z.data, norms_z, norms_z)
-    chain = T._per_adjoint(adjoints)
-    kzz = T._make("mul", k, (z, z, fa, fb),
-                  (*T._sqdist_grads(z.data, z.data, lambda g: chain(g)[0]),
-                   *T._sqdist_grads(fa.data, fb.data, lambda g: chain(g)[1])))
+    kzz = _held_zz(held, z, fa, fb, norms_fz, norms_z)
 
     fc = _features(featurizer, z)
     k, adjoints = _held_block(held, fx, fc.data, norms_fx, norms_fz,

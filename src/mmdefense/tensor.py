@@ -26,6 +26,7 @@ for the parts of a taped computation that no gradient reaches
 Conventions fixed here for reproducibility of gradient checks:
   * ReLU subgradient at exactly 0 is 0.
   * clip passes gradient only where the input lies strictly inside [lo, hi].
+  * A ReLU or a distance clamped to zero is +0.0.
 
 Per-call cost: beyond its numpy arithmetic, a primitive adds about 2 us of
 fixed work -- wrapping the output, `math.isfinite` on a 0-d output or on a
@@ -36,9 +37,13 @@ that sum of squares non-finite, and only a finite array whose squares
 overflow pays the exact `np.isfinite(...).all()` pass as well.  No primitive
 enters an `np.errstate` block: the output check raises on every inf or NaN,
 so div / sqrt let numpy warn as usual on their way to that error.  A hidden
-layer is one `affine_relu` node: one output buffer, masked in place, and one
-check.  `sqdist` takes the rows' squared norms from its caller, so the
-untaped statistic computes each operand's norms once per call, not once per
+layer is one `affine_relu` node: one output buffer and one check, then the
+buffer clamped in place by `np.maximum`, which costs about half of a
+multiplication by a boolean mask (that pays a bool-to-float64 cast pass);
+its mask is built in the adjoint, so an untaped forward builds none.
+`pairwise_sqdist` and `clip` build their masks in their adjoints too.
+`sqdist` takes the rows' squared norms from its caller, so the untaped
+statistic computes each operand's norms once per call, not once per
 distance block.  Measured with numpy 2.4 on a 2-CPU x86-64 Xeon, BLAS on
 one thread.
 """
@@ -333,18 +338,20 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def affine_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """relu(x @ w + b) as one node, bitwise equal to `affine` followed by a
-    ReLU node, in value and in every gradient; subgradient 0 at exactly 0.
+    ReLU node in every gradient, and in value but for the sign of a zero:
+    a clamped entry is +0.0; subgradient 0 at exactly 0.
 
     One check, `affine`'s, covers both: it runs on the affine output, and
-    the mask multiplies that buffer in place only afterwards, which keeps a
+    `np.maximum` clamps that buffer in place only afterwards, which keeps a
     finite value finite (a ReLU output is non-finite exactly where its
-    input is), so numpy never warns about `inf * 0` on the way to the error.
+    input is).  The mask is built in the adjoint, from the output: it is > 0
+    exactly where the affine output was, and no mask is built when no
+    gradient is asked for.
     """
     data = _affine_data(x.data, w.data, b.data)
-    mask = data > 0
     out = _make("affine", data, (x, w, b),
-                _affine_grads(x.data, w, b, _per_adjoint(lambda g: g * mask)))
-    data *= mask
+                _affine_grads(x.data, w, b, _per_adjoint(lambda g: g * (data > 0))))
+    np.maximum(data, 0.0, out=data)
     return out
 
 
@@ -380,9 +387,12 @@ def sqrt(a: Tensor) -> Tensor:
 
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
+    """a clipped to [lo, hi]: a value below lo becomes lo itself (+0.0 for
+    lo = 0.0).  The gradient passes only where a lies strictly inside; its
+    mask is built in the adjoint, so no mask is built when no gradient is
+    asked for."""
     data = np.clip(a.data, lo, hi)
-    mask = (a.data > lo) & (a.data < hi)
-    return _make("clip", data, (a,), (lambda g: g * mask,))
+    return _make("clip", data, (a,), (lambda g: g * ((a.data > lo) & (a.data < hi)),))
 
 
 def one_hot(labels: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -426,9 +436,8 @@ def _mlp_cross_entropy(x: np.ndarray, layers: Sequence[tuple[Tensor, Tensor]],
         h = _affine_data(h, w.data, b.data)
         check_finite(h, "affine")
         if i < len(layers) - 1:  # a hidden layer's ReLU
-            mask = h > 0
-            h *= mask
-            masks.append(mask)
+            masks.append(h > 0)
+            np.maximum(h, 0.0, out=h)
     shifted = h - h.max(axis=1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     check_finite(logp, "log_softmax")
@@ -511,15 +520,18 @@ def row_norms(x: np.ndarray) -> np.ndarray:
 
 
 def sqdist(x: np.ndarray, z: np.ndarray, x_norms: np.ndarray,
-           z_norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Forward of `pairwise_sqdist` on plain arrays: (distances, mask).
+           z_norms: np.ndarray) -> np.ndarray:
+    """Forward of `pairwise_sqdist` on plain arrays, before its clamp.
 
     `x_norms` / `z_norms` are `row_norms` of x and z, or of arrays equal to
     them in value, so a caller computes an operand's norms once for all its
-    blocks.  The mask marks the raw distances above 0; tiny negatives from
-    cancellation clamp to 0 (to -0.0: the raw value times False).  Passing
-    one buffer as both x and z lets numpy take `x @ x.T` to BLAS syrk, whose
-    rounding differs from gemm's on two buffers of equal value.
+    blocks.  Tiny negatives from cancellation are left in: each caller
+    checks the distances under "pairwise_sqdist" first and only then clamps
+    them in place with `np.maximum` (to +0.0), since the clamp would turn a
+    -inf distance (finite rows whose doubled cross product overflows) into
+    a finite 0.  Passing one buffer as both x and z lets numpy take
+    `x @ x.T` to BLAS syrk, whose rounding differs from gemm's on two
+    buffers of equal value.
     """
     if x.ndim != 2 or z.ndim != 2 or x.shape[1] != z.shape[1]:
         raise ShapeError(f"pairwise_sqdist: incompatible shapes {x.shape} and {z.shape}")
@@ -527,19 +539,24 @@ def sqdist(x: np.ndarray, z: np.ndarray, x_norms: np.ndarray,
     cross = x @ z.T
     cross *= 2.0
     data -= cross
-    mask = data > 0
-    data *= mask
-    return data, mask
+    return data
 
 
 def pairwise_sqdist(x: Tensor, z: Tensor) -> Tensor:
     """Squared Euclidean distances between the rows of x [n,d] and z [m,d];
-    a clamped distance (see `sqdist`) has zero gradient."""
+    negatives from cancellation clamp to +0.0, with zero gradient.
+
+    `_make` checks the distances before the clamp (see `sqdist`); the mask
+    is built in the adjoint, from the output, which is > 0 exactly where
+    the distance was, so no mask is built when no gradient is asked for.
+    """
     x_norms = row_norms(x.data)
     z_norms = x_norms if z.data is x.data else row_norms(z.data)
-    data, mask = sqdist(x.data, z.data, x_norms, z_norms)
-    return _make("pairwise_sqdist", data, (x, z),
-                 _sqdist_grads(x.data, z.data, _per_adjoint(lambda g: g * mask)))
+    data = sqdist(x.data, z.data, x_norms, z_norms)
+    out = _make("pairwise_sqdist", data, (x, z),
+                _sqdist_grads(x.data, z.data, _per_adjoint(lambda g: g * (data > 0))))
+    np.maximum(data, 0.0, out=data)
+    return out
 
 
 def _sqdist_grads(x: np.ndarray, z: np.ndarray,

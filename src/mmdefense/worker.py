@@ -12,20 +12,36 @@ with each result that used draws, and the caller takes it as its own.
 The child inherits its function and everything the function reads through
 `fork`, so no weights are pickled and monkeypatches made in the parent
 before the call reach the child; only the jobs' arguments and results
-cross the pipe.
+cross the pipe.  A worker stopped after its last job reports its own peak
+resident set to each `workers_peak_rss` block it stopped in.
 """
 from __future__ import annotations
 
 import multiprocessing
+import resource
 import signal
 from contextlib import contextmanager
 from typing import Callable, Iterator
 
+_PEAK_LISTS: list[list[int]] = []  # one per open `workers_peak_rss` block
+
+
+@contextmanager
+def workers_peak_rss() -> Iterator[list[int]]:
+    """Yield a list that collects the peak resident set (`ru_maxrss`, KiB on
+    Linux) of each worker stopped after its last job inside the block."""
+    peaks: list[int] = []
+    _PEAK_LISTS.append(peaks)
+    try:
+        yield peaks
+    finally:
+        _PEAK_LISTS.remove(peaks)
+
 
 def _serve(conn, parent_end, fn: Callable[..., Iterator]):
     """Run each job `fn(*job)` to its end, sending every value it yields as
-    one result, until None arrives; an exception is sent back and ends the
-    worker."""
+    one result, until None arrives, then send this process's peak resident
+    set; an exception is sent back and ends the worker."""
     parent_end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops us
     try:
@@ -36,6 +52,7 @@ def _serve(conn, parent_end, fn: Callable[..., Iterator]):
             except Exception as exc:  # re-raised in the parent
                 conn.send((False, exc))
                 return
+        conn.send((None, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss))
     except (EOFError, ConnectionError):  # the parent is gone
         return
 
@@ -73,7 +90,8 @@ class Worker:
             f"job worker exited with code {self._process.exitcode}") from None
 
     def _finish(self):
-        """Stop the worker after its last job; what it raised or how it died
+        """Stop the worker after its last job and pass its peak resident set
+        to each open `workers_peak_rss` block; what it raised or how it died
         after the last result read is raised here."""
         self._send(None)
         while True:
@@ -81,7 +99,10 @@ class Worker:
                 ok, value = self._conn.recv()
             except (EOFError, ConnectionError):
                 break
-            if not ok:
+            if ok is None:  # the stop reply
+                for peaks in _PEAK_LISTS:
+                    peaks.append(value)
+            elif not ok:
                 raise value
         self._process.join()
         if self._process.exitcode != 0:

@@ -157,13 +157,17 @@ class TestCliChain:
             assert manifest["dataset"] == "synth_digits"
             assert np.isfinite(manifest["peak_rss_mb"])
             assert manifest["peak_rss_mb"] > 0
-            # RUSAGE_CHILDREN covers only children already waited for, so
-            # it may read 0 before the first PGD worker has run
             assert np.isfinite(manifest["peak_rss_children_mb"])
             assert manifest["peak_rss_children_mb"] >= 0
-        for command in ("train-denoiser", "defend"):
+        # each command reports its own workers' peak, 0 when it starts none,
+        # also after a command in the same process that did (train-denoiser,
+        # then attack)
+        for command, starts_workers in (("train-classifier", False),
+                                        ("train-denoiser", True), ("attack", False),
+                                        ("defend", True), ("verify-bound", False)):
             with open(os.path.join(out, f"manifest_{command}.json")) as fh:
-                assert json.load(fh)["peak_rss_children_mb"] > 0
+                peak = json.load(fh)["peak_rss_children_mb"]
+            assert (peak > 0) == starts_workers, command
 
     def test_bound_report_clean(self, full_run):
         _, _, out, _ = full_run

@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -415,6 +416,32 @@ class TestHeldTapedHMatrix:
         np.testing.assert_array_equal(h.data, want[0])
         np.testing.assert_array_equal(T.grad_of(tape, out, [zt])[0], want[1])
         assert len(tape.nodes) == len(want[2].nodes)
+
+    @pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+    def test_k_zz_adjoint_map_lives_only_in_its_node(self, monkeypatch, taped):
+        """When no gradient reaches z, K(z, z)'s s, q and both masks are
+        freed before K(x, z)'s blocks are computed; under a tape, with z
+        requiring grad, its node keeps them for `backward`."""
+        rng = Rng(49)
+        params = DeepKernelParams(Tensor(0.3), Tensor(0.2), Tensor(-0.1),
+                                  self.frozen_featurizer())
+        held = discrepancy.hold(params, Tensor(rng.uniform((6, 6))))
+        z = Tensor(rng.uniform((6, 6)), requires_grad=taped)
+        made, alive = [], []
+        real = discrepancy._gaussian
+
+        def spy(*args):
+            if len(made) == 3:  # s(x, x), then s and q of K(z, z) were made
+                alive.extend(ref() is not None for pair in made[1:] for ref in pair)
+            k, mask = real(*args)
+            made.append((weakref.ref(k), weakref.ref(mask)))
+            return k, mask
+
+        monkeypatch.setattr(discrepancy, "_gaussian", spy)
+        with GradTape():
+            h_matrix(params, held, z)
+        assert len(made) == 5
+        assert alive == [taped] * 4
 
     def test_no_gradient_anywhere_is_a_constant(self):
         rng = Rng(48)

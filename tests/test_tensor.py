@@ -11,9 +11,10 @@ import pytest
 from mmdefense import discrepancy
 from mmdefense import tensor as T
 from mmdefense.discrepancy import (DeepKernelParams, FeaturizerView,
-                                   j_hat, mmd_u_squared)
+                                   h_matrix, j_hat, mmd_u_squared)
 from mmdefense.models import (ClassifierParams, DenoiserParams,
-                              classifier_cross_entropy, denoiser_forward)
+                              classifier_cross_entropy, denoiser_forward,
+                              features_forward)
 from mmdefense.optim import AdamState, adam_step
 from mmdefense.rng import Rng
 from mmdefense.tensor import (GradTape, NonFiniteError, ShapeError, Tensor,
@@ -626,6 +627,222 @@ def test_affine_equals_matmul_then_add_bitwise(case, monkeypatch):
     assert any(np.any(g != 0) for g in fused[1:])
     for got, want in zip(fused, unfused):
         assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# the in-place clamps against the mask products they replace
+# ---------------------------------------------------------------------------
+
+def _mask_product_affine_relu(x, w, b):
+    """affine_relu as written before the in-place clamp: the affine output
+    times its mask, built in the forward."""
+    data = T._affine_data(x.data, w.data, b.data)
+    mask = data > 0
+    out = T._make("affine", data, (x, w, b),
+                  T._affine_grads(x.data, w, b, lambda g: g * mask))
+    data *= mask
+    return out
+
+
+def _mask_product_pairwise_sqdist(x, z):
+    """pairwise_sqdist as written before the in-place clamp."""
+    x_norms = T.row_norms(x.data)
+    z_norms = x_norms if z.data is x.data else T.row_norms(z.data)
+    data = T.sqdist(x.data, z.data, x_norms, z_norms)
+    mask = data > 0
+    data *= mask
+    return T._make("pairwise_sqdist", data, (x, z),
+                   T._sqdist_grads(x.data, z.data, lambda g: g * mask))
+
+
+def _mask_product_gaussian(a, b, norms_a, norms_b, denom):
+    """The held path's Gaussian block as written before the in-place clamp."""
+    k = T.sqdist(a, b, norms_a, norms_b)
+    T.check_finite(k, "pairwise_sqdist")
+    mask = k > 0
+    k *= mask
+    k /= denom
+    np.exp(k, out=k)
+    return k, mask
+
+
+def _mask_products(monkeypatch):
+    monkeypatch.setattr(T, "affine_relu", _mask_product_affine_relu)
+    monkeypatch.setattr(T, "pairwise_sqdist", _mask_product_pairwise_sqdist)
+    monkeypatch.setattr(discrepancy, "_gaussian", _mask_product_gaussian)
+
+
+class TestInPlaceClamp:
+    """Pre-activations and distances that are exactly 0.0, -0.0 and
+    negative: the clamps' outputs and gradients keep the bits of the mask
+    products, but for the sign of a clamped zero in the ReLU's own output."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """Turn every other exact zero of each affine output and each raw
+        distance block into -0.0 (neither BLAS nor the norms make one), and
+        note the signs of the values the clamps meet."""
+        seen = {"affine": set(), "sqdist": set()}
+
+        def signed_zeros(name, real):
+            def wrapped(*args):
+                data = real(*args)
+                zeros = np.flatnonzero(data == 0)
+                data.flat[zeros[::2]] = -0.0
+                seen[name] |= {"+0.0" if v == 0 and not np.signbit(v) else
+                               "-0.0" if v == 0 else "negative"
+                               for v in data.flat if v <= 0}
+                return data
+            return wrapped
+
+        monkeypatch.setattr(T, "_affine_data", signed_zeros("affine", T._affine_data))
+        monkeypatch.setattr(T, "sqdist", signed_zeros("sqdist", T.sqdist))
+        yield seen
+        assert any(seen.values())
+        assert all(kinds == {"+0.0", "-0.0", "negative"}
+                   for kinds in seen.values() if kinds)
+
+    @staticmethod
+    def world():
+        """A frozen 3-class classifier and kernel, and rows x, z that share 4
+        rows (distances cancel to tiny negatives and zeros) and hold 2 zero
+        rows each (pre-activations of exactly 0)."""
+        rng = Rng(61)
+        clf = ClassifierParams.init(D, 3, rng.fork())
+        T.freeze(clf.params)
+        x, z = rng.uniform((N, D)), rng.uniform((N, D))
+        z[:4] = x[:4]
+        x[-2:] = z[-2:] = 0.0
+        kernel = DeepKernelParams(Tensor(0.2), Tensor(0.1), Tensor(-0.3),
+                                  FeaturizerView(clf))
+        return clf, kernel, x, z, rng.integers(0, 3, N)
+
+    @staticmethod
+    def run_both(monkeypatch, compute):
+        """compute() with the clamps, then with the mask products."""
+        clamped = compute()
+        with monkeypatch.context() as m:
+            _mask_products(m)
+            masked = compute()
+        return clamped, masked
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            a, b = np.asarray(a), np.asarray(b)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    def test_features_forward(self, monkeypatch, seen):
+        clf, _, x, _, _ = self.world()
+        params = trainable_copy(clf)
+        weights = Tensor(Rng(7).normal((N, 32), 0.0, 1.0))
+
+        def compute():
+            xt = Tensor(x, requires_grad=True)
+            with GradTape() as tape:
+                feats = features_forward(params, xt)
+                out = T.tsum(feats * weights)
+            return [feats.data, *T.grad_of(tape, out, [xt, *params.params[:4]])]
+
+        clamped, masked = self.run_both(monkeypatch, compute)
+        # the clamped zeros are +0.0 and every other value keeps its bits
+        feats, want = clamped[0], masked[0]
+        assert np.array_equal(feats, want)
+        assert np.any(feats == 0) and not np.any(np.signbit(feats[feats == 0]))
+        assert feats[feats != 0].tobytes() == want[want != 0].tobytes()
+        assert all(np.any(g != 0) for g in clamped[1:])
+        self.assert_same_bits(clamped[1:], masked[1:])
+
+    def test_held_and_fully_taped_h(self, monkeypatch, seen):
+        _, kernel, x, z, _ = self.world()
+
+        def compute():
+            held = discrepancy.hold(kernel, Tensor(x))
+            untaped = h_matrix(kernel, held, Tensor(z))
+            zt = Tensor(z, requires_grad=True)
+            with GradTape() as tape:
+                h = h_matrix(kernel, held, zt)
+                out = T.tsum(h * h)
+            held_grad = T.grad_of(tape, out, [zt])
+            trainable, xt = kernel.clone(), Tensor(x, requires_grad=True)
+            with GradTape() as tape:
+                full = h_matrix(trainable, xt, zt)
+                out = T.tsum(full * full)
+            return [untaped.data, h.data, *held_grad, full.data,
+                    *T.grad_of(tape, out, [xt, zt, *trainable.raws])]
+
+        clamped, masked = self.run_both(monkeypatch, compute)
+        assert all(np.any(g != 0) for g in clamped)
+        self.assert_same_bits(clamped, masked)
+
+    def test_mlp_cross_entropy_and_its_input_gradient(self, monkeypatch, seen):
+        clf, _, x, _, y = self.world()
+        params = trainable_copy(clf)
+
+        def composed():
+            xt = Tensor(x, requires_grad=True)
+            with GradTape() as tape:
+                loss = composed_ce(params, xt, y)
+            return [loss.data, *T.grad_of(tape, loss, [xt, *params.params])]
+
+        xt = Tensor(x, requires_grad=True)
+        with GradTape() as tape:
+            loss = classifier_cross_entropy(params, xt, y)
+        node = [loss.data, *T.grad_of(tape, loss, [xt, *params.params])]
+        untaped = T.mlp_cross_entropy_input_grad(x, clf.layers, y)
+        clamped, masked = self.run_both(monkeypatch, composed)
+        assert all(np.any(g != 0) for g in node[1:])
+        # the clamped one-node loss and every gradient, and x's untaped
+        # gradient, against the composed nodes with the mask products
+        self.assert_same_bits(node, masked)
+        self.assert_same_bits([untaped], masked[1:2])
+        self.assert_same_bits(clamped, masked)
+
+
+def _minus_inf_rows():
+    """Two equal finite rows whose raw squared distance is -inf: their norms
+    sum below the overflow threshold while their doubled dot product, which
+    BLAS rounds in another order, overflows (about 1 in 36 tries with
+    OpenBLAS on x86-64)."""
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        u = rng.uniform(0.2, 1.0, 8)
+        u *= math.sqrt(2.0 ** 1023) / math.sqrt((u * u).sum())
+        u[-1] *= 1.0 + rng.integers(-3, 4) * 2.0 ** -52
+        x, z = u[None, :], u[None, :].copy()
+        norms = T.row_norms(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if np.isneginf(T.sqdist(x, z, norms, norms)).any():
+                return x, z
+    pytest.skip("this BLAS rounds the dot product as the norms: no -inf distance")
+
+
+NON_FINITE_DISTANCES = {
+    "+inf": lambda: (np.array([[BIG]]), np.array([[0.0]])),
+    "nan": lambda: (np.array([[BIG]]), np.array([[BIG]])),
+    "-inf": _minus_inf_rows,
+}
+
+
+@pytest.mark.parametrize("rows", NON_FINITE_DISTANCES.values(),
+                         ids=NON_FINITE_DISTANCES.keys())
+def test_a_non_finite_distance_raises_before_the_clamp(rows):
+    """The clamp would turn -inf into 0: each caller checks first."""
+    x, z = rows()
+    kernel = DeepKernelParams(Tensor(0.2), Tensor(0.1), Tensor(-0.3))
+    error = "^pairwise_sqdist produced non-finite values$"
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms_x, norms_z = T.row_norms(x), T.row_norms(z)
+        with pytest.raises(NonFiniteError, match=error):
+            T.pairwise_sqdist(Tensor(x), Tensor(z))
+        with pytest.raises(NonFiniteError, match=error):
+            discrepancy._gaussian(x, z, norms_x, norms_z, np.array(-2.0))
+        with pytest.raises(NonFiniteError, match=error):
+            h_matrix(kernel, Tensor(x), Tensor(z))
+        with pytest.raises(NonFiniteError, match=error), GradTape():
+            h_matrix(kernel.clone(), Tensor(x), Tensor(z))
 
 
 def test_statistic_computes_no_adjoint_for_a_constant():

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from mmdefense.worker import job_worker
+from mmdefense.worker import job_worker, workers_peak_rss
 
 
 def square_or_fail(x):
@@ -119,3 +119,17 @@ def test_caller_exception_stops_a_busy_worker():
         with job_worker(square_or_fail) as w:
             w.submit(10 ** 6)
             raise KeyError("caller failed")
+
+
+def test_a_stopped_worker_reports_its_peak_to_the_open_blocks():
+    with workers_peak_rss() as outer:
+        with workers_peak_rss() as inner, job_worker(square_or_fail) as w:
+            w.submit(3)
+            assert w.result() == 9
+        with pytest.raises(ValueError), job_worker(square_or_fail) as w:
+            w.submit(-1)
+            w.result()  # a worker that raised reports nothing
+    with job_worker(square_or_fail):
+        pass
+    assert len(inner) == 1 and inner[0] > 0
+    assert outer == inner

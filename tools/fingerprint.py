@@ -6,6 +6,9 @@ Prints, for the sources under CHECKOUT/src:
   * the perfbench digests of train, attack and serve on the small
     configuration `SMALL` of `perfbench/test_perfbench.py` (seed 3), each
     over the workload's full fixed prefix of operations;
+  * the same digests on the benchmark's reference configuration at seeds 59
+    and 71 (train's first operation, attack's first 4, serve's first 256),
+    as `perfbench/run.py` prints them and `BENCH_*.json` records them;
   * the sha256 of every CLI artifact except the manifests (they hold wall
     times): the ten subcommands on `SMALL_DIGITS` of
     `tests/test_config_cli.py`, then `train-denoiser` at noise_sigma = 0 and
@@ -14,7 +17,8 @@ Prints, for the sources under CHECKOUT/src:
 
 Two checkouts compute the same bits when the `diff` of their outputs is
 empty.  BLAS runs on one thread, as in the benchmark, and every file is
-written under a temporary directory.
+written under a temporary directory.  One run takes about 25 s on a 2-CPU
+x86-64 Xeon, most of it the reference digests.
 """
 from __future__ import annotations
 
@@ -29,6 +33,7 @@ from pathlib import Path
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 PERFBENCH_SEED = 3
+REFERENCE_SEEDS = (59, 71)
 CLI_CHAIN = ("train-classifier", "train-kernel", "calibrate", "train-denoiser", "attack",
              "defend", "eval-mixed", "eval-batch-size", "ablate", "verify-bound")
 SMALL_BLOBS = """
@@ -40,14 +45,14 @@ calibration_trials = 30
 """
 
 
-def perfbench_digests(bench, workloads, cfg) -> list[str]:
+def perfbench_digests(bench, workloads, cfg, seed: int, label: str = "") -> list[str]:
     lines = []
     for name, wl in workloads.WORKLOADS.items():
         rec = bench.Record(bench.DIGEST_OPS[name])
-        st = wl.prepare(cfg, workloads.make_inputs(cfg, PERFBENCH_SEED))
+        st = wl.prepare(cfg, workloads.make_inputs(cfg, seed))
         for _ in range(rec.max_digest_ops):
             bench.measure(wl, st, 0.0, rec)  # one operation per call
-        lines.append(f"perfbench {name} {rec.digest.hexdigest()} "
+        lines.append(f"perfbench {label}{name} {rec.digest.hexdigest()} "
                      f"over {rec.digest_ops} operations, {rec.failed} failed")
     return lines
 
@@ -94,7 +99,10 @@ def main(argv=None) -> int:
     from mmdefense.cli import main as cli_main
     with tempfile.TemporaryDirectory() as tmp:
         bench.OUT_DIR = Path(tmp) / "perfbench"
-        lines = perfbench_digests(bench, workloads, test_perfbench.SMALL)
+        lines = perfbench_digests(bench, workloads, test_perfbench.SMALL, PERFBENCH_SEED)
+        for seed in REFERENCE_SEEDS:
+            lines += perfbench_digests(bench, workloads, workloads.REFERENCE, seed,
+                                       f"reference seed {seed} ")
         lines += cli_digests(cli_main, test_config_cli.SMALL_DIGITS, Path(tmp))
     print("\n".join(lines))
     return 0
